@@ -107,7 +107,7 @@ def build_substrate(args):
 
 
 def run_k(graph, dag, k: int, repeats: int) -> list[dict]:
-    """The seven backend comparisons for one clique size ``k``."""
+    """The six backend comparisons for one clique size ``k``."""
     rows: list[dict] = []
     compare(
         rows, k=k, op="count", mode="cold", repeats=repeats,
@@ -137,14 +137,8 @@ def run_k(graph, dag, k: int, repeats: int) -> list[dict]:
         csr_fn=lambda k=k: list_cliques(graph, k, backend="csr"),
         check=lambda a, b: canonical(a) == canonical(b),
     )
-    # Forced-CSR FindMin walk, and the phase-aware auto default.
-    compare(
-        rows, k=k, op="solve-csr", mode="cold", repeats=max(1, repeats - 1),
-        sets_fn=lambda k=k: lightweight(graph, k, backend="sets"),
-        csr_fn=lambda k=k: lightweight(graph, k, backend="csr"),
-        check=lambda a, b: a.sorted_cliques() == b.sorted_cliques()
-        and a.stats == b.stats,
-    )
+    # The phase-aware auto default (the FindMin walk is the same for
+    # every backend, so only the score pass differs).
     compare(
         rows, k=k, op="solve-auto", mode="cold", repeats=max(1, repeats - 1),
         sets_fn=lambda k=k: lightweight(graph, k, backend="sets"),

@@ -2,7 +2,8 @@
 
 The paper's finding: runtimes grow with density; HG stays k-insensitive
 while GC/LP track the clique count. Scaled from the paper's n=1M to
-n=400 here (pure-Python substrate; see DESIGN.md §4).
+n=400 here (pure-Python substrate; see "Datasets" in
+docs/benchmarks.md).
 """
 
 import pytest

@@ -1,10 +1,11 @@
 """Shared fixtures and helpers for the benchmark suite.
 
 Each ``bench_*`` file regenerates one of the paper's tables or figures
-(see DESIGN.md §5). Benchmarks run at reduced scale so the whole suite
-finishes in minutes; the full-scale artefacts for EXPERIMENTS.md come
-from ``python -m repro.bench.experiments all`` or — with manifests and
-a regression gate — ``python -m repro bench --reproduce-all``.
+(see the suite index in docs/benchmarks.md). Benchmarks run at reduced
+scale so the whole suite finishes in minutes; the full-scale artefacts
+for EXPERIMENTS.md come from ``python -m repro.bench.experiments all``
+or — with manifests and a regression gate — ``python -m repro bench
+--reproduce-all``.
 
 Seeds and update streams are canonical: every benchmark draws them from
 :mod:`repro.bench.workloads` (directly or via the fixtures below), so

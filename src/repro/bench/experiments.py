@@ -1,7 +1,7 @@
 """Experiment runners regenerating every table and figure of the paper.
 
-Each ``run_*`` function reproduces one evaluation artefact (see
-DESIGN.md §5 for the full index) at the scaled-down dataset sizes of
+Each ``run_*`` function reproduces one evaluation artefact (see the
+suite index in docs/benchmarks.md) at the scaled-down dataset sizes of
 :mod:`repro.graph.datasets`, returning an :class:`ExperimentResult` whose
 ``text`` is a paper-style table and whose ``data`` is the raw grid.
 

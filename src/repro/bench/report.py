@@ -1,6 +1,6 @@
 """EXPERIMENTS.md generator: paper-vs-measured for every artefact.
 
-``python -m repro.bench.report [output.md]`` runs the full experiment
+``python -m repro.bench.report [<path>]`` runs the full experiment
 suite (:func:`repro.bench.experiments.run_all`) and writes a markdown
 report pairing each regenerated table/figure with the paper's reported
 numbers and the expected qualitative shape, so a reader can audit the
@@ -26,8 +26,8 @@ PAPER_NOTES: dict[str, str] = {
         "k on dense graphs (FB: 1.61M triangles at n=4K — ~400x n; Flickr "
         "reaches 33.6T 6-cliques).\n"
         "**Here:** seeded synthetic substitutes at ~1/10-1/1000 scale "
-        "(DESIGN.md §4). Same ladder: FTB matches the paper's n=115 "
-        "exactly; FB's clique counts reach ~350x n (420K 5-cliques at "
+        "(docs/benchmarks.md, Datasets). Same ladder: FTB matches the "
+        "paper's n=115 exactly; FB's clique counts reach ~350x n (420K 5-cliques at "
         "n=1.2K), reproducing the storage-explosion regime."
     ),
     "fig6": (
@@ -122,8 +122,8 @@ def build_report() -> str:
         f"* Budgets: {DEFAULT_TIME_BUDGET:.0f}s per cell (paper: 24h), "
         f"{DEFAULT_CLIQUE_BUDGET} stored cliques (paper: 504GB), "
         f"workload scale x{BENCH_SCALE}.",
-        "* Datasets are seeded synthetic substitutes (DESIGN.md §4); "
-        "absolute numbers differ from the paper by construction — the "
+        "* Datasets are seeded synthetic substitutes (docs/benchmarks.md, "
+        "Datasets); absolute numbers differ from the paper by construction — the "
         "claims audited here are the *shapes*: who wins, how costs move "
         "with k and density, where OOT/OOM hits.",
         "",

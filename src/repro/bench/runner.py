@@ -1,8 +1,8 @@
 """Manifest-based benchmark runner behind ``python -m repro bench``.
 
 The unified experiment harness of the repository: a registry of every
-benchmark suite (the five standalone ``BENCH_*`` perf trajectories plus
-the fifteen paper table/figure/ablation suites under ``benchmarks/``),
+benchmark suite (the four standalone ``BENCH_*`` perf trajectories plus
+the fourteen paper table/figure/ablation suites under ``benchmarks/``),
 executed into per-run result directories with full provenance:
 
 ``results/<run-id>/manifest.json``
@@ -26,7 +26,7 @@ Each ``benchmarks/bench_*.py`` exposes ``cells(smoke=False)`` returning
 :func:`check`) feeds the regression gate and whose ``"artefact"`` key
 (text) is written to the artefacts directory — everything else is
 recorded as metrics. Differential verification (backend equality,
-parallel solution identity, GC==LP) runs in-band: a failed assertion
+served-vs-direct identity, GC==LP) runs in-band: a failed assertion
 errors the cell, and errored cells fail both the run and the gate.
 
 The gate (:func:`gate_run`) compares a fresh run against a baseline run
@@ -63,7 +63,7 @@ SCHEMA_VERSION = 1
 #: Repository root (``src/repro/bench/runner.py`` -> three levels up).
 REPO_ROOT = Path(__file__).resolve().parents[3]
 
-#: Where the suite scripts live; overridable for tests/sandboxes.
+#: Where the suite scripts live; overridable for tests and sandboxes.
 BENCH_DIR = Path(
     os.environ.get("REPRO_BENCH_SUITES_DIR", str(REPO_ROOT / "benchmarks"))
 )
@@ -129,7 +129,7 @@ class SuiteSpec:
 
 
 #: Every benchmark suite, in execution order: paper artefacts first,
-#: then the ablations, then the five standalone perf trajectories.
+#: then the ablations, then the four standalone perf trajectories.
 SUITES: tuple[SuiteSpec, ...] = (
     SuiteSpec("table1", "bench_table1_stats", "paper",
               "Table I: dataset statistics and clique counts"),
@@ -159,14 +159,10 @@ SUITES: tuple[SuiteSpec, ...] = (
               "Ablation: score-driven pruning (L vs LP)"),
     SuiteSpec("ablation_kcore", "bench_ablation_kcore", "ablation",
               "Ablation: (k-1)-core pruning preprocessing"),
-    SuiteSpec("ablation_parallel", "bench_ablation_parallel", "ablation",
-              "Ablation: parallel HeapInit worker invariance"),
     SuiteSpec("backend", "bench_backend", "perf",
               "Set-vs-CSR enumeration backend microbenchmark"),
     SuiteSpec("dynamic", "bench_dynamic", "perf",
               "Per-edge vs batched dynamic maintenance"),
-    SuiteSpec("parallel", "bench_parallel", "perf",
-              "Process-tier parallel solves vs sequential"),
     SuiteSpec("serve", "bench_serve", "perf",
               "Serving layer: warm pool and worker scaling"),
     SuiteSpec("anytime", "bench_anytime", "perf",

@@ -47,7 +47,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # imported for annotations only
     from repro.core.result import CliqueSetResult
-    from repro.core.session import Session
     from repro.core.task import SolveTask
 
 from repro.graph import datasets
@@ -114,49 +113,14 @@ def _write_solution(
         )
 
 
-def _run_solve(session: "Session", args: argparse.Namespace) -> "CliqueSetResult":
-    """One whole solve honouring ``--workers`` / ``--parallel``.
-
-    ``--parallel process`` routes through a short-lived
-    :class:`repro.parallel.pool.ProcessSolvePool` (methods with a
-    process decomposition: ``l``/``lp``/``opt-bb``); ``--workers N``
-    alone parallelises the ``l``/``lp`` HeapInit phase in-engine.
-    Either way the solution is identical to the sequential run.
-    """
-    from repro.errors import InvalidParameterError
-
-    try:
-        if args.parallel == "process":
-            from repro.parallel import ProcessSolvePool
-
-            with ProcessSolvePool(session, workers=max(1, args.workers)) as pool:
-                return pool.solve(args.k, args.method)
-        if args.workers != 1:
-            if args.method not in ("l", "lp"):
-                raise SystemExit(
-                    f"error: --workers applies to methods l/lp (got "
-                    f"{args.method!r}); use --parallel process for opt-bb"
-                )
-            return session.solve(args.k, method=args.method, workers=args.workers)
-        return session.solve(args.k, method=args.method)
-    except InvalidParameterError as exc:
-        raise SystemExit(f"error: {exc}")
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     import json
     import signal
 
-    if args.anytime and args.parallel != "none":
-        raise SystemExit(
-            "error: --anytime drives the solve locally; drop --parallel "
-            "(checkpointed process execution is the serve scheduler's job)"
-        )
-    if args.workers < 0:
-        raise SystemExit("error: --workers must be >= 0 (0 = CPU count)")
     graph = _load_graph(args)
     start = time.perf_counter()
     from repro.core.session import Session
+    from repro.errors import InvalidParameterError
 
     session = Session(graph)
     interrupted = False
@@ -165,8 +129,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.anytime:
         if args.progress_every < 1:
             raise SystemExit("error: --progress-every must be >= 1")
-        from repro.errors import InvalidParameterError
-
         try:
             task = session.task(args.k, method=args.method)
         except InvalidParameterError as exc:
@@ -192,7 +154,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         result = task.best()
         bound = task.bound()
     else:
-        result = _run_solve(session, args)
+        try:
+            result = session.solve(args.k, method=args.method)
+        except InvalidParameterError as exc:
+            raise SystemExit(f"error: {exc}")
     elapsed = time.perf_counter() - start
 
     if args.json or args.anytime:
@@ -441,21 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="print a machine-readable JSON summary instead of prose",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes (0 = CPU count); >1 parallelises the "
-        "l/lp HeapInit phase without changing the solution",
-    )
-    p.add_argument(
-        "--parallel",
-        default="none",
-        choices=("none", "process"),
-        help="process-parallel execution tier: 'process' runs the solve "
-        "over shared-memory CSR worker processes (methods l/lp/opt-bb)",
     )
     p.set_defaults(fn=cmd_solve)
 

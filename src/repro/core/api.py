@@ -57,7 +57,7 @@ def find_disjoint_cliques(
     **kwargs:
         Typed per-method options, validated by the method's
         :class:`repro.core.registry.SolveOptions` class: ``order``
-        (hg), ``workers`` (l/lp), ``max_cliques`` (gc/opt/opt-bb),
+        (hg), ``backend`` (gc/l/lp), ``max_cliques`` (gc/opt/opt-bb),
         ``time_budget`` (opt/opt-bb). Unknown names raise
         :class:`repro.errors.InvalidParameterError` listing the valid
         options for the chosen method.

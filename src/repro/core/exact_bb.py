@@ -63,7 +63,7 @@ class ExactBBEngine:
 
     def __init__(
         self,
-        graph: Graph | None,
+        graph: Graph,
         k: int,
         max_cliques: int | None = None,
         scores: np.ndarray | None = None,
@@ -72,18 +72,9 @@ class ExactBBEngine:
     ) -> None:
         if k < 2:
             raise InvalidParameterError(f"k must be >= 2, got {k}")
-        if graph is None and (scores is None or cliques is None):
-            # Shared-substrate path (repro.parallel workers): both
-            # enumeration passes are precomputed, so no graph is needed.
-            raise InvalidParameterError(
-                "graph may only be omitted when both scores and cliques "
-                "are precomputed"
-            )
         if scores is None:
-            assert graph is not None
             scores = node_scores(graph, k)
         if cliques is None:
-            assert graph is not None
             cliques = []
             for clique in iter_cliques(graph, k):
                 if max_cliques is not None and len(cliques) >= max_cliques:
@@ -115,54 +106,8 @@ class ExactBBEngine:
         self.chosen: list[int] = []
         self.ticks = 0
         self.stack: list[list] = [[0, 0, False, 0]]
-        #: External pruning floor (process tier): branches that cannot
-        #: beat ``max(len(best), prune_floor)`` are cut. ``0`` (the
-        #: default) is inert — sequential behaviour, visit order and
-        #: stats are bit-identical. A parallel worker sets it to the
-        #: shared incumbent *size minus one*, so branches tying the
-        #: global best survive and every worker still reports its
-        #: subtree's first (lexicographically smallest) optimum.
-        self.prune_floor = 0
-        #: Restrict *root-frame* descents to clique indices ``i`` with
-        #: ``i % stride == offset`` (``None`` = all). Deeper frames are
-        #: unrestricted: a subtree task owns every continuation of its
-        #: roots. Strided ownership balances load (early roots have the
-        #: large subtrees). Runtime-only, like ``prune_floor``: neither
-        #: is checkpointed.
-        self.root_slice: tuple[int, int] | None = None
         if warm_start:
             self._seed_incumbent(warm_start)
-
-    def reset_search(
-        self,
-        root_slice: tuple[int, int] | None = None,
-        prune_floor: int = 0,
-    ) -> None:
-        """Rewind to the root frame on the same clique substrate.
-
-        Clears the incumbent, the chosen stack and the tick counter —
-        everything except the (expensive) decoded clique list, masks
-        and suffix bounds. The process tier's workers cache one engine
-        per substrate and reset it per subtree task instead of paying
-        the O(|C| * k) rebuild each time.
-        """
-        if root_slice is not None:
-            offset, stride = root_slice
-            if stride < 1 or not 0 <= offset < stride:
-                raise InvalidParameterError(
-                    f"root_slice must be (offset, stride) with "
-                    f"0 <= offset < stride, got {root_slice!r}"
-                )
-        if prune_floor < 0:
-            raise InvalidParameterError(
-                f"prune_floor must be >= 0, got {prune_floor}"
-            )
-        self.best = []
-        self.chosen = []
-        self.ticks = 0
-        self.stack = [[0, 0, False, 0]]
-        self.prune_floor = prune_floor
-        self.root_slice = root_slice
 
     def _seed_incumbent(self, warm_start: Iterable[Iterable[int]]) -> None:
         """Install a prior solution as the starting incumbent.
@@ -214,23 +159,17 @@ class ExactBBEngine:
         masks = self.masks
         total = len(self.cliques)
         frame = stack[-1]
-        floor = self.prune_floor
-        slice_spec = self.root_slice
         self.ticks += 1
         if len(chosen) > len(self.best):
             self.best = chosen.copy()
         while True:
             i = frame[_I]
             used = frame[_USED]
-            at_root = slice_spec is not None and len(stack) == 1
             descended = False
             while i < total:
-                if len(chosen) + self._bound(i, used) <= max(len(self.best), floor):
+                if len(chosen) + self._bound(i, used) <= len(self.best):
                     i = total  # suffix pruned: abandon the whole frame
                     break
-                if at_root and i % slice_spec[1] != slice_spec[0]:
-                    i += 1  # root index owned by a sibling subtree task
-                    continue
                 if not used & masks[i]:
                     chosen.append(i)
                     frame[_I] = i + 1

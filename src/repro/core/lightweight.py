@@ -21,38 +21,25 @@ Theorem 4 equality is preserved; see ``tests/test_theorem4.py``).
 The heap key is the package-wide deterministic clique key
 ``(clique score, sorted node tuple)``.
 
-Two ``FindMin`` engines implement the walk (pick with ``backend=``):
-
-* ``"sets"`` — :class:`_FindMin` on mutable out-neighbour sets (the
-  original implementation; lowest constants on small graphs);
-* ``"csr"`` — :class:`_FindMinCSR` on static sorted-array rows
-  (:class:`repro.graph.dag.OrientedCSR`) with a validity mask instead
-  of set mutation; faster on large sparse graphs.
-
-Both engines visit candidates in the same (ascending) order, so the
-solution *and* the ``findmin_calls``/``branches_pruned`` counters are
-identical across backends and worker counts. With ``workers > 1`` the
-HeapInit phase fans out through the process tier
-(:func:`repro.parallel.heapinit.parallel_heap_init`): workers attach
-zero-copy to the oriented-CSR arrays via shared memory and run
-:class:`_FindMinCSR` per root chunk, under any start method (``fork``,
-``spawn`` or ``forkserver`` — no inherited globals). Worker stats are
-merged into the caller's, so the L/LP ablation counters match
-sequential runs for any ``workers``.
+``backend`` (``"auto" | "sets" | "csr"``) selects only the engine of
+the score-counting pass; the FindMin walk always runs on live
+out-neighbour sets (:class:`_FindMin`), visiting candidates in ascending
+order, so the solution *and* the ``findmin_calls``/``branches_pruned``
+counters are backend-independent. HeapInit runs sequentially, one root
+per engine tick (the paper runs it in parallel; here one FindMin costs
+microseconds, so worker start-up would dominate).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Iterable
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.graph.dag import OrientedCSR, OrientedGraph
+from repro.graph.dag import OrientedGraph
 from repro.graph.graph import Graph
-from repro.graph.csr import intersect_sorted
 from repro.graph.ordering import OrderSpec, by_score
 from repro.cliques.counting import node_scores
 from repro.cliques.csr_kernels import resolve_backend
@@ -61,12 +48,16 @@ from repro.core.scores import CliqueKey
 
 _INF_KEY: CliqueKey = (np.iinfo(np.int64).max, ())
 
+#: Engine phases in run order; :meth:`LightweightEngine.load_state`
+#: rejects any other value.
+_PHASES = ("init", "drain", "done")
+
 
 class _FindMin:
     """Recursive local-minimum clique search with optional score pruning.
 
-    Set-backend engine: ``out`` holds *live* out-neighbour sets that
-    :meth:`invalidate` physically shrinks as cliques enter the solution.
+    ``out`` holds *live* out-neighbour sets that :meth:`invalidate`
+    physically shrinks as cliques enter the solution.
     """
 
     __slots__ = ("out", "scores", "prune", "stats", "graph", "valid", "best_key", "best")
@@ -77,8 +68,8 @@ class _FindMin:
         scores: np.ndarray,
         prune: bool,
         stats: dict[str, float],
-        graph: Graph | None = None,
-        valid: list[bool] | None = None,
+        graph: Graph,
+        valid: list[bool],
     ) -> None:
         self.out = out
         self.scores = scores
@@ -167,129 +158,15 @@ class _FindMin:
                 best_score = self.best_key[0]
 
 
-class _FindMinCSR:
-    """CSR-backend FindMin: static sorted rows plus a validity mask.
-
-    Candidate sets are sorted int64 arrays; intersections go through
-    :func:`repro.graph.csr.intersect_sorted` against the immutable
-    oriented rows, and dead nodes are masked out once at the root
-    instead of being discarded from every neighbour set. Candidate
-    iteration is ascending (rows are sorted), matching the set engine's
-    ``sorted(candidates)`` loops, so all counters agree.
-    """
-
-    __slots__ = ("indptr", "cols", "scores", "prune", "stats", "valid", "best_key", "best")
-
-    def __init__(
-        self,
-        ocsr: OrientedCSR,
-        scores: np.ndarray,
-        prune: bool,
-        stats: dict[str, float],
-        valid: np.ndarray,
-    ) -> None:
-        self.indptr = ocsr.indptr
-        self.cols = ocsr.cols
-        self.scores = scores
-        self.prune = prune
-        self.stats = stats
-        self.valid = valid
-        self.best_key: CliqueKey = _INF_KEY
-        self.best: tuple[int, ...] | None = None
-
-    def live_out_degree(self, u: int) -> int:
-        """Number of still-valid out-neighbours of ``u``."""
-        row = self.cols[self.indptr[u] : self.indptr[u + 1]]
-        return int(np.count_nonzero(self.valid[row]))
-
-    def alive(self, v: int) -> bool:
-        """Whether ``v`` is still available for a clique."""
-        return bool(self.valid[v])
-
-    def invalidate(self, clique: Iterable[int]) -> None:
-        """Mask out a chosen clique's nodes (rows stay immutable)."""
-        for w in clique:
-            self.valid[w] = False
-
-    def search(self, root: int, k: int) -> tuple[CliqueKey, tuple[int, ...]] | None:
-        """Minimum-key k-clique rooted at ``root``, or ``None``."""
-        self.stats["findmin_calls"] += 1
-        self.best_key = _INF_KEY
-        self.best = None
-        row = self.cols[self.indptr[root] : self.indptr[root + 1]]
-        candidates = row[self.valid[row]]
-        if len(candidates) >= k - 1:
-            self._walk([root], candidates, k - 1, int(self.scores[root]))
-        if self.best is None:
-            return None
-        return self.best_key, self.best
-
-    def _walk(
-        self, prefix: list[int], candidates: np.ndarray, need: int, score_sum: int
-    ) -> None:
-        # Every candidate array descends from a validity-filtered root
-        # row, and intersections only shrink it, so no re-filtering is
-        # needed below the root.
-        indptr = self.indptr
-        cols = self.cols
-        scores = self.scores
-        best_score = self.best_key[0]
-        if need == 1:
-            # Only reachable for k = 2 (greedy matching degenerate case).
-            for u in candidates:
-                total = score_sum + int(scores[u])
-                if total > best_score:
-                    continue
-                clique = tuple(sorted(prefix + [int(u)]))
-                key = (total, clique)
-                if key < self.best_key:
-                    self.best_key = key
-                    self.best = clique
-                    best_score = total
-            return
-        if need == 2:
-            for u in candidates:
-                su = int(scores[u])
-                if self.prune and score_sum + su >= best_score:
-                    self.stats["branches_pruned"] += 1
-                    continue
-                row = cols[indptr[u] : indptr[u + 1]]
-                for v in intersect_sorted(candidates, row):
-                    total = score_sum + su + int(scores[v])
-                    if total > best_score:
-                        continue
-                    clique = tuple(sorted(prefix + [int(u), int(v)]))
-                    key = (total, clique)
-                    if key < self.best_key:
-                        self.best_key = key
-                        self.best = clique
-                        best_score = total
-            return
-        for u in candidates:
-            su = int(scores[u])
-            if self.prune and score_sum + su >= best_score:
-                self.stats["branches_pruned"] += 1
-                continue
-            row = cols[indptr[u] : indptr[u + 1]]
-            nxt = intersect_sorted(candidates, row)
-            if len(nxt) >= need - 1:
-                prefix.append(int(u))
-                self._walk(prefix, nxt, need - 1, score_sum + su)
-                prefix.pop()
-                best_score = self.best_key[0]
-
-
 class LightweightEngine:
     """Resumable step machine for Algorithm 3 (one FindMin per tick).
 
-    The run moves through three phases — ``"init"`` (sequential
-    HeapInit, one root per tick), ``"init-parallel"`` (forked HeapInit,
-    a single coarse tick because worker results only exist merged) and
-    ``"drain"`` (the main loop, one heap pop per tick) — then finishes.
-    At every tick boundary ``solution`` is a valid disjoint k-clique
-    set; maximality holds once :attr:`finished` is true. Solutions and
-    stats are identical to the pre-engine monolithic loop for any
-    backend/worker combination (the drive-to-completion wrapper
+    The run moves through two phases — ``"init"`` (HeapInit, one root
+    per tick) and ``"drain"`` (the main loop, one heap pop per tick) —
+    then finishes (``"done"``). At every tick boundary ``solution`` is a
+    valid disjoint k-clique set; maximality holds once :attr:`finished`
+    is true. Solutions and stats are identical to the pre-engine
+    monolithic loop for any backend (the drive-to-completion wrapper
     :func:`lightweight` is what the pinned equivalence tests run).
 
     :meth:`state_dict` captures ``(phase, next root, heap, solution,
@@ -304,19 +181,14 @@ class LightweightEngine:
         k: int,
         prune: bool = True,
         listing_order: OrderSpec = "degeneracy",
-        workers: int = 1,
         scores: np.ndarray | None = None,
         backend: str = "auto",
         warm_start: Iterable[Iterable[int]] | None = None,
         oriented: OrientedGraph | None = None,
-        start_method: str = "auto",
     ) -> None:
         if k < 2:
             raise InvalidParameterError(f"k must be >= 2, got {k}")
-        # Phase-aware resolution: scores follow the auto heuristic, but
-        # the FindMin walk only leaves sets when csr is explicitly forced.
         score_backend = resolve_backend(backend, graph.m)
-        findmin_backend = "csr" if backend == "csr" else "sets"
         if scores is None:
             scores = node_scores(graph, k, listing_order, backend=score_backend)
         elif len(scores) != graph.n:
@@ -327,10 +199,6 @@ class LightweightEngine:
         self.k = k
         self.prune = prune
         self.tag = "lp" if prune else "l"
-        # ``oriented`` must be the by_score orientation of ``graph``
-        # under ``scores`` (e.g. Preprocessing.score_oriented); it is
-        # only read — the engine works on copies/masks.
-        rank = oriented.rank if oriented is not None else by_score(graph, scores)
         self.stats: dict[str, float] = {
             "findmin_calls": 0,
             "branches_pruned": 0,
@@ -339,39 +207,17 @@ class LightweightEngine:
             "stale_pops": 0,
             "cliques_taken": 0,
         }
-        state: dict = {
-            "backend": findmin_backend, "scores": scores, "prune": prune, "k": k
-        }
-        if findmin_backend == "csr":
-            ocsr = oriented.csr() if oriented is not None else OrientedCSR.from_rank(
-                graph, rank
-            )
-            valid_mask = np.ones(graph.n, dtype=bool)
-            self.finder: _FindMin | _FindMinCSR = _FindMinCSR(
-                ocsr, scores, prune, self.stats, valid_mask
-            )
-            state.update(ocsr=ocsr, valid=valid_mask)
-        else:
-            dag = oriented if oriented is not None else OrientedGraph(graph, rank)
-            out = [set(s) for s in dag.out]
-            self.finder = _FindMin(
-                out, scores, prune, self.stats, graph, [True] * graph.n
-            )
-            # ``dag`` kept for the parallel path: HeapInit workers always
-            # run the CSR walk (same candidates, same counters), so a
-            # sets-backend engine lazily derives oriented-CSR arrays from
-            # it when (and only when) the fan-out actually happens.
-            state.update(out=out, dag=dag)
-        self._pstate = state
-
-        if workers == 0:
-            workers = os.cpu_count() or 1
-        self.workers = workers
-        self.start_method = start_method
-        use_parallel = workers > 1 and graph.n > workers
-        self.phase = "init-parallel" if use_parallel else "init"
-        if self.phase == "init" and graph.n == 0:
-            self.phase = "done"  # nothing to scan; the heap stays empty
+        # ``oriented`` must be the by_score orientation of ``graph``
+        # under ``scores`` (e.g. Preprocessing.score_oriented); it is
+        # only read — the engine works on copies of its out-sets.
+        dag = oriented if oriented is not None else OrientedGraph(
+            graph, by_score(graph, scores)
+        )
+        self.finder = _FindMin(
+            [set(s) for s in dag.out], scores, prune, self.stats, graph,
+            [True] * graph.n,
+        )
+        self.phase = "init" if graph.n else "done"
         self.next_root = 0
         self.heap: list[tuple[CliqueKey, int, tuple[int, ...]]] = []
         self.solution: list[frozenset[int]] = []
@@ -398,32 +244,6 @@ class LightweightEngine:
 
     def tick(self) -> None:
         """Advance one work unit (a HeapInit root or a main-loop pop)."""
-        if self.phase == "init-parallel":
-            # Workers return only merged results, so the whole parallel
-            # HeapInit is one coarse (non-interruptible) tick. Deferred
-            # import: repro.parallel sits above core in the layer DAG.
-            from repro.parallel.heapinit import parallel_heap_init
-
-            state = self._pstate
-            ocsr = state["ocsr"] if "ocsr" in state else state["dag"].csr()
-            finder = self.finder
-            if isinstance(finder, _FindMinCSR):
-                valid = finder.valid
-            else:
-                valid = np.asarray(finder.valid, dtype=bool)
-            self.heap = parallel_heap_init(
-                ocsr=ocsr,
-                scores=state["scores"],
-                valid=valid,
-                k=self.k,
-                prune=self.prune,
-                workers=self.workers,
-                stats=self.stats,
-                start_method=self.start_method,
-            )
-            heapq.heapify(self.heap)
-            self.phase = "drain" if self.heap else "done"
-            return
         if self.phase == "init":
             u = self.next_root
             self.next_root += 1
@@ -467,16 +287,10 @@ class LightweightEngine:
         """
         if self.phase == "done":
             return len(self.solution)
-        finder = self.finder
-        if isinstance(finder, _FindMinCSR):
-            free = int(np.count_nonzero(finder.valid))
-        else:
-            free = sum(1 for alive in finder.valid if alive)
+        free = sum(self.finder.valid)
         roots_left = 0
         if self.phase == "init":
             roots_left = self.graph.n - self.next_root
-        elif self.phase == "init-parallel":
-            roots_left = self.graph.n
         pending = len(self.heap) + roots_left
         return len(self.solution) + min(free // self.k, pending)
 
@@ -513,12 +327,18 @@ class LightweightEngine:
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot onto fresh substrates.
 
-        The residual graph (validity mask / live out-sets) is rebuilt by
+        The residual graph (live out-sets and validity flags) is rebuilt by
         replaying the checkpointed solution's invalidations; heap
         entries keep their total order under JSON round-tripping, so pop
         sequences — and therefore the final solution and stats — are
-        identical to an uninterrupted run.
+        identical to an uninterrupted run. An unknown ``phase`` raises
+        :class:`InvalidParameterError` (no tick would ever advance it).
         """
+        phase = state["phase"]
+        if phase not in _PHASES:
+            raise InvalidParameterError(
+                f"unknown engine phase {phase!r}; expected one of {_PHASES}"
+            )
         self.solution = []
         for clique in state["solution"]:
             self.solution.append(frozenset(clique))
@@ -528,12 +348,6 @@ class LightweightEngine:
             for score, key_clique, root, clique in state["heap"]
         ]
         heapq.heapify(self.heap)
-        phase = state["phase"]
-        if phase == "init-parallel" and self.phase != "init-parallel":
-            # Checkpoint taken with workers > 1, restored onto an engine
-            # configured sequentially (fewer cores, workers=1 options):
-            # fall back to sequential HeapInit — same heap, same stats.
-            phase = "init"
         self.phase = phase
         self.next_root = int(state["next_root"])
         # In-place replacement keeps the finder's reference valid.
@@ -547,11 +361,9 @@ def lightweight(
     k: int,
     prune: bool = True,
     listing_order: OrderSpec = "degeneracy",
-    workers: int = 1,
     scores: np.ndarray | None = None,
     backend: str = "auto",
     oriented: OrientedGraph | None = None,
-    start_method: str = "auto",
 ) -> CliqueSetResult:
     """Compute a disjoint k-clique set with Algorithm 3.
 
@@ -566,34 +378,20 @@ def lightweight(
         ``False`` → plain ``L``. Both return identical solutions.
     listing_order:
         Orientation used only for the score-counting pass.
-    workers:
-        Processes for the HeapInit phase (the paper runs it in
-        parallel). ``1`` is sequential; ``0`` uses the CPU count.
-        Results and stats are identical for any worker count. The
-        fan-out goes through the shared-memory process tier
-        (:mod:`repro.parallel`), which is portable across the
-        ``fork``, ``spawn`` and ``forkserver`` start methods.
     scores:
         Precomputed node scores for ``k`` (e.g. from a session cache);
         skips the counting pass and makes ``listing_order`` irrelevant.
     backend:
-        ``"auto" | "sets" | "csr"`` — engine selection (see module
-        docstring). ``"auto"`` is phase-aware: the score-counting pass
-        uses the CSR kernels on large graphs (where the level-bulk
-        vectorisation pays), while the FindMin walk stays on sets
-        (per-root work over tiny candidate arrays, where numpy call
-        overhead loses). ``"sets"`` / ``"csr"`` force one engine for
-        both phases. Solutions and stats are backend-independent.
+        ``"auto" | "sets" | "csr"`` — engine of the score-counting pass
+        (see :func:`repro.cliques.csr_kernels.resolve_backend`:
+        ``"auto"`` picks the CSR kernels on large graphs, where the
+        level-bulk vectorisation pays). The FindMin walk is the same
+        for every backend, and so are solutions and stats.
     oriented:
         An already-built ascending-score orientation of ``graph`` under
         the same ``scores`` (e.g. from
         :meth:`repro.core.session.Preprocessing.score_oriented`); skips
         the per-call orientation build. Only read, never mutated.
-    start_method:
-        Start method for the HeapInit worker processes (``"auto"``
-        prefers ``fork``; see
-        :func:`repro.parallel.context.resolve_context`). Irrelevant to
-        the solution.
 
     Returns
     -------
@@ -609,11 +407,9 @@ def lightweight(
         k,
         prune=prune,
         listing_order=listing_order,
-        workers=workers,
         scores=scores,
         backend=backend,
         oriented=oriented,
-        start_method=start_method,
     )
     while not engine.finished:
         engine.tick()

@@ -127,27 +127,17 @@ class GCOptions(SolveOptions):
 class LightweightOptions(SolveOptions):
     """Options for Algorithm 3 (``l``/``lp``).
 
-    ``workers`` parallelises HeapInit (0 = CPU count) and never changes
-    the solution. ``backend`` picks the FindMin/score-pass engine
-    (``"auto" | "sets" | "csr"``); solutions and stats are
-    backend-independent. The score-counting pass runs under the
-    session's cached degeneracy orientation; pass ``listing_order=`` to
+    ``backend`` picks the score-pass engine (``"auto" | "sets" |
+    "csr"``); solutions and stats are backend-independent. The
+    score-counting pass runs under the session's cached degeneracy
+    orientation; pass ``listing_order=`` to
     :func:`repro.core.lightweight.lightweight` directly to experiment
     with other orientations.
     """
 
-    workers: int = 1
     backend: str = "auto"
 
     def validate(self) -> None:
-        if isinstance(self.workers, bool) or not isinstance(self.workers, int):
-            raise InvalidParameterError(
-                f"workers must be an int >= 0, got {self.workers!r}"
-            )
-        if self.workers < 0:
-            raise InvalidParameterError(
-                f"workers must be >= 0 (0 = CPU count), got {self.workers}"
-            )
         _check_backend(self.backend)
 
 
@@ -379,7 +369,6 @@ def _engine_lightweight(prune: bool) -> Callable[..., LightweightEngine]:
             prep.graph,
             k,
             prune=prune,
-            workers=opts.workers,
             scores=prep.scores(k, backend=opts.backend),
             backend=opts.backend,
             warm_start=warm_start,
@@ -451,7 +440,6 @@ def _run_l(prep: Preprocessing, k: int, opts: LightweightOptions) -> CliqueSetRe
         prep.graph,
         k,
         prune=False,
-        workers=opts.workers,
         scores=prep.scores(k, backend=opts.backend),
         backend=opts.backend,
         oriented=prep.score_oriented(k, backend=opts.backend),
@@ -472,7 +460,6 @@ def _run_lp(prep: Preprocessing, k: int, opts: LightweightOptions) -> CliqueSetR
         prep.graph,
         k,
         prune=True,
-        workers=opts.workers,
         scores=prep.scores(k, backend=opts.backend),
         backend=opts.backend,
         oriented=prep.score_oriented(k, backend=opts.backend),

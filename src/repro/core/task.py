@@ -91,7 +91,7 @@ class StepEngine(Protocol):
 
 
 #: Checkpoint schema version (bumped on incompatible layout changes).
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -118,21 +118,6 @@ class TaskSnapshot:
     size: int
     bound: int
     done: bool
-
-    def as_dict(self) -> dict:
-        """JSON-safe dict form (what the process lane streams back).
-
-        Plain builtins only, so snapshots survive pickling across the
-        worker boundary and ``json.dumps`` in the serving layer without
-        further sanitising.
-        """
-        return {
-            "state": self.state,
-            "work": int(self.work),
-            "size": int(self.size),
-            "bound": int(self.bound),
-            "done": bool(self.done),
-        }
 
 
 def normalize_warm_start(

@@ -17,9 +17,6 @@ Helpers
     Bulk membership of values in one sorted array.
 :func:`intersect_sorted`
     Galloping (searchsorted) intersection of two sorted unique arrays.
-:func:`adjacency_sets`
-    Materialise per-node neighbour sets from flat CSR arrays (the
-    shared-memory attach path of :mod:`repro.parallel`).
 """
 
 from __future__ import annotations
@@ -76,22 +73,6 @@ def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not len(a):
         return a
     return a[in_sorted(b, a)]
-
-
-def adjacency_sets(indptr: np.ndarray, cols: np.ndarray) -> list[set[int]]:
-    """Per-node neighbour sets from flat CSR arrays.
-
-    The inverse of draining a graph's adjacency into CSR form: used by
-    :meth:`repro.graph.graph.Graph.from_csr_arrays` to rebuild the
-    set substrate in worker processes that attached to shared CSR
-    arrays zero-copy. Rows need not be sorted; values are converted to
-    builtin ``int`` so downstream set algebra never mixes numpy
-    scalars in.
-    """
-    n = len(indptr) - 1
-    return [
-        {int(v) for v in cols[indptr[u] : indptr[u + 1]]} for u in range(n)
-    ]
 
 
 class CSRAdjacency:

@@ -6,7 +6,8 @@ networks (Table IV). Those dumps are not redistributable here and the
 build machine has no network access, so this module ships *seeded
 synthetic substitutes* that preserve the evaluation's load-bearing
 properties — the size ladder from tiny to large and the density/
-clustering regime that controls per-k clique counts (see DESIGN.md §4).
+clustering regime that controls per-k clique counts (see "Datasets" in
+docs/benchmarks.md).
 
 Every entry is generated deterministically from a fixed seed, so Table I
 statistics are stable across runs and machines. ``networkx`` classics
@@ -290,7 +291,7 @@ TABLE1_NAMES = ["FTB", "HST", "FB", "FBP", "FBW", "DS", "SK", "FL", "LJ", "OR"]
 
 
 # ----------------------------------------------------------------------
-# Real classics via networkx (optional dependency, used in tests/examples)
+# Real classics via networkx (optional dependency, used in tests and examples)
 # ----------------------------------------------------------------------
 def networkx_classic(name: str) -> Graph:
     """Load a classic real-world graph shipped with networkx.

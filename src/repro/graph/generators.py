@@ -4,7 +4,7 @@ All generators return :class:`repro.graph.graph.Graph` and take an integer
 ``seed`` so every experiment in this repository is reproducible bit-for-
 bit. The Watts–Strogatz model is the one the paper's synthetic evaluation
 uses (Section VI-D); the others provide the density/community regimes of
-its real-world datasets (see DESIGN.md §4).
+its real-world datasets (see "Datasets" in docs/benchmarks.md).
 """
 
 from __future__ import annotations

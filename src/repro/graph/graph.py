@@ -217,36 +217,6 @@ class Graph:
         """Freeze a :class:`repro.graph.dynamic.DynamicGraph`."""
         return cls(dyn.n, dyn.edges())
 
-    @classmethod
-    def from_csr_arrays(cls, indptr: np.ndarray, cols: np.ndarray) -> "Graph":
-        """Rebuild a graph from undirected CSR arrays, reusing them zero-copy.
-
-        The attach path of the process tier (:mod:`repro.parallel`):
-        worker processes map the parent's flat int64 ``indptr`` /
-        ``cols`` arrays from shared memory and reconstruct an equal
-        :class:`Graph` without pickling edges. The arrays are adopted
-        as the instance's CSR cache **without copying**, so
-        :meth:`csr` is free and :func:`repro.graph.fingerprint.graph_fingerprint`
-        (which hashes exactly these arrays) matches the parent's — the
-        checkpoint-restore fingerprint guard holds across the process
-        boundary. The arrays must describe a valid simple undirected
-        graph (each edge present in both rows, rows sorted ascending,
-        no self-loops) and must be treated as immutable afterwards.
-        """
-        indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        cols = np.ascontiguousarray(cols, dtype=np.int64)
-        n = len(indptr) - 1
-        from repro.graph.csr import CSRAdjacency, adjacency_sets
-
-        graph = cls.__new__(cls)
-        graph._n = n
-        graph._m = len(cols) // 2
-        graph._adj = adjacency_sets(indptr, cols)
-        graph._degrees = np.diff(indptr)
-        graph._csr_cache = CSRAdjacency(indptr, cols)
-        graph._lock = make_lock("Graph._lock")
-        return graph
-
     # ------------------------------------------------------------------
     # Dunder protocol
     # ------------------------------------------------------------------

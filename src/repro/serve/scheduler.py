@@ -46,18 +46,6 @@ run it one ``quantum`` at a time and, between slices,
   with a single worker, an interactive high-lane burst runs within one
   quantum even while a long normal-lane solve is in flight.
 
-**Process lane** — :meth:`Scheduler.submit_process` accepts a
-:class:`repro.parallel.pool.ProcessLaneTask`, which satisfies the
-``Resumable`` contract but executes each quantum inside a
-:class:`~repro.parallel.pool.ProcessSolvePool` worker *process*: the
-worker thread ships the task's JSON checkpoint out, a pool worker steps
-the solve against the shared-memory graph, and the refreshed checkpoint
-plus a :class:`~repro.core.task.TaskSnapshot` stream come back. Because
-the lane thread only ever waits on IPC, heavyweight solves stop
-competing for the GIL with the scheduler's own dispatch loop; because
-the parent keeps the latest checkpoint, a killed worker costs one
-re-dispatch, and a deadline harvest returns resumable state.
-
 ``quantum=None`` disables timeslicing (runners are driven to completion
 in one go, reproducing the pre-preemption scheduler for comparison
 benchmarks).
@@ -77,12 +65,7 @@ import time
 from collections import deque
 from typing import Callable
 
-from typing import TYPE_CHECKING
-
 from repro.concurrency import make_lock, make_rlock
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard only
-    from repro.parallel.pool import ProcessLaneTask
 from repro.errors import (
     InvalidParameterError,
     OverloadedError,
@@ -379,33 +362,6 @@ class Scheduler:
             self.stats["submitted"] += 1
             self._cond.notify()
         return ticket
-
-    def submit_process(
-        self,
-        runner: "ProcessLaneTask",
-        *,
-        priority: str = "normal",
-        deadline: float | None = None,
-    ) -> Ticket:
-        """Queue a process-lane solve (see :mod:`repro.parallel.pool`).
-
-        ``runner`` is a :class:`~repro.parallel.pool.ProcessLaneTask`
-        driving one checkpointed solve inside a
-        :class:`~repro.parallel.pool.ProcessSolvePool` worker. It is
-        wrapped as a :class:`Resumable`, so the process lane gets the
-        full preemption contract for free: the worker thread steps the
-        remote solve one quantum at a time, preempts it when higher
-        lanes fill, and on deadline expiry harvests
-        ``runner.partial()`` — whose payload includes the live
-        checkpoint, so the caller can re-submit and lose no work.
-        """
-        return self.submit(
-            lambda remaining: Resumable(
-                runner.step, runner.result, runner.partial
-            ),
-            priority=priority,
-            deadline=deadline,
-        )
 
     # ------------------------------------------------------------------
     # Worker machinery

@@ -346,7 +346,7 @@ class TestMigratedBaseline:
         data = runner.load_run(self.BASELINE)
         assert data.manifest["mode"] == "full"
         assert sorted(data.summary["gate"]) == [
-            "anytime", "backend", "dynamic", "parallel", "serve",
+            "anytime", "backend", "dynamic", "serve",
         ]
         assert data.summary["stats"]["cells_error"] == 0
 
@@ -355,8 +355,6 @@ class TestMigratedBaseline:
         expected = {
             "backend": {"count_speedup_cold", "backends_agree"},
             "dynamic": {"modes_converge", "mixed_speedup"},
-            "parallel": {"heapinit_speedup", "exact_bb_speedup",
-                         "pool_throughput", "solutions_pinned"},
             "serve": {"warm_vs_cold", "served_matches_direct",
                       "worker_scaling"},
             "anytime": {"monotone_and_pinned", "final_size_lp",
@@ -367,7 +365,7 @@ class TestMigratedBaseline:
             assert set(data.summary["gate"][suite]) == metrics
 
     def test_root_shims_resolve_into_the_baseline(self):
-        for name in ("anytime", "backend", "dynamic", "parallel", "serve"):
+        for name in ("anytime", "backend", "dynamic", "serve"):
             shim = REPO_ROOT / f"BENCH_{name}.json"
             assert shim.exists(), shim
             payload = json.loads(shim.read_text())

@@ -7,7 +7,9 @@ Each class pins one fixed defect so it cannot silently return:
 * the lazily built CSR/fingerprint memos were written without a lock,
   so concurrent first calls could build twice and hand different
   objects to different threads;
-* ``Server`` flipped ``_shutting_down`` outside its lock.
+* ``Server`` flipped ``_shutting_down`` outside its lock;
+* an ``l``/``lp`` checkpoint with an unknown engine phase restored
+  into a task that burned work forever without finishing.
 """
 
 import json
@@ -301,3 +303,31 @@ class TestIterationOrderDefects:
         b = build_clique_graph(graph, 3)
         assert a.cliques == b.cliques
         assert sorted(a.graph.edges()) == sorted(b.graph.edges())
+
+
+class TestCheckpointPhaseValidation:
+    """A tampered ``engine.phase`` matched no ``tick()`` branch, so the
+    restored task stepped forever; restore now fails typed, and a
+    checkpoint in the previous (version 1) format fails the version
+    check before its dropped ``workers`` option is read."""
+
+    @staticmethod
+    def _blob(session):
+        task = session.task(3, "lp")
+        task.step(max_work=5)
+        return json.loads(json.dumps(task.checkpoint()))
+
+    def test_unknown_phase_is_rejected(self):
+        session = Session(powerlaw_cluster(100, 5, 0.6, seed=1))
+        blob = self._blob(session)
+        blob["engine"]["phase"] = "bogus"
+        with pytest.raises(InvalidParameterError, match="phase 'bogus'"):
+            session.restore_task(blob)
+
+    def test_version_one_checkpoint_fails_the_version_check(self):
+        session = Session(powerlaw_cluster(100, 5, 0.6, seed=1))
+        blob = self._blob(session)
+        blob["version"] = 1
+        blob["options"] = {"workers": 1, "backend": "auto"}
+        with pytest.raises(InvalidParameterError, match="checkpoint version 1"):
+            session.restore_task(blob)

@@ -122,3 +122,50 @@ def test_edge_removal_monotone(g: Graph, seed: int):
     u, v = edges[int(rng.integers(len(edges)))]
     smaller = g.remove_edges([(u, v)])
     assert count_cliques(smaller, 3) <= count_cliques(g, 3)
+
+
+@st.composite
+def update_streams(draw):
+    """A small random graph plus 1-3 random ``apply_batch`` batches."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    g = erdos_renyi_gnp(
+        n,
+        draw(st.floats(min_value=0.0, max_value=0.6)),
+        seed=draw(st.integers(min_value=0, max_value=10_000)),
+    )
+    pairs = st.tuples(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=0, max_value=n - 1),
+    ).filter(lambda e: e[0] != e[1])
+    update = st.tuples(st.sampled_from(["insert", "delete"]), pairs).map(
+        lambda t: (t[0], t[1][0], t[1][1])
+    )
+    batches = draw(
+        st.lists(st.lists(update, min_size=1, max_size=10), min_size=1, max_size=3)
+    )
+    return g, batches
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    stream=update_streams(),
+    k=st.integers(min_value=3, max_value=4),
+    method=st.sampled_from(["hg", "gc", "l", "lp"]),
+)
+def test_theorem3_holds_after_every_batch(stream, k: int, method: str):
+    """Theorem 3 on the dynamic path: after every ``apply_batch`` the
+    maintained solution is valid and maximal, hence ``k·|S| >= |OPT|``
+    against the exact optimum of the current graph."""
+    from repro.core.exact_bb import exact_optimum_bb
+    from repro.dynamic.maintainer import DynamicDisjointCliques
+
+    g, batches = stream
+    dyn = DynamicDisjointCliques(g, k, method=method)
+    for batch in batches:
+        dyn.apply_batch(batch)
+        current = dyn.graph.snapshot()
+        cliques = dyn.solution().cliques
+        verify_solution(current, k, cliques)
+        assert is_maximal(current, k, cliques)
+        opt = exact_optimum_bb(current, k).size
+        assert len(cliques) <= opt <= k * len(cliques)

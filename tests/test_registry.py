@@ -91,7 +91,7 @@ class TestOptionParsing:
 
     def test_option_valid_for_other_method_rejected(self):
         # time_budget belongs to opt/opt-bb, not lp.
-        with pytest.raises(InvalidParameterError, match="workers"):
+        with pytest.raises(InvalidParameterError, match="backend"):
             REGISTRY.get("lp").parse_options({"time_budget": 5.0})
 
     def test_prune_hint(self):
@@ -100,12 +100,12 @@ class TestOptionParsing:
 
     def test_defaults(self):
         opts = REGISTRY.get("lp").parse_options({})
-        assert opts.workers == 1
+        assert opts.backend == "auto"
         assert REGISTRY.get("gc").parse_options({}).max_cliques is None
 
     def test_domain_validation(self):
-        with pytest.raises(InvalidParameterError, match="workers"):
-            REGISTRY.get("lp").parse_options({"workers": -1})
+        with pytest.raises(InvalidParameterError, match="backend"):
+            REGISTRY.get("lp").parse_options({"backend": "gpu"})
         with pytest.raises(InvalidParameterError, match="time_budget"):
             REGISTRY.get("opt").parse_options({"time_budget": -3})
         with pytest.raises(InvalidParameterError, match="max_cliques"):

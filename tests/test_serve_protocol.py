@@ -140,7 +140,7 @@ class TestCompute:
     def test_solve_options_forwarded(self, served, social):
         _, client = served
         client.register_graph("social", social)
-        res = client.solve("social", 3, "lp", options={"workers": 1})
+        res = client.solve("social", 3, "lp", options={"backend": "sets"})
         assert res["method"] == "lp"
 
     def test_solve_unknown_option_rejected_at_admission(self, served, social):

@@ -166,6 +166,14 @@ class TestLightweight:
         assert result.stats["heap_pops"] <= result.stats["heap_pushes"]
         assert result.stats["cliques_taken"] == result.size
 
+    def test_findmin_calls_count_eligible_roots_not_heap_entries(self):
+        from repro.graph.generators import powerlaw_cluster
+
+        g = powerlaw_cluster(150, 4, 0.4, seed=8)
+        result = lightweight(g, 4)
+        # Some eligible roots find no clique: calls must exceed pushes.
+        assert result.stats["findmin_calls"] > result.stats["heap_pushes"]
+
     def test_method_tags(self, paper_graph):
         assert lightweight(paper_graph, 3, prune=True).method == "lp"
         assert lightweight(paper_graph, 3, prune=False).method == "l"

@@ -75,38 +75,6 @@ class TestInProcessRoundTrip:
         assert restored.options.backend == "csr"
 
 
-class TestParallelPortability:
-    def test_parallel_checkpoint_restores_on_spawn_only_platform(
-        self, monkeypatch
-    ):
-        """An 'init-parallel' checkpoint restored on a spawn-only
-        platform must still fan out — under spawn, with identical
-        results. (The pre-shared-memory tier silently fell back to
-        sequential HeapInit here; the fallback no longer exists.)"""
-        import multiprocessing
-
-        if "spawn" not in multiprocessing.get_all_start_methods():
-            pytest.skip("platform has no spawn start method")
-        make = lambda: powerlaw_cluster(120, 5, 0.6, seed=6)  # noqa: E731
-        session = Session(make())
-        reference = session.solve(3, "lp", workers=4)
-        blob = roundtrip(session.task(3, "lp", workers=4).checkpoint())
-        assert blob["engine"]["phase"] == "init-parallel"
-
-        from repro.parallel import context as ctx_mod
-
-        # Pretend fork does not exist: "auto" must resolve to spawn and
-        # the restored run must match the reference bit for bit.
-        monkeypatch.setattr(
-            ctx_mod.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-        )
-        assert ctx_mod.resolve_context("auto").get_start_method() == "spawn"
-        restored = Session(make()).restore_task(blob)
-        result = restored.run()
-        assert result.sorted_cliques() == reference.sorted_cliques()
-        assert result.stats == reference.stats
-
-
 class TestGuards:
     def test_fingerprint_mismatch_rejected(self):
         task = Session(powerlaw_cluster(100, 5, 0.6, seed=1)).task(3, "lp")

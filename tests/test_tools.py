@@ -77,3 +77,39 @@ class TestLinkGate:
         assert proc.returncode == 1
         assert "missing_module.py" in proc.stderr
         assert "real.md#anchor" not in proc.stderr
+
+    @staticmethod
+    def _bare_ref_sandbox(tmp_path, module_doc):
+        import shutil
+
+        sandbox = tmp_path / "repo"
+        (sandbox / "docs").mkdir(parents=True)
+        (sandbox / "src" / "repro").mkdir(parents=True)
+        shutil.copytree(TOOLS, sandbox / "tools")
+        # A bare name resolves against its own file's directory.
+        (sandbox / "docs" / "real.md").write_text("Sibling: real.md.\n")
+        (sandbox / "README.md").write_text(
+            "See docs/real.md and tools/check_doc_links.py.\n"
+            "Patterns are skipped: docs/*.md, benchmarks/bench_<name>.py,\n"
+            "tools/{a,b}.py; so are generated files like EXPERIMENTS.md.\n"
+        )
+        (sandbox / "src" / "repro" / "mod.py").write_text(f'"""{module_doc}"""\n')
+        return subprocess.run(
+            [sys.executable, str(sandbox / "tools" / "check_doc_links.py")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_bare_references_that_resolve_pass(self, tmp_path):
+        proc = self._bare_ref_sandbox(tmp_path, "Documented in docs/real.md.")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_gate_detects_dangling_bare_references(self, tmp_path):
+        proc = self._bare_ref_sandbox(
+            tmp_path, "See MISSING.md \u00a74 and\nbenchmarks/bench_gone.py."
+        )
+        assert proc.returncode == 1
+        assert "src/repro/mod.py:1: MISSING.md" in proc.stderr
+        assert "src/repro/mod.py:2: benchmarks/bench_gone.py" in proc.stderr
+        assert "real.md" not in proc.stderr

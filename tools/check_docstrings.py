@@ -45,13 +45,6 @@ PUBLIC_MODULES = (
     "repro.dynamic.batch",
     "repro.dynamic.workload",
     "repro.analysis.bounds",
-    "repro.parallel",
-    "repro.parallel.shared_csr",
-    "repro.parallel.context",
-    "repro.parallel.heapinit",
-    "repro.parallel.bb",
-    "repro.parallel.worker",
-    "repro.parallel.pool",
     "repro.serve",
     "repro.serve.pool",
     "repro.serve.scheduler",

@@ -62,7 +62,6 @@ _UNPICKLABLE_TYPES = {
     "OrientedGraph",
     "OrientedCSR",
     "Session",
-    "SharedCSR",
     "Preprocessing",
     "SessionPool",
     "Scheduler",

@@ -1,11 +1,11 @@
 """``envdep``: environment may steer *scheduling*, never *results*.
 
-The parallel tier, the serving scheduler and the bench harness all read
-the environment on purpose — worker counts from ``os.cpu_count()``,
-deadlines from ``time.monotonic()``, knobs from env vars. That is fine
+The serving scheduler and the bench harness read the environment on
+purpose — worker counts from ``os.cpu_count()``, deadlines from
+``time.monotonic()``, knobs from env vars. That is fine
 *as long as* the values only decide how fast work happens, not what the
 work produces: the equivalence suites pin solutions, stats and
-checkpoint bytes across worker counts and start methods, so an
+checkpoint bytes across worker counts and hash seeds, so an
 environment read that leaks into any of those is a reproducibility
 defect even when every machine in CI happens to agree today.
 

@@ -19,7 +19,7 @@ static property:
 * **Legacy global-state API** — ``np.random.<fn>()`` for anything other
   than the constructor surface (``default_rng``/``Generator``/bit
   generators/``SeedSequence``) fails: module-level state is invisible
-  to checkpoint/restore and to the process-parallel tier.
+  to checkpoint/restore and to worker processes.
 * **Stdlib module-level ``random.<fn>()``** fails for the same reason;
   construct a ``random.Random(seed)`` instance instead.
 * **Ambient entropy** — ``os.urandom``, ``secrets.*``, ``uuid.uuid4``

@@ -44,7 +44,6 @@ LAYERS: dict[str, int] = {
     "matching": 40,
     "dynamic": 40,
     "analysis": 50,
-    "parallel": 52,  # process tier: wraps core engines over shared memory
     "repro": 55,  # the root package's own re-export surface
     "serve": 60,
     "bench": 70,
@@ -64,10 +63,6 @@ DEFERRED_OK: frozenset[tuple[str, str]] = frozenset(
         ("repro.core.exact", "repro.matching"),
         # result maximality checks enumerate residual cliques lazily.
         ("repro.core.result", "repro.cliques.listing"),
-        # the lightweight engine fans HeapInit out through the process
-        # tier on demand (workers > 1); the tier depends on core for
-        # its engines, so the runtime edge must stay deferred.
-        ("repro.core.lightweight", "repro.parallel.heapinit"),
     }
 )
 

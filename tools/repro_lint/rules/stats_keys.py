@@ -84,11 +84,6 @@ CANONICAL_KEYS: frozenset[str] = frozenset(
         "shed_deadline",
         "shed_overload",
         "submitted",
-        # Process tier (repro.parallel)
-        "incumbent_broadcasts",
-        "steps_dispatched",
-        "subtree_tasks",
-        "worker_restarts",
         # Bench runner summaries (repro.bench.runner)
         "cells_error",
         "cells_ok",
