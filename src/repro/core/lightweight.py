@@ -21,24 +21,40 @@ Theorem 4 equality is preserved; see ``tests/test_theorem4.py``).
 The heap key is the package-wide deterministic clique key
 ``(clique score, sorted node tuple)``.
 
-``backend`` (``"auto" | "sets" | "csr"``) selects only the engine of
-the score-counting pass; the FindMin walk always runs on live
-out-neighbour sets (:class:`_FindMin`), visiting candidates in ascending
-order, so the solution *and* the ``findmin_calls``/``branches_pruned``
-counters are backend-independent. HeapInit runs sequentially, one root
-per engine tick (the paper runs it in parallel; here one FindMin costs
-microseconds, so worker start-up would dominate).
+FindMin is a bit-parallel walk over the score-oriented CSR
+(:class:`ScoreOrientedCSR`, built once per ``k`` and shared read-only):
+bit ``j`` of every mask of root ``r`` stands for the ``j``-th node of
+``r``'s id-sorted out-row, each arc ``(r, u)`` carries the mask of
+``out(u)`` within that row, and narrowing a candidate set is one
+Python-int ``&``. An engine owns only a validity list and one live mask
+per root. A mask is as wide as its row, so only rows of at most
+:data:`ROW_CAP` nodes get masks; that keeps them within ``O(n + m)``
+space. A longer row (a hub's) is walked as an id-sorted candidate list,
+and each of its candidates re-bases the walk into its own, shorter row.
+Either way candidates are visited in ascending id with the same prune
+points as a walk over live out-neighbour sets, so the solution *and*
+the ``findmin_calls``/``branches_pruned`` counters are those of the set
+walk (kept as the reference in ``tests/test_findmin_reference.py``).
+``backend`` (``"auto" | "sets" | "csr"``) selects only the engine of the
+score-counting pass; FindMin never reads the per-node sets of
+:attr:`OrientedGraph.out <repro.graph.dag.OrientedGraph.out>`, which
+are built lazily, so only ``hg`` and the ``"sets"`` score pass pay for
+them. HeapInit runs sequentially, one root per engine tick (the paper
+runs it in parallel; here one FindMin costs microseconds, so worker
+start-up would dominate).
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from typing import Iterable
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.graph.dag import OrientedGraph
+from repro.graph.csr import concat_rows
+from repro.graph.dag import OrientedCSR
 from repro.graph.graph import Graph
 from repro.graph.ordering import OrderSpec, by_score
 from repro.cliques.counting import node_scores
@@ -52,110 +68,373 @@ _INF_KEY: CliqueKey = (np.iinfo(np.int64).max, ())
 #: rejects any other value.
 _PHASES = ("init", "drain", "done")
 
+#: Longest out-row that gets arc masks. A mask takes up to
+#: ``24 + 4 * ceil(ROW_CAP / 30)`` bytes (164 here), so masks stay within
+#: ``O(n + m)`` space; longer rows are walked as candidate lists.
+ROW_CAP = 1024
 
-class _FindMin:
-    """Recursive local-minimum clique search with optional score pruning.
+#: Wedges tested per numpy batch of the arc-mask pass; bounds its
+#: temporaries to a few int64 arrays of this length.
+WEDGE_BATCH = 1 << 16
 
-    ``out`` holds *live* out-neighbour sets that :meth:`invalidate`
-    physically shrinks as cliques enter the solution.
+
+def _arc_masks(
+    ocsr: OrientedCSR, tails: np.ndarray, built: np.ndarray
+) -> list[int]:
+    """One Python-int mask per arc of the ``built`` roots (0 elsewhere).
+
+    ``tails[a]`` is the root owning arc ``a``. For the arc
+    ``a = (r, u)``, bit ``j`` of ``masks[a]`` is set iff
+    ``u -> row(r)[j]``. Every wedge ``r -> u -> w`` of a built root is
+    tested in batches of :data:`WEDGE_BATCH`: the key ``r * n + w`` is
+    looked up with ``searchsorted`` in the globally sorted arc keys, and
+    the hit position minus ``r``'s row start is ``w``'s bit. Hits arrive
+    sorted by (arc, bit), so each 64-bit word of a mask is one
+    ``reduceat``.
+    """
+    n, indptr, cols = ocsr.n, ocsr.indptr, ocsr.cols
+    keys = tails * n + cols
+    arcs = np.flatnonzero(built[tails])
+    wedge_ends = np.cumsum(ocsr.out_degrees()[cols[arcs]])
+    words = np.zeros(len(cols), dtype=np.uint64)
+    high: list[tuple[int, int, int]] = []
+    start = 0
+    while start < len(arcs):
+        done = int(wedge_ends[start - 1]) if start else 0
+        stop = max(
+            start + 1,
+            int(np.searchsorted(wedge_ends, done + WEDGE_BATCH, side="right")),
+        )
+        pos, w = concat_rows(indptr, cols, cols[arcs[start:stop]])
+        arc = arcs[start:stop][pos]
+        probe = tails[arc] * n + w
+        at = np.searchsorted(keys, probe).clip(max=len(keys) - 1)
+        hit = keys[at] == probe
+        start = stop
+        if not hit.any():
+            continue
+        arc, at = arc[hit], at[hit]
+        bit = at - indptr[tails[arc]]
+        word = bit >> 6
+        seg = np.flatnonzero(np.r_[True, (np.diff(arc) != 0) | (np.diff(word) != 0)])
+        vals = np.bitwise_or.reduceat(
+            np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64)), seg
+        )
+        first = word[seg] == 0
+        words[arc[seg[first]]] = vals[first]
+        if not first.all():
+            rest = ~first
+            high.extend(
+                zip(arc[seg[rest]].tolist(), word[seg[rest]].tolist(), vals[rest].tolist())
+            )
+    masks = words.tolist()
+    for a, word_index, value in high:
+        masks[a] |= value << (64 * word_index)
+    return masks
+
+
+class ScoreOrientedCSR:
+    """FindMin's shared substrate for one ``k`` (read-only once built).
+
+    The ascending-score orientation (ties by id) as flat Python lists:
+    arc ``a`` of root ``r`` runs from ``indptr[r]`` to ``indptr[r + 1]``
+    and ends at ``cols[a]``, ids ascending, and bit ``j`` of every mask
+    of root ``r`` stands for arc ``indptr[r] + j``. A row is *short* if
+    it holds at most ``row_cap`` nodes; only short rows have masks.
+
+    Attributes
+    ----------
+    k:
+        The clique size the masks were built for.
+    row_cap:
+        The longest short row: :data:`ROW_CAP` when the substrate was
+        built.
+    indptr, cols:
+        The oriented CSR rows.
+    scores:
+        The node scores.
+    masks:
+        Per arc ``(r, u)``, the mask of ``u``'s out-row within ``r``'s
+        row: bit ``j`` is set iff ``u -> cols[indptr[r] + j]``. Built
+        only for the short rows FindMin walks with masks: those of
+        roots it can search (positive score, out-degree ``>= k - 1``)
+        and, for ``k > 3``, those a long searchable row re-bases into
+        (its out-neighbours with out-degree ``>= 2``); none at ``k = 2``
+        (a one-level walk). 0 elsewhere.
+    full:
+        Per root, the mask of its whole row if the row is short, else 0
+        (an engine's starting live masks).
+    in_ptr, in_tail, in_bit:
+        In-arcs from short rows grouped by head: node ``w`` is bit
+        ``in_bit[i]`` of root ``in_tail[i]`` for ``i`` in
+        ``in_ptr[w]:in_ptr[w + 1]``.
     """
 
-    __slots__ = ("out", "scores", "prune", "stats", "graph", "valid", "best_key", "best")
+    __slots__ = (
+        "k", "row_cap", "indptr", "cols", "scores", "masks", "full",
+        "in_ptr", "in_tail", "in_bit", "_bytes",
+    )
+
+    def __init__(self, graph: Graph, scores: np.ndarray, k: int) -> None:
+        row_cap = ROW_CAP
+        ocsr = OrientedCSR.from_rank(graph, by_score(graph, scores))
+        scores = np.asarray(scores, dtype=np.int64)
+        deg = ocsr.out_degrees()
+        tails = np.repeat(np.arange(graph.n, dtype=np.int64), deg)
+        short = deg <= row_cap
+        searchable = (scores > 0) & (deg >= k - 1) & (k > 2)
+        targets = np.zeros(graph.n, dtype=bool)
+        if k > 3:
+            targets[ocsr.cols[(searchable & ~short)[tails]]] = True
+        built = short & (searchable | (targets & (deg >= 2)))
+        kept = np.flatnonzero(short[tails])
+        by_head = kept[np.argsort(ocsr.cols[kept], kind="stable")]
+        in_ptr = np.zeros(graph.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ocsr.cols[kept], minlength=graph.n), out=in_ptr[1:])
+        self.k = k
+        self.row_cap = row_cap
+        self.indptr: list[int] = ocsr.indptr.tolist()
+        self.cols: list[int] = ocsr.cols.tolist()
+        self.scores: list[int] = scores.tolist()
+        self.masks = _arc_masks(ocsr, tails, built)
+        self.full = [(1 << d) - 1 if d <= row_cap else 0 for d in deg.tolist()]
+        self.in_ptr: list[int] = in_ptr.tolist()
+        self.in_tail: list[int] = tails[by_head].tolist()
+        self.in_bit: list[int] = (by_head - ocsr.indptr[tails[by_head]]).tolist()
+        self._bytes: int | None = None
+
+    def estimated_bytes(self) -> int:
+        """Resident size in bytes (CPython 3.11), measured once.
+
+        Masks count at their real size, which grows with the row;
+        the other lists hold small ints, at an 8-byte slot plus a
+        32-byte int object per entry.
+        """
+        if self._bytes is None:
+            lists = (
+                self.indptr, self.cols, self.scores,
+                self.in_ptr, self.in_tail, self.in_bit,
+            )
+            masks = len(self.masks) + len(self.full)
+            self._bytes = (
+                40 * sum(len(entries) for entries in lists)
+                + 8 * masks
+                + sum(map(sys.getsizeof, self.masks))
+                + sum(map(sys.getsizeof, self.full))
+            )
+        return self._bytes
+
+
+def _nodes(row: list[int], mask: int) -> list[int]:
+    """The entries of ``row`` whose bits are set in ``mask``, in row order."""
+    nodes = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        nodes.append(row[low.bit_length() - 1])
+    return nodes
+
+
+class _FindMin:
+    """Bit-parallel local-minimum clique search with optional pruning.
+
+    Reads the shared :class:`ScoreOrientedCSR`; owns ``valid`` (one
+    flag per node) and ``live`` (per short root, the mask of its
+    still-valid out-row entries), which :meth:`invalidate` shrinks as
+    cliques enter the solution.
+    """
+
+    __slots__ = ("sub", "live", "valid", "prune", "stats", "best_key", "best")
 
     def __init__(
-        self,
-        out: list[set[int]],
-        scores: np.ndarray,
-        prune: bool,
-        stats: dict[str, float],
-        graph: Graph,
-        valid: list[bool],
+        self, substrate: ScoreOrientedCSR, prune: bool, stats: dict[str, float]
     ) -> None:
-        self.out = out
-        self.scores = scores
+        self.sub = substrate
+        self.live = list(substrate.full)
+        self.valid = [True] * len(substrate.full)
         self.prune = prune
         self.stats = stats
-        self.graph = graph
-        self.valid = valid
         self.best_key: CliqueKey = _INF_KEY
         self.best: tuple[int, ...] | None = None
 
     def live_out_degree(self, u: int) -> int:
         """Number of still-valid out-neighbours of ``u``."""
-        return len(self.out[u])
+        sub = self.sub
+        lo, hi = sub.indptr[u], sub.indptr[u + 1]
+        if hi - lo <= sub.row_cap:
+            return self.live[u].bit_count()
+        return len(self._live_members(u))
+
+    def _live_members(self, u: int) -> list[int]:
+        """The still-valid out-neighbours of ``u`` (none once ``u`` is
+        invalid), ids ascending: a long row's counterpart of its live
+        mask."""
+        valid = self.valid
+        if not valid[u]:
+            return []
+        sub = self.sub
+        return [v for v in sub.cols[sub.indptr[u] : sub.indptr[u + 1]] if valid[v]]
 
     def alive(self, v: int) -> bool:
         """Whether ``v`` is still available for a clique."""
         return self.valid[v]
 
     def invalidate(self, clique: Iterable[int]) -> None:
-        """Remove a chosen clique's nodes from the residual graph."""
+        """Remove a chosen clique's nodes from the residual graph.
+
+        Clears each node's bit in the live mask of every short root
+        whose row holds it (its in-arcs) and empties its own live mask.
+        """
+        sub, live = self.sub, self.live
+        in_ptr, in_tail, in_bit = sub.in_ptr, sub.in_tail, sub.in_bit
         for w in clique:
             self.valid[w] = False
-        for w in clique:
-            for v in self.graph.neighbors(w):
-                self.out[v].discard(w)
-            self.out[w].clear()
+            live[w] = 0
+            for i in range(in_ptr[w], in_ptr[w + 1]):
+                live[in_tail[i]] &= ~(1 << in_bit[i])
 
     def search(self, root: int, k: int) -> tuple[CliqueKey, tuple[int, ...]] | None:
         """Minimum-key k-clique rooted at ``root``, or ``None``."""
         self.stats["findmin_calls"] += 1
+        sub = self.sub
+        # A zero-score root is in no k-clique.
+        if not sub.scores[root]:
+            return None
+        lo, hi = sub.indptr[root], sub.indptr[root + 1]
+        row = sub.cols[lo:hi]
+        long_row = hi - lo > sub.row_cap
+        if long_row:
+            members = self._live_members(root)
+            size = len(members)
+        else:
+            candidates = self.live[root]
+            size = candidates.bit_count()
+        if size < k - 1:
+            return None
         self.best_key = _INF_KEY
         self.best = None
-        candidates = self.out[root]
-        if len(candidates) >= k - 1:
-            self._walk([root], candidates, k - 1, int(self.scores[root]))
+        if k == 2:
+            self._pair(root, members if long_row else _nodes(row, candidates))
+        elif long_row:
+            self.stats["branches_pruned"] += self._list_walk(
+                [root], members, k - 1, sub.scores[root]
+            )
+        else:
+            self.stats["branches_pruned"] += self._walk(
+                [root], row, sub.masks[lo:hi], candidates, k - 1, sub.scores[root]
+            )
         if self.best is None:
             return None
         return self.best_key, self.best
 
-    def _walk(
-        self, prefix: list[int], candidates: set[int], need: int, score_sum: int
-    ) -> None:
-        out = self.out
-        scores = self.scores
+    def _pair(self, root: int, members: list[int]) -> None:
+        """k = 2: the minimum-key edge from ``root`` to one of ``members``."""
+        scores = self.sub.scores
+        base = scores[root]
+        for u in members:
+            key = (base + scores[u], (root, u) if root < u else (u, root))
+            if key < self.best_key:
+                self.best_key = key
+                self.best = key[1]
+
+    def _list_walk(
+        self, prefix: list[int], members: list[int], need: int, score_sum: int
+    ) -> int:
+        """Walk a long row's id-sorted ``members`` (``need >= 2``); returns prunes.
+
+        Each candidate ``u`` narrows the walk to ``members & out(u)``,
+        re-based into ``u``'s own row: as a mask over it if the row is
+        short, else as a list again.
+        """
+        sub, prune = self.sub, self.prune
+        scores, indptr, cols = sub.scores, sub.indptr, sub.cols
+        member_set = set(members)
         best_score = self.best_key[0]
-        if need == 1:
-            # Only reachable for k = 2 (greedy matching degenerate case).
-            for u in candidates:
-                total = score_sum + int(scores[u])
-                if total > best_score:
-                    continue
-                clique = tuple(sorted(prefix + [u]))
-                key = (total, clique)
-                if key < self.best_key:
-                    self.best_key = key
-                    self.best = clique
-                    best_score = total
-            return
-        if need == 2:
-            for u in sorted(candidates):
-                su = int(scores[u])
-                if self.prune and score_sum + su >= best_score:
-                    self.stats["branches_pruned"] += 1
-                    continue
-                for v in candidates & out[u]:
-                    total = score_sum + su + int(scores[v])
+        pruned = 0
+        for u in members:
+            su = scores[u]
+            if prune and score_sum + su >= best_score:
+                pruned += 1
+                continue
+            lo, hi = indptr[u], indptr[u + 1]
+            row = cols[lo:hi]
+            if need == 2:
+                base = score_sum + su
+                for v in member_set.intersection(row):
+                    total = base + scores[v]
                     if total > best_score:
                         continue
-                    clique = tuple(sorted(prefix + [u, v]))
+                    clique = tuple(sorted((*prefix, u, v)))
                     key = (total, clique)
                     if key < self.best_key:
                         self.best_key = key
                         self.best = clique
                         best_score = total
-            return
-        for u in sorted(candidates):
-            su = int(scores[u])
-            if self.prune and score_sum + su >= best_score:
-                self.stats["branches_pruned"] += 1
                 continue
-            nxt = candidates & out[u]
-            if len(nxt) >= need - 1:
-                prefix.append(u)
-                self._walk(prefix, nxt, need - 1, score_sum + su)
-                prefix.pop()
-                best_score = self.best_key[0]
+            prefix.append(u)
+            if hi - lo > sub.row_cap:
+                nxt = [v for v in row if v in member_set]
+                if len(nxt) >= need - 1:
+                    pruned += self._list_walk(prefix, nxt, need - 1, score_sum + su)
+            else:
+                mask = 0
+                for j, v in enumerate(row):
+                    if v in member_set:
+                        mask |= 1 << j
+                if mask.bit_count() >= need - 1:
+                    pruned += self._walk(
+                        prefix, row, sub.masks[lo:hi], mask, need - 1, score_sum + su
+                    )
+            prefix.pop()
+            best_score = self.best_key[0]
+        return pruned
+
+    def _walk(
+        self,
+        prefix: list[int],
+        row: list[int],
+        masks: list[int],
+        candidates: int,
+        need: int,
+        score_sum: int,
+    ) -> int:
+        """Walk ``candidates`` (``need >= 2`` more nodes); returns prunes."""
+        scores, prune = self.sub.scores, self.prune
+        best_score = self.best_key[0]
+        pruned = 0
+        rest = candidates
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            u = row[j]
+            su = scores[u]
+            if prune and score_sum + su >= best_score:
+                pruned += 1
+                continue
+            nxt = candidates & masks[j]
+            if need > 2:
+                if nxt.bit_count() >= need - 1:
+                    prefix.append(u)
+                    pruned += self._walk(prefix, row, masks, nxt, need - 1, score_sum + su)
+                    prefix.pop()
+                    best_score = self.best_key[0]
+                continue
+            base = score_sum + su
+            while nxt:
+                low = nxt & -nxt
+                nxt ^= low
+                v = row[low.bit_length() - 1]
+                total = base + scores[v]
+                if total > best_score:
+                    continue
+                clique = tuple(sorted((*prefix, u, v)))
+                key = (total, clique)
+                if key < self.best_key:
+                    self.best_key = key
+                    self.best = clique
+                    best_score = total
+        return pruned
 
 
 class LightweightEngine:
@@ -169,8 +448,12 @@ class LightweightEngine:
     monolithic loop for any backend (the drive-to-completion wrapper
     :func:`lightweight` is what the pinned equivalence tests run).
 
+    The parameters are those of :func:`lightweight` (``scores`` must be
+    the exact k-clique counts), plus ``warm_start`` (cliques seeded into
+    the solution before HeapInit).
+
     :meth:`state_dict` captures ``(phase, next root, heap, solution,
-    stats)``; substrates (scores, orientation, residual sets) are
+    stats)``; substrates (scores, orientation, live masks) are
     deterministic functions of the graph plus the replayed solution, so
     :meth:`load_state` rebuilds them instead of serialising them.
     """
@@ -184,7 +467,7 @@ class LightweightEngine:
         scores: np.ndarray | None = None,
         backend: str = "auto",
         warm_start: Iterable[Iterable[int]] | None = None,
-        oriented: OrientedGraph | None = None,
+        oriented: ScoreOrientedCSR | None = None,
     ) -> None:
         if k < 2:
             raise InvalidParameterError(f"k must be >= 2, got {k}")
@@ -194,6 +477,11 @@ class LightweightEngine:
         elif len(scores) != graph.n:
             raise InvalidParameterError(
                 f"scores has length {len(scores)}, expected n={graph.n}"
+            )
+        if oriented is not None and (oriented.k != k or len(oriented.full) != graph.n):
+            raise InvalidParameterError(
+                f"oriented substrate is for k={oriented.k}, n={len(oriented.full)}; "
+                f"expected k={k}, n={graph.n}"
             )
         self.graph = graph
         self.k = k
@@ -207,16 +495,12 @@ class LightweightEngine:
             "stale_pops": 0,
             "cliques_taken": 0,
         }
-        # ``oriented`` must be the by_score orientation of ``graph``
-        # under ``scores`` (e.g. Preprocessing.score_oriented); it is
-        # only read — the engine works on copies of its out-sets.
-        dag = oriented if oriented is not None else OrientedGraph(
-            graph, by_score(graph, scores)
-        )
-        self.finder = _FindMin(
-            [set(s) for s in dag.out], scores, prune, self.stats, graph,
-            [True] * graph.n,
-        )
+        # ``oriented`` must be built from ``graph`` and ``scores`` (e.g.
+        # Preprocessing.score_oriented); the engine only reads it.
+        if oriented is None:
+            oriented = ScoreOrientedCSR(graph, scores, k)
+        self.oriented = oriented
+        self.finder = _FindMin(oriented, prune, self.stats)
         self.phase = "init" if graph.n else "done"
         self.next_root = 0
         self.heap: list[tuple[CliqueKey, int, tuple[int, ...]]] = []
@@ -327,33 +611,102 @@ class LightweightEngine:
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot onto fresh substrates.
 
-        The residual graph (live out-sets and validity flags) is rebuilt by
+        The residual graph (live masks and validity flags) is rebuilt by
         replaying the checkpointed solution's invalidations; heap
         entries keep their total order under JSON round-tripping, so pop
         sequences — and therefore the final solution and stats — are
-        identical to an uninterrupted run. An unknown ``phase`` raises
-        :class:`InvalidParameterError` (no tick would ever advance it).
+        identical to an uninterrupted run.
+
+        The snapshot is checked before anything is applied, and each of
+        these raises :class:`InvalidParameterError`: an unknown
+        ``phase`` (no tick would ever advance it); a ``next_root`` that
+        is not an int in ``[0, n]``; a heap entry that is not a k-clique
+        holding its root, keyed ``(Σ scores, sorted clique)``; a
+        solution that is not pairwise-disjoint k-cliques; an ``"init"``
+        phase whose ``next_root`` is ``n`` (HeapInit ends on reaching
+        it) or a ``"drain"`` phase with an empty heap (draining ends on
+        emptying it).
         """
         phase = state["phase"]
         if phase not in _PHASES:
             raise InvalidParameterError(
                 f"unknown engine phase {phase!r}; expected one of {_PHASES}"
             )
+        next_root = state["next_root"]
+        if not (_is_int(next_root) and 0 <= next_root <= self.graph.n):
+            raise InvalidParameterError(
+                f"next_root {next_root!r} is not an int in [0, {self.graph.n}]"
+            )
+        if phase == "init" and next_root == self.graph.n:
+            raise InvalidParameterError(
+                f"phase 'init' with next_root {next_root} = n has no root left"
+            )
+        if phase == "drain" and not state["heap"]:
+            raise InvalidParameterError("phase 'drain' with an empty heap")
+        solution: list[tuple[int, ...]] = []
+        used: set[int] = set()
+        for raw in state["solution"]:
+            clique = self._checked_clique(raw, "solution clique")
+            if used.intersection(clique):
+                raise InvalidParameterError(
+                    f"solution clique {raw!r} overlaps an earlier one"
+                )
+            used.update(clique)
+            solution.append(clique)
+        heap: list[tuple[CliqueKey, int, tuple[int, ...]]] = []
+        scores = self.oriented.scores
+        for entry in state["heap"]:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 4):
+                raise InvalidParameterError(
+                    f"heap entry {entry!r} is not [score, key clique, root, clique]"
+                )
+            score, key_clique, root, raw = entry
+            clique = self._checked_clique(raw, "heap clique")
+            key = (sum(scores[v] for v in clique), clique)
+            if not (_is_int(root) and root in clique):
+                raise InvalidParameterError(
+                    f"heap root {root!r} is not a node of its clique {raw!r}"
+                )
+            if not (
+                isinstance(key_clique, (list, tuple))
+                and (score, tuple(key_clique)) == key
+            ):
+                raise InvalidParameterError(
+                    f"heap key ({score!r}, {key_clique!r}) is not {key} for "
+                    f"the clique {raw!r}"
+                )
+            heap.append((key, int(root), clique))
         self.solution = []
-        for clique in state["solution"]:
+        for clique in solution:
             self.solution.append(frozenset(clique))
             self.finder.invalidate(clique)
-        self.heap = [
-            ((int(score), tuple(key_clique)), int(root), tuple(clique))
-            for score, key_clique, root, clique in state["heap"]
-        ]
+        self.heap = heap
         heapq.heapify(self.heap)
         self.phase = phase
-        self.next_root = int(state["next_root"])
+        self.next_root = int(next_root)
         # In-place replacement keeps the finder's reference valid.
         replaced = {key: value for key, value in state["stats"].items()}
         self.stats.clear()
         self.stats.update(replaced)
+
+    def _checked_clique(self, raw: object, what: str) -> tuple[int, ...]:
+        """``raw`` as a sorted k-clique of the graph, else a typed error."""
+        if (
+            isinstance(raw, (list, tuple))
+            and len(raw) == self.k
+            and all(_is_int(v) for v in raw)
+            and is_seedable_clique(self.graph, self.k, raw, lambda v: True)
+        ):
+            return tuple(sorted(int(v) for v in raw))
+        raise InvalidParameterError(
+            f"{what} {raw!r} is not {self.k} distinct nodes forming a "
+            f"{self.k}-clique of the graph"
+        )
+
+
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an integer (``bool`` excluded)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def lightweight(
@@ -363,7 +716,7 @@ def lightweight(
     listing_order: OrderSpec = "degeneracy",
     scores: np.ndarray | None = None,
     backend: str = "auto",
-    oriented: OrientedGraph | None = None,
+    oriented: ScoreOrientedCSR | None = None,
 ) -> CliqueSetResult:
     """Compute a disjoint k-clique set with Algorithm 3.
 
@@ -381,6 +734,9 @@ def lightweight(
     scores:
         Precomputed node scores for ``k`` (e.g. from a session cache);
         skips the counting pass and makes ``listing_order`` irrelevant.
+        They must be the exact per-node k-clique counts: FindMin never
+        searches from a node of score 0 (one in no k-clique), so a 0 on
+        a node of some k-clique loses maximality.
     backend:
         ``"auto" | "sets" | "csr"`` — engine of the score-counting pass
         (see :func:`repro.cliques.csr_kernels.resolve_backend`:
@@ -388,16 +744,18 @@ def lightweight(
         level-bulk vectorisation pays). The FindMin walk is the same
         for every backend, and so are solutions and stats.
     oriented:
-        An already-built ascending-score orientation of ``graph`` under
-        the same ``scores`` (e.g. from
+        The FindMin substrate of ``graph`` under the same ``scores`` and
+        ``k`` (e.g. from
         :meth:`repro.core.session.Preprocessing.score_oriented`); skips
-        the per-call orientation build. Only read, never mutated.
+        the per-call orientation and arc-mask build. Only read, never
+        mutated.
 
     Returns
     -------
     CliqueSetResult
         Same solution as :func:`repro.core.store_all.store_all_cliques`
-        under the shared clique key (Theorem 4), with ``O(n+m)`` space.
+        under the shared clique key (Theorem 4), with ``O(n+m)`` space
+        (arc masks only on rows of at most :data:`ROW_CAP` nodes).
         This is the drive-to-completion wrapper over
         :class:`LightweightEngine`; for anytime/interruptible execution
         use :meth:`repro.core.session.Session.task`.

@@ -23,8 +23,9 @@ The legacy one-shot :func:`repro.core.api.find_disjoint_cliques` remains
 fully supported; it simply delegates to a throwaway session.
 
 Cache invariants: all cached substrates are read-only after
-construction (solvers copy the DAG out-sets and never mutate score
-arrays or clique lists), and nothing here depends on the method tag —
+construction (solvers copy the DAG out-sets, keep their own FindMin
+live masks and never mutate score arrays or clique lists), and nothing
+here depends on the method tag —
 only on ``(graph, k)`` and the orientation name — so any method mix
 shares them safely.
 
@@ -55,6 +56,7 @@ from repro.graph.dag import OrientedGraph
 from repro.cliques import counting
 from repro.cliques import csr_kernels
 from repro.cliques import listing
+from repro.core.lightweight import ScoreOrientedCSR
 from repro.core.registry import REGISTRY, Method, SolverRegistry
 from repro.core.result import CliqueSetResult
 
@@ -84,7 +86,7 @@ class Preprocessing:
         self._core: np.ndarray | None = None
         self._ranks: dict[str, np.ndarray] = {}
         self._oriented: dict[str, OrientedGraph] = {}
-        self._score_oriented: dict[int, OrientedGraph] = {}
+        self._score_oriented: dict[int, ScoreOrientedCSR] = {}
         self._scores: dict[int, np.ndarray] = {}
         self._cliques: dict[int, list[tuple[int, ...]]] = {}
         self._counts: dict[int, int] = {}
@@ -144,14 +146,15 @@ class Preprocessing:
                 self.stats["cache_hits"] += 1
             return cached
 
-    def score_oriented(self, k: int, backend: str = "auto") -> OrientedGraph:
-        """The ascending-score DAG orientation for ``k`` (cached per k).
+    def score_oriented(self, k: int, backend: str = "auto") -> ScoreOrientedCSR:
+        """FindMin's score-oriented CSR and arc masks for ``k`` (cached per k).
 
         Algorithm 3's FindMin phase walks the graph oriented by node
         score (Definition 5), an orientation that depends on ``k`` but
         not on the solver options — so repeated ``l``/``lp`` solves and
-        tasks over one session share it instead of re-orienting the
-        graph per call (on large graphs the orientation build dominates
+        tasks over one session share one
+        :class:`~repro.core.lightweight.ScoreOrientedCSR` instead of
+        rebuilding it per call (on large graphs its wedge pass dominates
         a warm solve's startup, which also bounds how long a resumable
         task blocks before its first preemptible step). ``backend``
         only selects the engine used if the ``k`` scores are a cache
@@ -160,8 +163,9 @@ class Preprocessing:
         with self._lock:
             cached = self._score_oriented.get(k)
             if cached is None:
-                rank = ordering.by_score(self.graph, self.scores(k, backend=backend))
-                cached = OrientedGraph(self.graph, rank)
+                cached = ScoreOrientedCSR(
+                    self.graph, self.scores(k, backend=backend), k
+                )
                 self._score_oriented[k] = cached
                 self.stats["orientations"] += 1
             else:
@@ -327,12 +331,15 @@ class Preprocessing:
                 total += int(self._core.nbytes)
             for rank in self._ranks.values():
                 total += int(rank.nbytes)
-            # Order-independent accumulation into a size total.
-            for dag in (*self._oriented.values(), *self._score_oriented.values()):  # repro-lint: ignore=iterorder
-                total += graph.n * 64 + graph.m * 60 + int(dag.rank.nbytes)
+            for dag in self._oriented.values():
+                total += int(dag.rank.nbytes)
+                if dag.has_out:
+                    total += graph.n * 64 + graph.m * 60
                 if dag.has_csr:
                     csr = dag.csr()
                     total += int(csr.indptr.nbytes + csr.cols.nbytes)
+            for substrate in self._score_oriented.values():
+                total += substrate.estimated_bytes()
             for scores in self._scores.values():
                 total += int(scores.nbytes)
             for k, cliques in self._cliques.items():

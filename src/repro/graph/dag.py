@@ -80,26 +80,40 @@ class OrientedGraph:
         ``rank[u]`` is the position of ``u`` in the total order.
     out:
         ``out[u]`` is the *set* of out-neighbours of ``u`` (all with
-        smaller rank), used by the ``"sets"`` enumeration backend. The
-        array twin for the ``"csr"`` backend is built lazily by
-        :meth:`csr`.
+        smaller rank), used by the ``"sets"`` enumeration backend and
+        ``hg``; built on first access (see :attr:`has_out`). The array
+        twin for the ``"csr"`` backend is built lazily by :meth:`csr`.
     """
 
-    __slots__ = ("graph", "rank", "out", "_csr", "_lock")
+    __slots__ = ("graph", "rank", "_out", "_csr", "_lock")
 
     def __init__(self, graph: Graph, rank: np.ndarray) -> None:
         self.graph = graph
         self.rank = rank
-        self.out: list[set[int]] = [
-            {v for v in graph.neighbors(u) if rank[v] < rank[u]}
-            for u in range(graph.n)
-        ]
+        self._out: list[set[int]] | None = None
         self._csr: OrientedCSR | None = None
-        # Guards the lazy CSR memo: engines call csr() outside the
-        # preprocessing lock (e.g. the lightweight engine's deferred
-        # substrate build), so concurrent tasks over a shared session
-        # could otherwise race the O(n + m) orientation build.
+        # Guards the lazy memos: engines read them outside the
+        # preprocessing lock, so concurrent tasks over a shared session
+        # could otherwise race the O(n + m) orientation builds.
         self._lock = make_lock("OrientedGraph._lock")
+
+    @property
+    def out(self) -> list[set[int]]:
+        """Per-node out-neighbour sets, built on first access (cached)."""
+        if self._out is None:
+            with self._lock:
+                if self._out is None:
+                    rank, graph = self.rank, self.graph
+                    self._out = [
+                        {v for v in graph.neighbors(u) if rank[v] < rank[u]}
+                        for u in range(graph.n)
+                    ]
+        return self._out
+
+    @property
+    def has_out(self) -> bool:
+        """Whether the out-sets have been built (without building them)."""
+        return self._out is not None
 
     def csr(self) -> OrientedCSR:
         """Lazily-built (and cached) :class:`OrientedCSR` of this orientation."""

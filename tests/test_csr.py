@@ -41,10 +41,28 @@ class TestStructure:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bulk_construction_matches_sorted_neighbors(self, seed):
-        g = erdos_renyi_gnp(120, 0.1, seed=seed)
-        csr = CSRAdjacency.from_graph(g)
-        for u in g.nodes():
-            assert csr.row(u).tolist() == sorted(g.neighbors(u))
+        self._assert_rows_sorted(erdos_renyi_gnp(120, 0.1, seed=seed))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            erdos_renyi_gnp(150, 0.004, seed=4),  # many isolated nodes
+            Graph(9, [(8, 0), (3, 7), (7, 0), (3, 8)]),  # isolated 1, 2, 4-6
+            Graph(1),
+            Graph(0),
+        ],
+        ids=lambda g: f"n{g.n}-m{g.m}",
+    )
+    def test_bulk_construction_with_isolated_nodes_and_empty(self, graph):
+        self._assert_rows_sorted(graph)
+
+    @staticmethod
+    def _assert_rows_sorted(graph):
+        csr = CSRAdjacency.from_graph(graph)
+        assert csr.n == graph.n and csr.m == graph.m
+        assert csr.indptr.tolist() == [0, *np.cumsum(graph.degrees).tolist()]
+        for u in graph.nodes():
+            assert csr.row(u).tolist() == sorted(graph.neighbors(u))
 
 
 class TestSortedArrayHelpers:

@@ -2,8 +2,10 @@
 
 import numpy as np
 
-from repro import Graph
+from repro import Graph, Session
+from repro.cliques.csr_kernels import resolve_backend
 from repro.graph.dag import OrientedGraph
+from repro.graph.generators import powerlaw_cluster
 
 
 class TestOrientation:
@@ -43,3 +45,20 @@ class TestOrientation:
         dag = OrientedGraph.orient(Graph(0), "id")
         assert dag.max_out_degree() == 0
         assert dag.n == 0
+
+
+class TestLazyOutSets:
+    def test_built_on_first_access_only(self, paper_graph):
+        dag = OrientedGraph.orient(paper_graph, "id")
+        assert not dag.has_out
+        assert dag.out is dag.out
+        assert dag.has_out
+
+    def test_csr_backend_lp_solve_builds_no_out_sets(self):
+        graph = powerlaw_cluster(300, 5, 0.5, seed=2)
+        assert resolve_backend("auto", graph.m) == "csr"
+        session = Session(graph)
+        session.solve(4, "lp")
+        assert not session.prep.oriented().has_out
+        session.solve(4, "hg", order="degeneracy")
+        assert session.prep.oriented().has_out

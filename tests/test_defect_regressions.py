@@ -9,7 +9,10 @@ Each class pins one fixed defect so it cannot silently return:
   objects to different threads;
 * ``Server`` flipped ``_shutting_down`` outside its lock;
 * an ``l``/``lp`` checkpoint with an unknown engine phase restored
-  into a task that burned work forever without finishing.
+  into a task that burned work forever without finishing;
+* an ``l``/``lp`` checkpoint with an out-of-range ``next_root``, a
+  non-clique heap entry or a non-disjoint solution restored into a task
+  that livelocked, crashed untyped or finished with an invalid answer.
 """
 
 import json
@@ -119,6 +122,12 @@ class TestLazyMemoThreadSafety(ConcurrencyHarness):
         graph = powerlaw_cluster(400, 5, 0.6, seed=12)
         oriented = OrientedGraph.orient(graph, "degeneracy")
         results = self.hammer(oriented.csr)
+        assert all(r is results[0] for r in results)
+
+    def test_oriented_out_sets_built_once_across_threads(self):
+        graph = powerlaw_cluster(400, 5, 0.6, seed=14)
+        oriented = OrientedGraph.orient(graph, "degeneracy")
+        results = self.hammer(lambda: oriented.out)
         assert all(r is results[0] for r in results)
 
     def test_session_fingerprint_stable_across_threads(self):
@@ -331,3 +340,72 @@ class TestCheckpointPhaseValidation:
         blob["options"] = {"workers": 1, "backend": "auto"}
         with pytest.raises(InvalidParameterError, match="checkpoint version 1"):
             session.restore_task(blob)
+
+
+class TestCheckpointStateValidation:
+    """``LightweightEngine.load_state`` trusted the restored state: a
+    negative ``next_root`` livelocked (one stale pop and one re-push per
+    tick), a huge one raised a bare ``IndexError``, and a heap entry or
+    solution that is no k-clique, or a solution that repeats a clique,
+    finished with an answer ``verify_solution`` rejects; an ``"init"``
+    phase at ``next_root == n``, a ``"drain"`` phase with an empty heap
+    and a heap key clique that is not a list crashed the next tick with
+    a bare ``IndexError`` or ``TypeError``. Each now fails the restore
+    with :class:`InvalidParameterError`."""
+
+    @staticmethod
+    def _tampered(edit):
+        session = Session(powerlaw_cluster(200, 5, 0.6, seed=3))
+        task = session.task(3, "lp")
+        task.step(max_work=230)
+        blob = json.loads(json.dumps(task.checkpoint()))
+        assert blob["engine"]["phase"] == "drain" and blob["engine"]["solution"]
+        assert not session.graph.has_edge(0, 1)  # [0, 1, 2] is no clique
+        edit(blob["engine"])
+        return session, blob
+
+    def _assert_rejected(self, edit, match):
+        session, blob = self._tampered(edit)
+        with pytest.raises(InvalidParameterError, match=match):
+            session.restore_task(blob)
+
+    def test_negative_next_root_is_rejected(self):
+        self._assert_rejected(lambda e: e.update(next_root=-50), "next_root -50")
+
+    def test_next_root_past_n_is_rejected(self):
+        self._assert_rejected(lambda e: e.update(next_root=10**6), "next_root 1000000")
+
+    def test_non_clique_heap_entry_is_rejected(self):
+        def edit(engine):
+            engine["heap"][0] = [3, [0, 1, 2], 0, [0, 1, 2]]
+
+        self._assert_rejected(edit, r"heap clique \[0, 1, 2\]")
+
+    def test_non_clique_solution_is_rejected(self):
+        self._assert_rejected(
+            lambda e: e["solution"].append([0, 1, 2]), r"solution clique \[0, 1, 2\]"
+        )
+
+    def test_repeated_solution_clique_is_rejected(self):
+        self._assert_rejected(
+            lambda e: e["solution"].append(list(e["solution"][0])), "overlaps"
+        )
+
+    def test_init_phase_at_next_root_n_is_rejected(self):
+        self._assert_rejected(
+            lambda e: e.update(phase="init", next_root=200), "phase 'init'"
+        )
+
+    def test_drain_phase_with_empty_heap_is_rejected(self):
+        self._assert_rejected(lambda e: e.update(heap=[]), "empty heap")
+
+    def test_non_list_heap_key_clique_is_rejected(self):
+        def edit(engine):
+            engine["heap"][0][1] = 5
+
+        self._assert_rejected(edit, r"heap key \(\d+, 5\)")
+
+    def test_untampered_checkpoint_still_restores_and_finishes(self):
+        session, blob = self._tampered(lambda e: None)
+        task = session.restore_task(blob)
+        assert task.run().sorted_cliques() == session.solve(3, "lp").sorted_cliques()

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.cliques.csr_kernels import resolve_backend
 from repro.core.session import Session
 from repro.errors import InvalidParameterError
 from repro.graph.generators import powerlaw_cluster, ring_of_cliques
@@ -145,13 +146,17 @@ class TestByteBudget:
 
     def test_real_estimator_monotone_in_cache_content(self):
         g = powerlaw_cluster(300, 5, 0.5, seed=2)
+        assert resolve_backend("auto", g.m) == "csr"
         session = Session(g)
         cold = session.estimated_bytes()
-        session.solve(3)
+        session.solve(3)  # CSR-backend lp: no per-node out-sets built
         warm = session.estimated_bytes()
+        # Reuses the cached degeneracy orientation and builds its out-sets.
+        session.solve(3, "hg", order="degeneracy")
+        with_sets = session.estimated_bytes()
         session.prep.cliques(3)
         listed = session.estimated_bytes()
-        assert cold < warm < listed
+        assert cold < warm < with_sets < listed
 
     def test_growth_after_admission_is_reclaimed_on_next_admit(self):
         sizes = {}

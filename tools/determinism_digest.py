@@ -10,10 +10,12 @@ exclude wall-clock values, so the comparison is noise-free.
 Two modes::
 
     python tools/determinism_digest.py solve
-        Pinned in-process workload: seeded generator graphs, a full
-        ``lp`` solve, a full ``opt-bb`` exact solve, and a stepped
-        ``lp`` task checkpointed mid-run. Emits one ``<label> <sha256>``
-        line per component plus a ``combined`` line.
+        Pinned in-process workload: seeded generator graphs, full
+        ``lp`` solves at k = 2-5 and an ``l`` solve at k = 4 (every
+        branch of the FindMin walk), a full ``opt-bb`` exact solve, and
+        a stepped ``lp`` task checkpointed mid-run. Emits one
+        ``<label> <sha256>`` line per component plus a ``combined``
+        line.
 
     python tools/determinism_digest.py run <results/run-dir>
         Digest of a bench run directory's order-bearing content: per
@@ -56,6 +58,12 @@ def solve_digests() -> dict[str, str]:
     lp = session.solve(3, "lp")
     out["lp_solution"] = _digest(lp.sorted_cliques())
     out["lp_stats"] = _digest(json_safe(dict(lp.stats)))
+    # Every branch of the FindMin walk: the one-level k=2 loop, the leaf
+    # level (k=3 above), the recursion (k=4, 5), and pruning off (l).
+    for method, k in (("lp", 2), ("lp", 4), ("lp", 5), ("l", 4)):
+        result = session.solve(k, method)
+        out[f"{method}_k{k}_solution"] = _digest(result.sorted_cliques())
+        out[f"{method}_k{k}_stats"] = _digest(json_safe(dict(result.stats)))
 
     # Exact branch-and-bound on a small seeded G(n, m) instance.
     small = erdos_renyi_gnm(40, 140, seed=11)
