@@ -306,7 +306,9 @@ class Preprocessing:
         The estimate is intentionally cheap (no ``sys.getsizeof`` walks):
         numpy arrays report ``nbytes`` exactly, while Python-object
         substrates (adjacency sets, clique tuples) use fixed per-entry
-        costs calibrated to CPython 3.11. The serving layer's
+        costs calibrated to CPython 3.11. The graph is charged for what
+        it holds (:meth:`~repro.graph.graph.Graph.estimated_bytes`): its
+        CSR always, its neighbour sets only once built. The serving layer's
         :class:`~repro.serve.pool.SessionPool` uses this for its byte
         budget, so what matters is that the estimate is monotone in the
         real footprint and stable across processes, not byte-exact.
@@ -319,14 +321,10 @@ class Preprocessing:
         long enumeration never stalls them.
         """
         graph = self.graph
-        # Adjacency sets: ~60 bytes per directed entry, two per edge.
-        total = graph.n * 64 + graph.m * 2 * 60
+        total = graph.estimated_bytes()
         if not self._lock.acquire(blocking=blocking):
             return self._last_estimate if self._last_estimate else total
         try:
-            if graph._csr_cache is not None:  # noqa: SLF001 - sizing peek
-                csr = graph._csr_cache
-                total += int(csr.indptr.nbytes + csr.cols.nbytes)
             if self._core is not None:
                 total += int(self._core.nbytes)
             for rank in self._ranks.values():

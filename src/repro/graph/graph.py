@@ -1,14 +1,20 @@
 """Static undirected graph used by every algorithm in this package.
 
 The paper's algorithms operate on simple undirected graphs with nodes
-labelled ``0 .. n-1``. :class:`Graph` stores adjacency twice:
+labelled ``0 .. n-1``. :class:`Graph` is CSR-first: the constructor
+reads the edge list into numpy once, validates it, dedupes it and
+builds the sorted int64 CSR arrays (:mod:`repro.graph.csr`) that the
+orderings, the orientations and the ``"csr"`` enumeration backend read
+(see :mod:`repro.graph.ordering` and :mod:`repro.cliques.csr_kernels`).
+A cold ``lp`` solve therefore builds no Python adjacency at all.
 
-* a list of Python ``set`` objects — the substrate of the ``"sets"``
-  enumeration backend and of incremental neighbourhood queries, and
-* a CSR view (:mod:`repro.graph.csr`) built lazily — sorted int64 row
-  arrays powering the numpy bulk statistics *and* the ``"csr"``
-  enumeration backend (oriented CSR construction, vectorised k-clique
-  counting/scoring; see :mod:`repro.cliques.csr_kernels`).
+The per-node Python ``set`` adjacency — the substrate of the ``"sets"``
+enumeration backend, ``hg`` and incremental neighbourhood queries — is
+built lazily on the first :meth:`Graph.neighbors`, :meth:`Graph.has_edge`,
+:meth:`Graph.edges` or :meth:`Graph.is_clique` call. It is filled from
+the input pairs in input order, so every set, and hence
+:meth:`Graph.edges`, iterates exactly as an eagerly built one would;
+the input pairs are held only until then.
 
 Instances are immutable after construction; the dynamic-maintenance code
 uses :class:`repro.graph.dynamic.DynamicGraph` instead and converts via
@@ -17,15 +23,17 @@ uses :class:`repro.graph.dynamic.DynamicGraph` instead and converts via
 
 from __future__ import annotations
 
+import operator
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.concurrency import make_lock
 from repro.errors import GraphError
+from repro.graph.csr import CSRAdjacency, sorted_unique
 
-if TYPE_CHECKING:  # deferred at runtime: csr imports graph
-    from repro.graph.csr import CSRAdjacency
+if TYPE_CHECKING:  # deferred at runtime: dynamic imports graph
     from repro.graph.dynamic import DynamicGraph
 
 Edge = tuple[int, int]
@@ -34,6 +42,54 @@ Edge = tuple[int, int]
 def _canonical(u: int, v: int) -> Edge:
     """Return the edge ``(u, v)`` with endpoints in ascending order."""
     return (u, v) if u < v else (v, u)
+
+
+def _check_edge(n: int, edge: object) -> Edge:
+    """One input edge as a pair of ints; :class:`GraphError` if invalid."""
+    try:
+        u, v = edge  # type: ignore[misc]
+    except (TypeError, ValueError):
+        raise GraphError(f"edge {edge!r} is not a (u, v) pair") from None
+    try:
+        u, v = operator.index(u), operator.index(v)
+    except TypeError:
+        raise GraphError(f"edge {edge!r} has a non-integer endpoint") from None
+    if u == v:
+        raise GraphError(f"self-loop on node {u} is not allowed")
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphError(f"edge ({u}, {v}) outside node range [0, {n})")
+    return u, v
+
+
+def _read_pairs(n: int, edges: Iterable[Edge]) -> np.ndarray:
+    """The input edges as a validated ``(E, 2)`` int64 array, in input order.
+
+    Raises :class:`GraphError` for the first edge, in input order, that
+    is not a pair, has an endpoint that is not an integer (Python ints,
+    numpy integers and ``bool`` are), is a self-loop or leaves
+    ``[0, n)``.
+    """
+    edge_list = edges if isinstance(edges, list) else list(edges)
+    count = len(edge_list)
+    try:
+        flat = map(operator.index, chain.from_iterable(edge_list))
+        pairs = (
+            np.fromiter(flat, dtype=np.int64, count=2 * count).reshape(count, 2)
+            if set(map(len, edge_list)) <= {2}
+            else None
+        )
+    except (TypeError, OverflowError):
+        pairs = None
+    if pairs is None:
+        # Something is malformed or unusual (an edge without len(), a
+        # non-integer, an int past int64): check edge by edge, in order.
+        checked = [_check_edge(n, edge) for edge in edge_list]
+        pairs = np.array(checked, dtype=np.int64).reshape(count, 2)
+    u, v = pairs[:, 0], pairs[:, 1]
+    bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        _check_edge(n, tuple(pairs[int(np.argmax(bad))].tolist()))
+    return pairs
 
 
 class Graph:
@@ -45,36 +101,77 @@ class Graph:
         Number of nodes. Isolated nodes are allowed, so ``n`` may exceed
         the largest endpoint seen in ``edges``.
     edges:
-        Iterable of ``(u, v)`` pairs. Self-loops raise :class:`GraphError`;
-        duplicate edges (in either orientation) are silently merged, which
-        matches how the paper's datasets are cleaned.
+        Iterable of ``(u, v)`` pairs of integers (Python ints, numpy
+        integers or ``bool``). An edge that is not such a pair, a
+        self-loop or an endpoint outside ``[0, n)`` raises
+        :class:`GraphError` naming the first offending edge; duplicate
+        edges (in either orientation) are silently merged, which matches
+        how the paper's datasets are cleaned.
     """
 
-    __slots__ = ("_n", "_m", "_adj", "_degrees", "_csr_cache", "_lock")
+    __slots__ = ("_n", "_m", "_degrees", "_csr", "_pairs", "_adj", "_lock")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
+        n = operator.index(n)
         if n < 0:
             raise GraphError(f"node count must be non-negative, got {n}")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        m = 0
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"self-loop on node {u} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) outside node range [0, {n})")
-            if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
-                m += 1
+        pairs = _read_pairs(n, edges)
+        u, v = pairs[:, 0], pairs[:, 1]
+        # One sort of the directed keys row * n + col lays out every
+        # sorted row at once; dropping repeats merges duplicate edges.
+        keys = sorted_unique(np.concatenate((u * n + v, v * n + u)))
+        rows, cols = np.divmod(keys, max(n, 1))
+        self._degrees = np.bincount(rows, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self._degrees, out=indptr[1:])
         self._n = n
-        self._m = m
-        self._adj = adj
-        self._degrees = np.fromiter((len(s) for s in adj), dtype=np.int64, count=n)
-        self._csr_cache = None
-        # Guards the lazy CSR memo: sessions are shared across serving
+        self._m = len(keys) // 2
+        self._csr = CSRAdjacency(indptr, cols)
+        # Held only until the lazy sets are built from them.
+        self._pairs: np.ndarray | None = pairs
+        self._adj: list[set[int]] | None = None
+        # Guards the lazy sets: sessions are shared across serving
         # worker threads, and an unguarded first call from two threads
         # duplicates the O(n + m) build.
         self._lock = make_lock("Graph._lock")
+
+    def _sets(self) -> list[set[int]]:
+        """Per-node neighbour sets, built on first use in input order."""
+        adj = self._adj
+        if adj is None:
+            with self._lock:
+                adj = self._adj
+                if adj is None:
+                    adj = [set() for _ in range(self._n)]
+                    # One shared int object per node, not one per entry.
+                    ids = np.arange(self._n).astype(object)
+                    pairs = self._pairs
+                    us, vs = ids[pairs[:, 0]].tolist(), ids[pairs[:, 1]].tolist()
+                    for u, v in zip(us, vs):
+                        adj[u].add(v)
+                        adj[v].add(u)
+                    self._adj = adj
+                    self._pairs = None
+        return adj
+
+    @property
+    def has_sets(self) -> bool:
+        """Whether the neighbour sets have been built (without building them)."""
+        return self._adj is not None
+
+    def estimated_bytes(self) -> int:
+        """Rough resident size of what this graph holds right now.
+
+        The CSR arrays and the degree array at their exact ``nbytes``;
+        the input pairs while they are held; the neighbour sets once
+        built, at about 64 bytes per node plus 60 per directed entry
+        (calibrated to CPython 3.11).
+        """
+        pairs = self._pairs  # read first: a finishing set build drops it
+        total = int(self._csr.indptr.nbytes + self._csr.cols.nbytes + self._degrees.nbytes)
+        if self._adj is not None:
+            return total + self._n * 64 + self._m * 2 * 60
+        return total + (int(pairs.nbytes) if pairs is not None else 0)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -96,17 +193,18 @@ class Graph:
 
     def degree(self, u: int) -> int:
         """Degree of node ``u``."""
-        return len(self._adj[u])
+        return int(self._degrees[u])
 
     def neighbors(self, u: int) -> set[int]:
         """The neighbour set of ``u`` (do not mutate)."""
-        return self._adj[u]
+        adj = self._adj
+        return (adj if adj is not None else self._sets())[u]
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``(u, v)`` exists."""
         if not (0 <= u < self._n and 0 <= v < self._n):
             return False
-        return v in self._adj[u]
+        return v in self.neighbors(u)
 
     def nodes(self) -> range:
         """Iterate node ids ``0 .. n-1``."""
@@ -114,8 +212,9 @@ class Graph:
 
     def edges(self) -> Iterator[Edge]:
         """Iterate each undirected edge once, as ``(min, max)`` pairs."""
+        adj = self._sets()
         for u in range(self._n):
-            for v in self._adj[u]:
+            for v in adj[u]:
                 if u < v:
                     yield (u, v)
 
@@ -126,15 +225,9 @@ class Graph:
     # ------------------------------------------------------------------
     # Derived structures
     # ------------------------------------------------------------------
-    def csr(self) -> "CSRAdjacency":
-        """Lazily-built CSR adjacency view (see :mod:`repro.graph.csr`)."""
-        if self._csr_cache is None:
-            from repro.graph.csr import CSRAdjacency
-
-            with self._lock:
-                if self._csr_cache is None:
-                    self._csr_cache = CSRAdjacency.from_graph(self)
-        return self._csr_cache
+    def csr(self) -> CSRAdjacency:
+        """The sorted CSR adjacency (see :mod:`repro.graph.csr`)."""
+        return self._csr
 
     def subgraph(self, nodes: Iterable[int]) -> "Graph":
         """Induced subgraph on ``nodes``, relabelled to ``0 .. len-1``.
@@ -152,7 +245,7 @@ class Graph:
         edges = [
             (index[u], index[v])
             for u in keep
-            for v in sorted(self._adj[u])
+            for v in self._csr.row(u).tolist()
             if u < v and v in index
         ]
         return Graph(len(keep), edges), keep
@@ -163,7 +256,7 @@ class Graph:
             (u, v)
             for u in range(self._n)
             for v in range(u + 1, self._n)
-            if v not in self._adj[u]
+            if v not in self.neighbors(u)
         ]
         return Graph(self._n, edges)
 
@@ -172,8 +265,9 @@ class Graph:
         node_list = list(nodes)
         if len(set(node_list)) != len(node_list):
             return False
+        adj = self._sets()
         for i, u in enumerate(node_list):
-            adj_u = self._adj[u]
+            adj_u = adj[u]
             for v in node_list[i + 1 :]:
                 if v not in adj_u:
                     return False
@@ -229,7 +323,12 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._n == other._n and self._adj == other._adj
+        mine, theirs = self._csr, other._csr
+        return (
+            self._n == other._n
+            and np.array_equal(mine.indptr, theirs.indptr)
+            and np.array_equal(mine.cols, theirs.cols)
+        )
 
     def __hash__(self) -> int:  # pragma: no cover - identity hashing
         return id(self)

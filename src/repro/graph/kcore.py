@@ -1,5 +1,8 @@
 """k-core decomposition and clique-aware preprocessing.
 
+The core numbers come from the same min-degree peel over the CSR that
+yields the degeneracy order (:func:`repro.graph.ordering.peel`).
+
 Every node of a k-clique has at least ``k - 1`` neighbours inside it, so
 all k-cliques live in the ``(k-1)``-core. Pruning the graph to that core
 before solving shrinks sparse instances dramatically without changing
@@ -13,45 +16,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.graph import Graph
+from repro.graph.ordering import peel
 
 
 def core_numbers(graph: Graph) -> np.ndarray:
-    """Core number of every node (classic min-degree peeling).
+    """Core number of every node.
 
-    ``core[u]`` is the largest c such that u survives in the c-core.
-    Runs in ``O(n + m)`` with bucketed peeling.
+    ``core[u]`` is the largest c such that u survives in the c-core:
+    the core numbers of the min-degree peel
+    (:func:`repro.graph.ordering.peel`).
     """
-    n = graph.n
-    core = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return core
-    deg = [graph.degree(u) for u in range(n)]
-    max_deg = max(deg)
-    buckets: list[list[int]] = [[] for _ in range(max_deg + 1)]
-    for u in range(n):
-        buckets[deg[u]].append(u)
-    removed = [False] * n
-    current = 0
-    cursor = 0
-    for _ in range(n):
-        while cursor <= max_deg and not buckets[cursor]:
-            cursor += 1
-        while True:
-            u = buckets[cursor].pop()
-            if not removed[u] and deg[u] == cursor:
-                break
-            while cursor <= max_deg and not buckets[cursor]:
-                cursor += 1
-        removed[u] = True
-        current = max(current, cursor)
-        core[u] = current
-        for v in graph.neighbors(u):
-            if not removed[v]:
-                deg[v] -= 1
-                buckets[deg[v]].append(v)
-                if deg[v] < cursor:
-                    cursor = deg[v]
-    return core
+    return peel(graph)[1]
 
 
 def kcore_nodes(graph: Graph, c: int) -> list[int]:

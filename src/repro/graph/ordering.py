@@ -13,8 +13,12 @@ Provided orderings:
     Ascending degree, ties by id — the classic kClist ordering; the node
     with the largest degree has the largest rank.
 ``by_degeneracy``
-    Smallest-last / core ordering via a bucketed min-degree peel. Gives the
-    tightest out-degree bound for clique listing.
+    Smallest-last / core ordering: the removal order of :func:`peel`, a
+    min-degree peel over the graph's CSR (vectorised rounds, then a
+    bucket queue for the thin residual) that also yields the core
+    numbers (:mod:`repro.graph.kcore`). Ties follow sorted rows, so the
+    order is a function of the graph alone, whatever the order of its
+    edge list. Gives the tightest out-degree bound for clique listing.
 ``by_score``
     Ascending node score (k-clique counts, Definition 5), ties by id —
     the ordering Algorithm 3 requires.
@@ -27,6 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.errors import InvalidParameterError
+from repro.graph.csr import CSRAdjacency, concat_rows, sorted_unique
 from repro.graph.graph import Graph
 
 OrderingFn = Callable[[Graph], np.ndarray]
@@ -59,55 +64,134 @@ def by_degree(graph: Graph) -> np.ndarray:
     return rank_from_sequence(order)
 
 
-def by_degeneracy(graph: Graph) -> np.ndarray:
-    """Smallest-last (degeneracy) ordering via bucketed peeling.
+#: Peel rounds continue while they remove at least ``ROUND_MIN`` nodes
+#: per round on average, the first ``FREE_ROUNDS`` rounds not counted. A
+#: round costs about as much as ``ROUND_MIN`` nodes of the bucket queue
+#: (some 20 numpy calls against about a microsecond per node), so the
+#: free rounds bound what a peel that never pays (a long path) wastes,
+#: and let one that starts thin (a lone low-degree node, a grid's
+#: corners) grow into paying rounds.
+ROUND_MIN = 32
+FREE_ROUNDS = 8
 
-    Repeatedly removes a minimum-residual-degree node; the removal
-    sequence becomes the total order. Runs in ``O(n + m)``.
+
+def peel(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Min-degree peel over the CSR: ``(removal order, core numbers)``.
+
+    ``order[i]`` is the ``i``-th node removed and ``core[u]`` the core
+    number of ``u``. Vectorised rounds come first: each removes, in
+    ascending id, every residual node whose residual degree is at most
+    the current core level. Within a level, a round looks only at the
+    neighbours of the last one; when none is left at the level, one scan
+    of the residual nodes raises it to their minimum degree. Once the
+    rounds stop paying (see :data:`ROUND_MIN`), a sequential bucket
+    queue finishes the residual graph. Both read neighbours in sorted
+    row order, so the order depends only on the graph, never on the
+    edge list's order. Every node has at most ``core[u]`` neighbours
+    removed after it. Runs in ``O(n + m)`` plus ``O(n)`` per core level
+    the rounds reach.
     """
     n = graph.n
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    deg = [graph.degree(u) for u in range(n)]
-    max_deg = max(deg) if n else 0
-    buckets: list[list[int]] = [[] for _ in range(max_deg + 1)]
-    for u in range(n):
-        buckets[deg[u]].append(u)
-    removed = [False] * n
+    csr = graph.csr()
+    indptr, cols = csr.indptr, csr.cols
+    deg = graph.degrees.copy()
+    alive = np.ones(n, dtype=bool)
+    rest = np.arange(n, dtype=np.int64)
+    bucket = rest[:0]
+    removed: list[np.ndarray] = []
+    cores: list[np.ndarray] = []
+    level = rounds = done = 0
+    while done < n and done >= ROUND_MIN * (rounds - FREE_ROUNDS):
+        if not len(bucket):
+            # Every node at or below the level was in a round, so the
+            # minimum residual degree is above it.
+            rest = rest[alive[rest]]
+            residual = deg[rest]
+            level = int(residual.min())
+            bucket = rest[residual == level]
+        rounds += 1
+        done += len(bucket)
+        alive[bucket] = False
+        removed.append(bucket)
+        cores.append(np.full(len(bucket), level, dtype=np.int64))
+        nbrs = concat_rows(indptr, cols, bucket)[1]
+        np.subtract.at(deg, nbrs, 1)
+        bucket = sorted_unique(nbrs[alive[nbrs] & (deg[nbrs] <= level)])
+    if done < n:
+        tail, tail_core = _bucket_queue(csr, deg, alive, level)
+        removed.append(tail)
+        cores.append(tail_core)
+    order = np.concatenate(removed) if removed else rest
+    core = np.zeros(n, dtype=np.int64)
+    if n:
+        core[order] = np.concatenate(cores)
+    return order, core
+
+
+def _bucket_queue(
+    csr: CSRAdjacency, deg: np.ndarray, alive: np.ndarray, level: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sequential min-degree peel of the residual nodes (``alive``).
+
+    ``deg`` holds their residual degrees and ``level`` the core level
+    reached so far. Returns the removal order and the core numbers of
+    the residual nodes. Buckets start in ascending id and pop from the
+    end; stale entries (a node whose degree dropped since) are skipped
+    on pop. Removed nodes have degree -1, so their entries in the full
+    rows are skipped too.
+    """
+    rest = np.flatnonzero(alive)
+    # One shared int object per node: gathering references is far
+    # cheaper than a fresh int per row entry.
+    ids = np.arange(len(deg)).astype(object)
+    nbrs, ptr = ids[csr.cols].tolist(), csr.indptr.tolist()
+    stop = ptr[1:]
+    d = np.where(alive, deg, -1).tolist()
+    by_degree = deg[rest]
+    bounds = np.cumsum(np.bincount(by_degree)).tolist()
+    queued = ids[rest[np.argsort(by_degree, kind="stable")]].tolist()
+    buckets = [queued[a:b] for a, b in zip([0, *bounds], bounds)]
     order: list[int] = []
+    rises: list[tuple[int, int]] = []  # (position, cursor) where the level rose
+    top = level
     cursor = 0
-    for _ in range(n):
-        while cursor <= max_deg and not buckets[cursor]:
-            cursor += 1
-        # Pop until we find a live node whose recorded degree is current.
+    for _ in range(len(rest)):
         while True:
-            u = buckets[cursor].pop()
-            if not removed[u] and deg[u] == cursor:
-                break
-            while cursor <= max_deg and not buckets[cursor]:
+            bucket = buckets[cursor]
+            if not bucket:
                 cursor += 1
-        removed[u] = True
+                continue
+            u = bucket.pop()
+            if d[u] == cursor:
+                break
+        if cursor > top:
+            top = cursor
+            rises.append((len(order), cursor))
+        d[u] = -1
         order.append(u)
-        for v in graph.neighbors(u):
-            if not removed[v]:
-                deg[v] -= 1
-                buckets[deg[v]].append(v)
-                if deg[v] < cursor:
-                    cursor = deg[v]
-    return rank_from_sequence(order)
+        for v in nbrs[ptr[u] : stop[u]]:
+            dv = d[v]
+            if dv > 0:
+                dv -= 1
+                d[v] = dv
+                buckets[dv].append(v)
+                if dv < cursor:
+                    cursor = dv
+    core = np.full(len(order), level, dtype=np.int64)
+    for at, value in rises:
+        core[at] = value
+    return np.fromiter(order, dtype=np.int64, count=len(order)), np.maximum.accumulate(core)
+
+
+def by_degeneracy(graph: Graph) -> np.ndarray:
+    """Smallest-last (degeneracy) ordering: the removal order of :func:`peel`."""
+    return rank_from_sequence(peel(graph)[0])
 
 
 def degeneracy(graph: Graph) -> int:
     """The graph degeneracy (maximum core number)."""
-    n = graph.n
-    if n == 0:
-        return 0
-    rank = by_degeneracy(graph)
-    best = 0
-    for u in range(n):
-        later = sum(1 for v in graph.neighbors(u) if rank[v] > rank[u])
-        best = max(best, later)
-    return best
+    core = peel(graph)[1]
+    return int(core.max()) if graph.n else 0
 
 
 def by_score(graph: Graph, scores: Sequence[int]) -> np.ndarray:

@@ -5,13 +5,13 @@ import pytest
 
 from repro import Graph
 from repro.cliques import node_scores
-from repro.graph.csr import CSRAdjacency, concat_rows, in_sorted, intersect_sorted
+from repro.graph.csr import concat_rows, in_sorted, intersect_sorted, sorted_unique
 from repro.graph.generators import complete_graph, erdos_renyi_gnp
 
 
 class TestStructure:
     def test_rows_sorted_and_complete(self, paper_graph):
-        csr = CSRAdjacency.from_graph(paper_graph)
+        csr = paper_graph.csr()
         for u in paper_graph.nodes():
             row = csr.row(u)
             assert list(row) == sorted(paper_graph.neighbors(u))
@@ -32,11 +32,11 @@ class TestStructure:
         assert not csr.has_edge(0, 1)
 
     def test_empty_graph(self):
-        csr = CSRAdjacency.from_graph(Graph(0))
+        csr = Graph(0).csr()
         assert csr.n == 0 and csr.m == 0
 
     def test_isolated_nodes(self):
-        csr = CSRAdjacency.from_graph(Graph(4, [(1, 2)]))
+        csr = Graph(4, [(1, 2)]).csr()
         assert csr.degree(0) == 0 and len(csr.row(0)) == 0
 
     @pytest.mark.parametrize("seed", range(3))
@@ -58,7 +58,7 @@ class TestStructure:
 
     @staticmethod
     def _assert_rows_sorted(graph):
-        csr = CSRAdjacency.from_graph(graph)
+        csr = graph.csr()
         assert csr.n == graph.n and csr.m == graph.m
         assert csr.indptr.tolist() == [0, *np.cumsum(graph.degrees).tolist()]
         for u in graph.nodes():
@@ -98,6 +98,12 @@ class TestSortedArrayHelpers:
         expected = sorted(set(a.tolist()) & set(b.tolist()))
         assert intersect_sorted(a, b).tolist() == expected
         assert intersect_sorted(b, a).tolist() == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sorted_unique_matches_sorted_set(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 40, size=rng.integers(0, 60))
+        assert sorted_unique(values).tolist() == sorted(set(values.tolist()))
 
 
 class TestTriangleCounting:

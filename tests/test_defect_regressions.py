@@ -12,7 +12,12 @@ Each class pins one fixed defect so it cannot silently return:
   into a task that burned work forever without finishing;
 * an ``l``/``lp`` checkpoint with an out-of-range ``next_root``, a
   non-clique heap entry or a non-disjoint solution restored into a task
-  that livelocked, crashed untyped or finished with an invalid answer.
+  that livelocked, crashed untyped or finished with an invalid answer;
+* the degeneracy order broke ties in neighbour-set iteration order, so
+  equal graphs from differently ordered edge lists (one fingerprint,
+  one pooled session) got different ranks and ``hg`` solutions;
+* a malformed edge (not a pair, or a non-integer endpoint) failed with
+  a bare ``TypeError``/``ValueError`` instead of ``GraphError``.
 """
 
 import json
@@ -22,10 +27,12 @@ import numpy as np
 import pytest
 
 from repro import Session
-from repro.errors import InvalidParameterError
+from repro.errors import GraphError, InvalidParameterError
 from repro.graph.generators import powerlaw_cluster, watts_strogatz
 from repro.graph.dag import OrientedGraph
 from repro.graph.graph import Graph
+from repro.graph.kcore import core_numbers
+from repro.graph.ordering import by_degeneracy
 from repro.jsonsafe import json_safe
 from repro.serve import Client, Server
 
@@ -117,6 +124,22 @@ class TestLazyMemoThreadSafety(ConcurrencyHarness):
         graph = powerlaw_cluster(400, 5, 0.6, seed=11)
         results = self.hammer(graph.csr)
         assert all(r is results[0] for r in results)
+
+    def test_graph_sets_built_once_across_threads(self):
+        import sys
+
+        graph = powerlaw_cluster(400, 5, 0.6, seed=15)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = self.hammer(lambda: graph.neighbors(0))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r is results[0] for r in results)
+        assert graph.has_sets
+        assert sorted(graph.edges()) == [
+            (u, v) for u in graph.nodes() for v in graph.csr().row(u).tolist() if u < v
+        ]
 
     def test_oriented_csr_built_once_across_threads(self):
         graph = powerlaw_cluster(400, 5, 0.6, seed=12)
@@ -409,3 +432,58 @@ class TestCheckpointStateValidation:
         session, blob = self._tampered(lambda e: None)
         task = session.restore_task(blob)
         assert task.run().sorted_cliques() == session.solve(3, "lp").sorted_cliques()
+
+
+class TestEdgeOrderIndependence:
+    """``by_degeneracy`` broke ties in neighbour-set iteration order,
+    which follows the edge list's order; the peel reads sorted rows."""
+
+    def test_shuffled_edge_list_gives_same_order_cores_and_hg(self):
+        import random
+
+        graph = powerlaw_cluster(2000, 4, 0.6, seed=3)
+        rank = by_degeneracy(graph).tolist()
+        cores = core_numbers(graph).tolist()
+        hg = Session(graph).solve(4, "hg", order="degeneracy").sorted_cliques()
+        edges = list(graph.edges())
+        for seed in (0, 1, 3):
+            random.Random(seed).shuffle(edges)
+            shuffled = Graph(graph.n, edges)
+            assert shuffled == graph
+            assert by_degeneracy(shuffled).tolist() == rank
+            assert core_numbers(shuffled).tolist() == cores
+            solution = Session(shuffled).solve(4, "hg", order="degeneracy")
+            assert solution.sorted_cliques() == hg
+
+
+class TestMalformedEdges:
+    """Malformed edges raised a bare ``TypeError``/``ValueError``."""
+
+    def test_float_endpoint_is_rejected(self):
+        with pytest.raises(GraphError, match="non-integer endpoint"):
+            Graph(4, [(0, 1), (1.5, 2)])
+
+    def test_string_endpoint_is_rejected(self):
+        with pytest.raises(GraphError, match="non-integer endpoint"):
+            Graph(4, [("1", 2)])
+
+    def test_triple_is_rejected(self):
+        with pytest.raises(GraphError, match="not a \\(u, v\\) pair"):
+            Graph(4, [(1, 2, 3)])
+
+    def test_single_is_rejected(self):
+        with pytest.raises(GraphError, match="not a \\(u, v\\) pair"):
+            Graph(4, [(0, 1), (1,)])
+
+    def test_integer_likes_are_accepted(self):
+        plain = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert Graph(4, [(np.int64(0), 1), (np.int32(1), np.uint8(2)), (2, 3)]) == plain
+        assert Graph(4, [(False, True), (True, 2), (2, 3)]) == plain
+
+    def test_first_offending_edge_is_reported(self):
+        with pytest.raises(GraphError, match=r"edge \(0, 5\) outside node range \[0, 4\)"):
+            Graph(4, [(0, 1), (0, 5), (2, 2), (1.5, 2)])
+        with pytest.raises(GraphError, match="self-loop on node 2"):
+            Graph(4, [(0, 1), (2, 2), (0, 5)])
+        with pytest.raises(GraphError, match="outside node range"):
+            Graph(4, [(0, 2**70)])

@@ -280,7 +280,7 @@ class TestCliSurfaces:
         edges = static_edge_set()
         assert ("OrientedGraph._lock", "Graph._lock") in edges
         assert ("Preprocessing._lock", "Graph._lock") in edges
-        assert ("Session._lock", "Graph._lock") in edges
+        assert ("Preprocessing._lock", "OrientedGraph._lock") in edges
 
 
 class TestRepoIsClean:

@@ -158,6 +158,20 @@ class TestByteBudget:
         listed = session.estimated_bytes()
         assert cold < warm < with_sets < listed
 
+    def test_estimate_charges_graph_sets_only_once_built(self):
+        lazy = powerlaw_cluster(300, 5, 0.5, seed=2)
+        eager = powerlaw_cluster(300, 5, 0.5, seed=2)
+        eager.neighbors(0)  # builds the eager graph's neighbour sets
+        sessions = Session(lazy), Session(eager)
+        for session in sessions:
+            session.solve(3)  # CSR-backend lp: builds no neighbour sets
+        assert not lazy.has_sets
+        assert sessions[0].estimated_bytes() < sessions[1].estimated_bytes()
+        for session in sessions:
+            session.solve(3, "hg", order="degeneracy")  # reads the sets
+        assert lazy.has_sets
+        assert sessions[0].estimated_bytes() == sessions[1].estimated_bytes()
+
     def test_growth_after_admission_is_reclaimed_on_next_admit(self):
         sizes = {}
         pool = SessionPool(max_bytes=300, estimate=lambda s: sizes.get(id(s), 100))

@@ -12,10 +12,11 @@ Two modes::
     python tools/determinism_digest.py solve
         Pinned in-process workload: seeded generator graphs, full
         ``lp`` solves at k = 2-5 and an ``l`` solve at k = 4 (every
-        branch of the FindMin walk), a full ``opt-bb`` exact solve, and
-        a stepped ``lp`` task checkpointed mid-run. Emits one
-        ``<label> <sha256>`` line per component plus a ``combined``
-        line.
+        branch of the FindMin walk), a full ``opt-bb`` exact solve, a
+        stepped ``lp`` task checkpointed mid-run, and the min-degree
+        peel (degeneracy rank, core numbers, an ``hg`` solve under the
+        degeneracy order). Emits one ``<label> <sha256>`` line per
+        component plus a ``combined`` line.
 
     python tools/determinism_digest.py run <results/run-dir>
         Digest of a bench run directory's order-bearing content: per
@@ -45,7 +46,8 @@ def _digest(payload: object) -> str:
 
 
 def solve_digests() -> dict[str, str]:
-    """Digests of a pinned lp + opt-bb workload with a mid-run checkpoint."""
+    """Digests of a pinned lp + opt-bb workload with a mid-run checkpoint,
+    plus the degeneracy peel."""
     from repro import Session
     from repro.graph.generators import erdos_renyi_gnm, powerlaw_cluster
     from repro.jsonsafe import json_safe
@@ -81,6 +83,14 @@ def solve_digests() -> dict[str, str]:
     out["lp_checkpoint"] = hashlib.sha256(
         checkpoint.encode("utf-8")
     ).hexdigest()
+
+    # The min-degree peel: its order and core numbers, and the one
+    # solver whose solution reads that order.
+    out["degeneracy_rank"] = _digest(session.prep.rank("degeneracy").tolist())
+    out["core_numbers"] = _digest(session.prep.core_numbers().tolist())
+    hg = session.solve(3, "hg", order="degeneracy")
+    out["hg_degeneracy_solution"] = _digest(hg.sorted_cliques())
+    out["hg_degeneracy_stats"] = _digest(json_safe(dict(hg.stats)))
 
     out["combined"] = _digest(sorted(out.items()))
     return out
