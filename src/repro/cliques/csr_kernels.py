@@ -421,10 +421,14 @@ def _member(biased: np.ndarray, keys: np.ndarray, domain: int) -> np.ndarray:
     return ((table[keys >> 3] >> (keys & 7).astype(np.uint8)) & 1).astype(bool)
 
 
-def _root_batches(ocsr: OrientedCSR, k: int) -> Iterator[np.ndarray]:
-    """Eligible roots, grouped so each batch's frontier stays bounded."""
+def _root_batches(
+    ocsr: OrientedCSR, k: int, roots: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
+    """Eligible roots (or the ascending ``roots`` given), grouped so
+    each batch's frontier stays bounded."""
     outdeg = ocsr.out_degrees()
-    roots = np.flatnonzero(outdeg >= k - 1)
+    if roots is None:
+        roots = np.flatnonzero(outdeg >= k - 1)
     if not len(roots):
         return
     est = np.cumsum(outdeg[roots] * outdeg[roots])

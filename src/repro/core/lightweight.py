@@ -5,8 +5,9 @@ space:
 
 1. Compute node scores during one clique enumeration (no storage).
 2. Orient the graph by ascending node score (ties by id).
-3. For each DAG root ``u``, find the *minimum-key* k-clique inside its
-   out-neighbourhood (procedure ``FindMin``) and push it into a heap.
+3. HeapInit: for each DAG root ``u``, find the *minimum-key* k-clique
+   inside its out-neighbourhood (procedure ``FindMin``) and push it
+   into a heap.
 4. Repeatedly pop the globally minimal clique. If all its nodes are
    still valid it joins the solution and its nodes are removed; if it is
    stale but its root survives, the root's local minimum is recomputed
@@ -39,9 +40,19 @@ walk (kept as the reference in ``tests/test_findmin_reference.py``).
 score-counting pass; FindMin never reads the per-node sets of
 :attr:`OrientedGraph.out <repro.graph.dag.OrientedGraph.out>`, which
 are built lazily, so only ``hg`` and the ``"sets"`` score pass pay for
-them. HeapInit runs sequentially, one root per engine tick (the paper
-runs it in parallel; here one FindMin costs microseconds, so worker
-start-up would dominate).
+them.
+
+The paper runs HeapInit "for each node u in parallel"; here it is
+data-parallel. :class:`ScoreOrientedCSR` runs it once per ``k`` for
+every root at once, as a level-synchronous numpy pass over the
+score-oriented CSR (:func:`_bulk_batch`, in root batches). The pass
+also replays the walk's prune points, so its ``findmin_calls`` and
+``branches_pruned`` are those of one FindMin per root. A root with more
+than :data:`WEDGE_CAP` first-level wedges is walked with FindMin
+instead, since the pass lists whole search trees and the walk skips
+pruned subtrees. The engine's ``"init"`` phase is then one tick that
+copies the cached entries; after a warm start or a restored mid-init
+checkpoint it reruns the pass over the residual graph.
 """
 
 from __future__ import annotations
@@ -58,7 +69,13 @@ from repro.graph.dag import OrientedCSR
 from repro.graph.graph import Graph
 from repro.graph.ordering import OrderSpec, by_score
 from repro.cliques.counting import node_scores
-from repro.cliques.csr_kernels import resolve_backend
+from repro.cliques.csr_kernels import (
+    _EMPTY,
+    _level_hits,
+    _root_batches,
+    _root_level,
+    resolve_backend,
+)
 from repro.core.result import CliqueSetResult, is_seedable_clique
 from repro.core.scores import CliqueKey
 
@@ -76,6 +93,161 @@ ROW_CAP = 1024
 #: Wedges tested per numpy batch of the arc-mask pass; bounds its
 #: temporaries to a few int64 arrays of this length.
 WEDGE_BATCH = 1 << 16
+
+#: Longest first-level wedge count (``Σ outdeg(u)`` over a root's
+#: out-row) that HeapInit's bulk pass takes on. The bulk pass lists a
+#: root's whole search tree, while the walk skips pruned subtrees, so a
+#: root with more wedges is walked with FindMin instead.
+WEDGE_CAP = 4096
+
+#: A heap entry: ``(clique key, root, sorted clique)``.
+_Entry = tuple[CliqueKey, int, tuple[int, ...]]
+
+
+def _earlier_sibling_min(values: np.ndarray, owner: np.ndarray, cap: int) -> np.ndarray:
+    """Per position, the least of ``values`` over the earlier positions
+    of the same context (``owner`` ascending), clipped to ``cap``;
+    ``cap`` at a context's first position.
+
+    One running minimum over every position: each context's values
+    are lifted above all of the next context's, so no context sees its
+    predecessors. Values that would overflow int64 once lifted are
+    ranked first.
+    """
+    if not len(values):
+        return values
+    values = np.minimum(values, cap)
+    low = int(values.min())
+    span = cap - low + 1
+    nctx = int(owner[-1]) + 1
+    if (nctx + 1) * span >= 1 << 63:
+        ranked = np.unique(np.r_[values, cap])
+        rank = np.searchsorted(ranked, values)
+        return ranked[_earlier_sibling_min(rank, owner, len(ranked) - 1)]
+    lift = (nctx - owner) * span - low
+    run = np.minimum.accumulate(values + lift)
+    out = np.full(len(values), cap, dtype=np.int64)
+    out[1:] = np.minimum(run[:-1] - lift[1:], cap)
+    return out
+
+
+def _bulk_batch(
+    ocsr: OrientedCSR, scores: np.ndarray, k: int, roots: np.ndarray
+) -> tuple[list[_Entry], int]:
+    """HeapInit for one batch of ascending searchable roots, all at once.
+
+    Lists each root's FindMin search tree level by level: a depth-``d``
+    node is a candidate position of the depth ``d - 1`` frontier, and
+    its partial clique scores ``S`` (the prefix sum). Returns the
+    entries (each root's minimum ``(Σ scores, sorted clique)``, in root
+    order) and the number of nodes the pruning walk cuts. Node ``x`` is
+    cut iff it is reached and ``S(x) >= B(x)``, ``B(x)`` being the
+    least total of the root's cliques before ``x`` in the walk's order
+    (ids ascending at each level): every node of a k-clique scores
+    ``>= 1``, so a cut subtree holds only strictly worse cliques and
+    never lowers that running best. Three passes compute it: subtree
+    minima bottom-up, then ``B`` and "reached" top-down; a node's
+    children are reached iff it is reached, not cut and has at least
+    as many candidates as the walk needs to recurse.
+    """
+    n = ocsr.n
+    level = _root_level(ocsr, roots)
+    ctx_sum = scores[roots]
+    ctx_root = np.arange(len(roots), dtype=np.int64)
+    # Per depth 1..k-2: (candidates, owner, prefix sums, spawned).
+    tiers: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    if k == 2:
+        leaf_root = np.repeat(ctx_root, np.diff(level[0]))
+        leaf_pos, leaf_w = np.arange(len(leaf_root), dtype=np.int64), level[1]
+        leaf_total = ctx_sum[leaf_root] + scores[leaf_w]
+    for depth in range(1, k - 1):
+        pos, w, ok, owner = _level_hits(level, ocsr, n)
+        sums = ctx_sum[owner] + scores[level[1]]
+        hit, w = pos[ok], w[ok]
+        if depth == k - 2:
+            tiers.append((level[1], owner, sums, _EMPTY))
+            leaf_pos, leaf_w = hit, w
+            leaf_total = sums[hit] + scores[w]
+            leaf_root = ctx_root[owner[hit]]
+            break
+        counts = np.bincount(hit, minlength=len(level[1]))
+        keep = counts >= k - 1 - depth
+        spawned = np.flatnonzero(keep)
+        tiers.append((level[1], owner, sums, spawned))
+        if not len(spawned):
+            leaf_pos = leaf_w = leaf_total = leaf_root = _EMPTY
+            break
+        indptr = np.zeros(len(spawned) + 1, dtype=np.int64)
+        np.cumsum(counts[spawned], out=indptr[1:])
+        level = (indptr, w[keep[hit]], level[1][spawned], owner[spawned])
+        ctx_sum, ctx_root = sums[spawned], ctx_root[owner[spawned]]
+    root_min = np.full(len(roots), _INF_KEY[0], dtype=np.int64)
+    np.minimum.at(root_min, leaf_root, leaf_total)
+    pruned = _pruned_nodes(tiers, leaf_pos, leaf_total, len(roots))
+    # Each root's entry: its least sorted clique among the leaves at
+    # its least total.
+    tied = np.flatnonzero(leaf_total == root_min[leaf_root])
+    members = np.empty((len(tied), k), dtype=np.int64)
+    members[:, -1] = leaf_w[tied]
+    at = leaf_pos[tied]
+    if k == 2:
+        members[:, 0] = roots[leaf_root[tied]]
+    for depth in range(len(tiers), 0, -1):
+        cand, owner, _, _ = tiers[depth - 1]
+        members[:, depth] = cand[at]
+        ctx = owner[at]
+        if depth > 1:
+            at = tiers[depth - 2][3][ctx]
+        else:
+            members[:, 0] = roots[ctx]
+    members.sort(axis=1)
+    tied_root = leaf_root[tied]
+    order = np.lexsort((*members.T[::-1], tied_root))
+    first = order[np.r_[True, np.diff(tied_root[order]) != 0]] if len(order) else order
+    entries: list[_Entry] = []
+    for total, root, row in zip(
+        root_min[tied_root[first]].tolist(),
+        roots[tied_root[first]].tolist(),
+        members[first].tolist(),
+    ):
+        clique = tuple(row)
+        entries.append(((total, clique), root, clique))
+    return entries, pruned
+
+
+def _pruned_nodes(
+    tiers: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+    leaf_pos: np.ndarray,
+    leaf_total: np.ndarray,
+    nroots: int,
+) -> int:
+    """The cut count of :func:`_bulk_batch`'s search trees."""
+    if not tiers:
+        return 0
+    cap = max(int(sums.max(initial=0)) for _, _, sums, _ in tiers) + 1
+    # Subtree minima, bottom-up (clipped to ``cap``: no node reaches it).
+    least = [np.empty(0, dtype=np.int64)] * len(tiers)
+    below = np.full(len(tiers[-1][0]), cap, dtype=np.int64)
+    np.minimum.at(below, leaf_pos, np.minimum(leaf_total, cap))
+    least[-1] = below
+    for depth in range(len(tiers) - 1, 0, -1):
+        owner, spawned = tiers[depth][1], tiers[depth - 1][3]
+        ctx_least = np.full(len(spawned), cap, dtype=np.int64)
+        np.minimum.at(ctx_least, owner, least[depth])
+        above = np.full(len(tiers[depth - 1][0]), cap, dtype=np.int64)
+        above[spawned] = ctx_least
+        least[depth - 1] = above
+    # B and "reached", top-down.
+    ctx_best = np.full(nroots, cap, dtype=np.int64)
+    ctx_reached = np.ones(nroots, dtype=bool)
+    pruned = 0
+    for (_, owner, sums, spawned), subtree in zip(tiers, least):
+        best = np.minimum(ctx_best[owner], _earlier_sibling_min(subtree, owner, cap))
+        reached = ctx_reached[owner]
+        cut = reached & (sums >= best)
+        pruned += int(np.count_nonzero(cut))
+        ctx_best, ctx_reached = best[spawned], (reached & ~cut)[spawned]
+    return pruned
 
 
 def _arc_masks(
@@ -133,6 +305,48 @@ def _arc_masks(
     return masks
 
 
+def _bulk_init(
+    ocsr: OrientedCSR, scores: np.ndarray, k: int, roots: np.ndarray
+) -> tuple[list[_Entry], int]:
+    """:func:`_bulk_batch` over ``roots`` in batches sized by
+    :data:`~repro.cliques.csr_kernels.ROOT_BATCH_BUDGET`."""
+    entries: list[_Entry] = []
+    pruned = 0
+    for batch in _root_batches(ocsr, k, roots):
+        found, cut = _bulk_batch(ocsr, scores, k, batch)
+        entries += found
+        pruned += cut
+    return entries, pruned
+
+
+def _walk_entries(roots: np.ndarray, finder: "_FindMin", k: int) -> list[_Entry]:
+    """The heap entries ``finder`` finds for ``roots``."""
+    entries: list[_Entry] = []
+    for root in roots.tolist():
+        found = finder.search(root, k)
+        if found is not None:
+            entries.append((found[0], root, found[1]))
+    return entries
+
+
+def _by_root(bulk: list[_Entry], walked: list[_Entry]) -> list[_Entry]:
+    """Two root-ordered entry lists merged in root order."""
+    return sorted([*bulk, *walked], key=lambda entry: entry[1])
+
+
+def _entry_bytes(entry: _Entry) -> int:
+    """Measured size of a heap entry and everything it alone holds."""
+    key, root, clique = entry
+    return (
+        sys.getsizeof(entry)
+        + sys.getsizeof(key)
+        + sys.getsizeof(key[0])
+        + sys.getsizeof(root)
+        + sys.getsizeof(clique)
+        + sum(map(sys.getsizeof, clique))
+    )
+
+
 class ScoreOrientedCSR:
     """FindMin's shared substrate for one ``k`` (read-only once built).
 
@@ -141,6 +355,13 @@ class ScoreOrientedCSR:
     and ends at ``cols[a]``, ids ascending, and bit ``j`` of every mask
     of root ``r`` stands for arc ``indptr[r] + j``. A row is *short* if
     it holds at most ``row_cap`` nodes; only short rows have masks.
+
+    The build also runs HeapInit on the whole graph, for every root at
+    once (see :func:`_bulk_batch`): roots with more than
+    :data:`WEDGE_CAP` first-level wedges are walked with FindMin
+    instead. A root without a clique can never be searched again (the
+    residual graph only shrinks), so masks go only to rows with an
+    entry or a walk.
 
     Attributes
     ----------
@@ -156,59 +377,115 @@ class ScoreOrientedCSR:
     masks:
         Per arc ``(r, u)``, the mask of ``u``'s out-row within ``r``'s
         row: bit ``j`` is set iff ``u -> cols[indptr[r] + j]``. Built
-        only for the short rows FindMin walks with masks: those of
-        roots it can search (positive score, out-degree ``>= k - 1``)
-        and, for ``k > 3``, those a long searchable row re-bases into
-        (its out-neighbours with out-degree ``>= 2``); none at ``k = 2``
-        (a one-level walk). 0 elsewhere.
+        only for the short rows FindMin can walk with masks: those of
+        roots with a HeapInit entry or walk and, for ``k > 3``, those
+        such a long row re-bases into (its out-neighbours with
+        out-degree ``>= 2``); none at ``k = 2`` (a one-level walk). 0
+        elsewhere.
     full:
-        Per root, the mask of its whole row if the row is short, else 0
-        (an engine's starting live masks).
+        Per root, the mask of its whole row if the row is short and
+        has an entry or walk, else 0 (an engine's starting live masks).
     in_ptr, in_tail, in_bit:
-        In-arcs from short rows grouped by head: node ``w`` is bit
-        ``in_bit[i]`` of root ``in_tail[i]`` for ``i`` in
+        In-arcs from the rows with a live mask, grouped by head: node
+        ``w`` is bit ``in_bit[i]`` of root ``in_tail[i]`` for ``i`` in
         ``in_ptr[w]:in_ptr[w + 1]``.
+    init_entries, init_calls, init_pruned:
+        HeapInit on the whole graph: the heap entries ``(key, root,
+        clique)`` in ascending root order, the ``findmin_calls`` it
+        counts and the ``branches_pruned`` of the ``lp`` walk.
     """
 
     __slots__ = (
         "k", "row_cap", "indptr", "cols", "scores", "masks", "full",
-        "in_ptr", "in_tail", "in_bit", "_bytes",
+        "in_ptr", "in_tail", "in_bit", "init_entries", "init_calls",
+        "init_pruned", "_ocsr", "_scores", "_walked", "_bytes",
     )
 
     def __init__(self, graph: Graph, scores: np.ndarray, k: int) -> None:
         row_cap = ROW_CAP
         ocsr = OrientedCSR.from_rank(graph, by_score(graph, scores))
         scores = np.asarray(scores, dtype=np.int64)
+        n = graph.n
         deg = ocsr.out_degrees()
-        tails = np.repeat(np.arange(graph.n, dtype=np.int64), deg)
+        tails = np.repeat(np.arange(n, dtype=np.int64), deg)
         short = deg <= row_cap
-        searchable = (scores > 0) & (deg >= k - 1) & (k > 2)
-        targets = np.zeros(graph.n, dtype=bool)
-        if k > 3:
-            targets[ocsr.cols[(searchable & ~short)[tails]]] = True
-        built = short & (searchable | (targets & (deg >= 2)))
-        kept = np.flatnonzero(short[tails])
-        by_head = kept[np.argsort(ocsr.cols[kept], kind="stable")]
-        in_ptr = np.zeros(graph.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ocsr.cols[kept], minlength=graph.n), out=in_ptr[1:])
+        wedges = np.bincount(tails, weights=deg[ocsr.cols], minlength=n)
         self.k = k
         self.row_cap = row_cap
+        self._ocsr = ocsr
+        self._scores = scores
+        self._walked = (wedges > WEDGE_CAP) & (k > 2)
+        calls, bulk, walked = self._roots(ocsr, 0)
+        entries, pruned = _bulk_init(ocsr, scores, k, bulk)
+        searched = np.zeros(n, dtype=bool)
+        searched[[root for _, root, _ in entries]] = True
+        searched[walked] = True
+        live_rows = short & searched
+        targets = np.zeros(n, dtype=bool)
+        if k > 3:
+            targets[ocsr.cols[(searched & ~short)[tails]]] = True
+        built = (live_rows | (short & targets & (deg >= 2))) & (k > 2)
+        kept = np.flatnonzero(live_rows[tails])
+        by_head = kept[np.argsort(ocsr.cols[kept], kind="stable")]
+        in_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ocsr.cols[kept], minlength=n), out=in_ptr[1:])
         self.indptr: list[int] = ocsr.indptr.tolist()
         self.cols: list[int] = ocsr.cols.tolist()
         self.scores: list[int] = scores.tolist()
         self.masks = _arc_masks(ocsr, tails, built)
-        self.full = [(1 << d) - 1 if d <= row_cap else 0 for d in deg.tolist()]
+        self.full = [(1 << d) - 1 for d in np.where(live_rows, deg, 0).tolist()]
         self.in_ptr: list[int] = in_ptr.tolist()
         self.in_tail: list[int] = tails[by_head].tolist()
         self.in_bit: list[int] = (by_head - ocsr.indptr[tails[by_head]]).tolist()
         self._bytes: int | None = None
+        stats: dict[str, float] = {"findmin_calls": 0, "branches_pruned": 0}
+        finder = _FindMin(self, True, stats)
+        self.init_entries = _by_root(entries, _walk_entries(walked, finder, k))
+        self.init_calls = calls + int(stats["findmin_calls"])
+        self.init_pruned = pruned + int(stats["branches_pruned"])
+
+    def _roots(
+        self, ocsr: OrientedCSR, start: int
+    ) -> tuple[int, np.ndarray, np.ndarray]:
+        """HeapInit's roots ``start..n-1`` under ``ocsr``'s out-degrees:
+        ``(FindMin calls but the walks', roots for the bulk pass, roots
+        to walk)``."""
+        called = np.flatnonzero(ocsr.out_degrees()[start:] >= self.k - 1) + start
+        searched = called[self._scores[called] > 0]
+        walk = self._walked[searched]
+        walked = searched[walk]
+        return len(called) - len(walked), searched[~walk], walked
+
+    def residual_init(
+        self, valid: np.ndarray, start: int, finder: "_FindMin"
+    ) -> tuple[list[_Entry], int, int]:
+        """HeapInit on roots ``start..n-1`` of the graph left on the
+        ``valid`` nodes: ``(entries in root order, FindMin calls, lp
+        prunes)``.
+
+        The same pass as the build's; the calls and prunes are those of
+        the bulk pass, since a walked root goes through ``finder`` (an
+        engine's FindMin over the same residual graph), which counts
+        its own.
+        """
+        ocsr = self._ocsr
+        n = ocsr.n
+        tails = np.repeat(np.arange(n, dtype=np.int64), ocsr.out_degrees())
+        keep = valid[tails] & valid[ocsr.cols]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tails[keep], minlength=n), out=indptr[1:])
+        residual = OrientedCSR(indptr, ocsr.cols[keep], ocsr.rank)
+        calls, bulk, walked = self._roots(residual, start)
+        entries, pruned = _bulk_init(residual, self._scores, self.k, bulk)
+        return _by_root(entries, _walk_entries(walked, finder, self.k)), calls, pruned
 
     def estimated_bytes(self) -> int:
         """Resident size in bytes (CPython 3.11), measured once.
 
-        Masks count at their real size, which grows with the row;
+        Masks and the cached heap entries count at their real size;
         the other lists hold small ints, at an 8-byte slot plus a
-        32-byte int object per entry.
+        32-byte int object per entry, and the numpy arrays kept for
+        :meth:`residual_init` at their ``nbytes``.
         """
         if self._bytes is None:
             lists = (
@@ -216,11 +493,18 @@ class ScoreOrientedCSR:
                 self.in_ptr, self.in_tail, self.in_bit,
             )
             masks = len(self.masks) + len(self.full)
+            arrays = (
+                self._ocsr.indptr, self._ocsr.cols, self._ocsr.rank,
+                self._scores, self._walked,
+            )
             self._bytes = (
                 40 * sum(len(entries) for entries in lists)
                 + 8 * masks
                 + sum(map(sys.getsizeof, self.masks))
                 + sum(map(sys.getsizeof, self.full))
+                + sum(int(array.nbytes) for array in arrays)
+                + sys.getsizeof(self.init_entries)
+                + sum(map(_entry_bytes, self.init_entries))
             )
         return self._bytes
 
@@ -258,10 +542,9 @@ class _FindMin:
         self.best: tuple[int, ...] | None = None
 
     def live_out_degree(self, u: int) -> int:
-        """Number of still-valid out-neighbours of ``u``."""
-        sub = self.sub
-        lo, hi = sub.indptr[u], sub.indptr[u + 1]
-        if hi - lo <= sub.row_cap:
+        """Number of still-valid out-neighbours of ``u`` (counted from
+        the validity flags where the row has no live mask)."""
+        if self.sub.full[u]:
             return self.live[u].bit_count()
         return len(self._live_members(u))
 
@@ -438,11 +721,11 @@ class _FindMin:
 
 
 class LightweightEngine:
-    """Resumable step machine for Algorithm 3 (one FindMin per tick).
+    """Resumable step machine for Algorithm 3 (one heap pop per tick).
 
-    The run moves through two phases — ``"init"`` (HeapInit, one root
-    per tick) and ``"drain"`` (the main loop, one heap pop per tick) —
-    then finishes (``"done"``). At every tick boundary ``solution`` is a
+    The run moves through two phases — ``"init"`` (HeapInit, one tick)
+    and ``"drain"`` (the main loop, one heap pop per tick) — then
+    finishes (``"done"``). At every tick boundary ``solution`` is a
     valid disjoint k-clique set; maximality holds once :attr:`finished`
     is true. Solutions and stats are identical to the pre-engine
     monolithic loop for any backend (the drive-to-completion wrapper
@@ -527,19 +810,9 @@ class LightweightEngine:
         return len(self.solution)
 
     def tick(self) -> None:
-        """Advance one work unit (a HeapInit root or a main-loop pop)."""
+        """Advance one work unit (all of HeapInit, or a main-loop pop)."""
         if self.phase == "init":
-            u = self.next_root
-            self.next_root += 1
-            finder, k = self.finder, self.k
-            found = finder.search(u, k) if finder.live_out_degree(u) >= k - 1 else None
-            if found is not None:
-                key, clique = found
-                self.heap.append((key, u, clique))
-                self.stats["heap_pushes"] += 1
-            if self.next_root >= self.graph.n:
-                heapq.heapify(self.heap)
-                self.phase = "drain" if self.heap else "done"
+            self._heap_init()
             return
         if self.phase == "drain":
             finder, k, stats = self.finder, self.k, self.stats
@@ -559,6 +832,33 @@ class LightweightEngine:
                         stats["heap_pushes"] += 1
             if not self.heap:
                 self.phase = "done"
+
+    def _heap_init(self) -> None:
+        """HeapInit for roots ``next_root..n-1``, then heapify.
+
+        A fresh run copies the substrate's cached entries and counts.
+        Otherwise (a warm seed, or a restored ``"init"`` checkpoint)
+        the same pass runs over the residual graph, whose nodes are
+        those of no solution clique, from ``next_root`` on; its walked
+        roots go through the engine's FindMin.
+        """
+        sub, stats = self.oriented, self.stats
+        if self.next_root == 0 and not self.solution:
+            entries, calls, pruned = sub.init_entries, sub.init_calls, sub.init_pruned
+        else:
+            valid = np.ones(self.graph.n, dtype=bool)
+            valid[[v for clique in self.solution for v in clique]] = False
+            entries, calls, pruned = sub.residual_init(
+                valid, self.next_root, self.finder
+            )
+        stats["findmin_calls"] += calls
+        if self.prune:
+            stats["branches_pruned"] += pruned
+        stats["heap_pushes"] += len(entries)
+        self.heap.extend(entries)
+        heapq.heapify(self.heap)
+        self.next_root = self.graph.n
+        self.phase = "drain" if self.heap else "done"
 
     # -- anytime surface -----------------------------------------------
     def bound(self) -> int:

@@ -147,18 +147,23 @@ class Preprocessing:
             return cached
 
     def score_oriented(self, k: int, backend: str = "auto") -> ScoreOrientedCSR:
-        """FindMin's score-oriented CSR and arc masks for ``k`` (cached per k).
+        """FindMin's score-oriented CSR, arc masks and HeapInit for ``k``
+        (cached per k).
 
         Algorithm 3's FindMin phase walks the graph oriented by node
         score (Definition 5), an orientation that depends on ``k`` but
         not on the solver options — so repeated ``l``/``lp`` solves and
         tasks over one session share one
         :class:`~repro.core.lightweight.ScoreOrientedCSR` instead of
-        rebuilding it per call (on large graphs its wedge pass dominates
-        a warm solve's startup, which also bounds how long a resumable
-        task blocks before its first preemptible step). ``backend``
-        only selects the engine used if the ``k`` scores are a cache
-        miss.
+        rebuilding it per call. The substrate also holds the cold
+        HeapInit (each root's minimum-key clique and the FindMin counts,
+        from one data-parallel pass), so every ``l``/``lp`` solve or
+        task without a warm start begins at the drain; a warm start
+        reruns HeapInit over the residual graph. The build is one
+        non-preemptible step: on large graphs its wedge and HeapInit
+        passes bound how long a resumable task blocks before its first
+        preemptible step. ``backend`` only selects the engine used if
+        the ``k`` scores are a cache miss.
         """
         with self._lock:
             cached = self._score_oriented.get(k)

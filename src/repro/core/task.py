@@ -8,8 +8,9 @@ A :class:`SolveTask` (create one with
 model the serving roadmap needs:
 
 * :meth:`SolveTask.step` runs a bounded amount of work (work units are
-  FindOne/FindMin calls for the greedy methods, branch expansions for
-  the exact B&B) and returns a :class:`TaskSnapshot`;
+  FindOne calls for ``hg``, all of HeapInit and then one heap pop each
+  for ``l``/``lp``, branch expansions for the exact B&B) and returns a
+  :class:`TaskSnapshot`;
 * :meth:`SolveTask.best` is *always* a valid disjoint k-clique set
   (Section V invariants hold at every step boundary) and
   :meth:`SolveTask.bound` an upper bound on what the run can still

@@ -380,8 +380,13 @@ class TestCheckpointStateValidation:
     def _tampered(edit):
         session = Session(powerlaw_cluster(200, 5, 0.6, seed=3))
         task = session.task(3, "lp")
-        task.step(max_work=230)
-        blob = json.loads(json.dumps(task.checkpoint()))
+        # HeapInit is one work unit: step until the drain has taken a
+        # clique (a bounded number of units).
+        for _ in range(230):
+            task.step(max_work=1)
+            blob = json.loads(json.dumps(task.checkpoint()))
+            if blob["engine"]["phase"] == "drain" and blob["engine"]["solution"]:
+                break
         assert blob["engine"]["phase"] == "drain" and blob["engine"]["solution"]
         assert not session.graph.has_edge(0, 1)  # [0, 1, 2] is no clique
         edit(blob["engine"])

@@ -1,37 +1,54 @@
-"""The bit-parallel FindMin against the set walk it replaced.
+"""The bit-parallel FindMin and the bulk HeapInit against the set walk.
 
 :class:`SetFindMin` is the former engine walk, kept here as the
 reference: it recurses over live out-neighbour *sets* of the
 ascending-score orientation, visiting candidates in ``sorted()`` order.
-The production walk (:class:`repro.core.lightweight._FindMin`) must
-reproduce it exactly — the solution and every engine stat — for any
-graph, ``k``, pruning mode, warm start and mid-run checkpoint, because
-the determinism digests and Theorem 4 tests pin both. Tests that patch
-``ROW_CAP`` to a few nodes run the long-row path on small graphs.
+:func:`reference_tick` is the former engine tick, which ran HeapInit
+one root per tick through that walk. The production engine — FindMin
+(:class:`repro.core.lightweight._FindMin`) plus the bulk HeapInit of
+:class:`~repro.core.lightweight.ScoreOrientedCSR` — must reproduce it
+exactly: the solution and every engine stat, for any graph, ``k``,
+pruning mode, warm start and mid-run checkpoint, because the
+determinism digests and Theorem 4 tests pin both. Tests that patch
+``ROW_CAP`` to a few nodes run the long-row path on small graphs; those
+that patch ``WEDGE_CAP`` small walk HeapInit roots with FindMin, and a
+small ``ROOT_BATCH_BUDGET`` splits the bulk pass into many batches.
 """
 
 from __future__ import annotations
 
+import contextlib
+import heapq
 import json
 import sys
+from typing import Iterator
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Session
+from repro.cliques import csr_kernels
 from repro.cliques.counting import node_scores
 from repro.core.basic import basic_framework
 from repro.core.lightweight import (
     _INF_KEY,
     ROW_CAP,
+    WEDGE_CAP,
     LightweightEngine,
     ScoreOrientedCSR,
+    _earlier_sibling_min,
 )
 from repro.errors import InvalidParameterError
 from repro.graph.dag import OrientedGraph
 from repro.graph.graph import Graph
 from repro.graph.generators import erdos_renyi_gnp, powerlaw_cluster
 from repro.graph.ordering import by_score
+
+# ``repro.core.lightweight`` as an attribute is the solver function.
+LIGHTWEIGHT = sys.modules[ScoreOrientedCSR.__module__]
+BATCH_BUDGET = csr_kernels.ROOT_BATCH_BUDGET
 
 STATS = (
     "findmin_calls",
@@ -127,23 +144,62 @@ class SetFindMin:
                 best_score = self.best_key[0]
 
 
-def reference_engine(graph, k, prune, warm_start=None):
-    """An engine whose FindMin is the set walk (warm seed replayed)."""
-    engine = LightweightEngine(graph, k, prune=prune, warm_start=warm_start)
+def set_finder(graph, k, prune, stats):
+    """A :class:`SetFindMin` over ``graph``'s ascending-score orientation."""
     scores = node_scores(graph, k)
     out = OrientedGraph(graph, by_score(graph, scores)).out
-    engine.finder = SetFindMin(
-        [set(s) for s in out], scores, prune, engine.stats, graph
-    )
+    return SetFindMin([set(s) for s in out], scores, prune, stats, graph)
+
+
+def reference_engine(graph, k, prune, warm_start=None):
+    """An engine whose FindMin is the set walk (warm seed replayed);
+    drive it with :func:`reference_tick`."""
+    engine = LightweightEngine(graph, k, prune=prune, warm_start=warm_start)
+    engine.finder = set_finder(graph, k, prune, engine.stats)
     for clique in engine.solution:
         engine.finder.invalidate(clique)
     return engine
 
 
-def drain(engine, ticks=None):
+def reference_tick(engine):
+    """One engine tick as it was before the bulk HeapInit: an ``"init"``
+    tick searches the next root with the engine's FindMin."""
+    if engine.phase != "init":
+        engine.tick()
+        return
+    u = engine.next_root
+    engine.next_root += 1
+    finder, k = engine.finder, engine.k
+    found = finder.search(u, k) if finder.live_out_degree(u) >= k - 1 else None
+    if found is not None:
+        key, clique = found
+        engine.heap.append((key, u, clique))
+        engine.stats["heap_pushes"] += 1
+    if engine.next_root >= engine.graph.n:
+        heapq.heapify(engine.heap)
+        engine.phase = "drain" if engine.heap else "done"
+
+
+def reference_heap_init(finder, k, n, start=0):
+    """:func:`reference_tick`'s HeapInit over roots ``start..n-1``:
+    ``(entries in root order, findmin_calls, branches_pruned)``."""
+    calls, pruned = finder.stats["findmin_calls"], finder.stats["branches_pruned"]
+    entries = []
+    for u in range(start, n):
+        found = finder.search(u, k) if finder.live_out_degree(u) >= k - 1 else None
+        if found is not None:
+            entries.append((found[0], u, found[1]))
+    return (
+        entries,
+        finder.stats["findmin_calls"] - calls,
+        finder.stats["branches_pruned"] - pruned,
+    )
+
+
+def drain(engine, ticks=None, tick=LightweightEngine.tick):
     done = 0
     while not engine.finished and (ticks is None or done < ticks):
-        engine.tick()
+        tick(engine)
         done += 1
     return engine
 
@@ -153,34 +209,65 @@ def outcome(engine):
     return result.sorted_cliques(), dict(result.stats)
 
 
+@contextlib.contextmanager
+def constants(
+    row_cap: int = ROW_CAP, wedge_cap: int = WEDGE_CAP, budget: int = BATCH_BUDGET
+) -> Iterator[None]:
+    """Patch ``ROW_CAP``, ``WEDGE_CAP`` and ``ROOT_BATCH_BUDGET``."""
+    with mock.patch.object(LIGHTWEIGHT, "ROW_CAP", row_cap), mock.patch.object(
+        LIGHTWEIGHT, "WEDGE_CAP", wedge_cap
+    ), mock.patch.object(csr_kernels, "ROOT_BATCH_BUDGET", budget):
+        yield
+
+
 def substrate_with_cap(graph, k, row_cap):
     """The FindMin substrate built with ``ROW_CAP`` set to ``row_cap``."""
-    # ``repro.core.lightweight`` as an attribute is the solver function.
-    module = sys.modules[ScoreOrientedCSR.__module__]
-    with mock.patch.object(module, "ROW_CAP", row_cap):
+    with constants(row_cap=row_cap):
         return ScoreOrientedCSR(graph, node_scores(graph, k), k)
 
 
 def assert_matches_reference(
-    graph, k, prune, warm_start=None, pause_after=None, row_cap=ROW_CAP
+    graph,
+    k,
+    prune,
+    warm_start=None,
+    pause_after=None,
+    row_cap=ROW_CAP,
+    wedge_cap=WEDGE_CAP,
+    budget=BATCH_BUDGET,
 ):
-    """The engine — run through, and paused then restored from JSON —
-    ends with the reference's solution and stats."""
-    expected = outcome(drain(reference_engine(graph, k, prune, warm_start)))
+    """The engine — run through, paused then restored from JSON, and
+    restored from the reference's own mid-run state — ends with the
+    reference's solution and stats."""
+    expected = outcome(
+        drain(reference_engine(graph, k, prune, warm_start), tick=reference_tick)
+    )
     assert set(STATS) <= set(expected[1])
-    substrate = substrate_with_cap(graph, k, row_cap)
+    with constants(row_cap, wedge_cap, budget):
+        substrate = ScoreOrientedCSR(graph, node_scores(graph, k), k)
 
-    def engine(warm_start=warm_start):
-        return LightweightEngine(
-            graph, k, prune=prune, warm_start=warm_start, oriented=substrate
-        )
+        def engine(warm_start=warm_start):
+            return LightweightEngine(
+                graph, k, prune=prune, warm_start=warm_start, oriented=substrate
+            )
 
-    assert outcome(drain(engine())) == expected
-    if pause_after is not None:
-        state = json.loads(json.dumps(drain(engine(), pause_after).state_dict()))
-        restored = engine(warm_start=None)
-        restored.load_state(state)
-        assert outcome(drain(restored)) == expected
+        assert outcome(drain(engine())) == expected
+        if pause_after is None:
+            return
+        paused = [
+            drain(engine(), pause_after),
+            drain(
+                reference_engine(graph, k, prune, warm_start),
+                pause_after,
+                tick=reference_tick,
+            ),
+        ]
+        for state in paused:
+            if state.finished:
+                continue
+            restored = engine(warm_start=None)
+            restored.load_state(json.loads(json.dumps(state.state_dict())))
+            assert outcome(drain(restored)) == expected
 
 
 @st.composite
@@ -195,6 +282,10 @@ def graphs(draw):
     return powerlaw_cluster(n, m_attach, p, seed=seed)
 
 
+WEDGE_CAPS = st.sampled_from((WEDGE_CAP, 0, 5, 50))
+BUDGETS = st.sampled_from((BATCH_BUDGET, 8))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     graph=graphs(),
@@ -203,10 +294,115 @@ def graphs(draw):
     warm=st.booleans(),
     pause_after=st.none() | st.integers(0, 120),
     row_cap=st.sampled_from((ROW_CAP, 2, 5, 12)),
+    wedge_cap=WEDGE_CAPS,
+    budget=BUDGETS,
 )
-def test_walk_equals_set_walk_reference(graph, k, prune, warm, pause_after, row_cap):
+def test_walk_equals_set_walk_reference(
+    graph, k, prune, warm, pause_after, row_cap, wedge_cap, budget
+):
     warm_start = basic_framework(graph, k).sorted_cliques()[::2] if warm else None
-    assert_matches_reference(graph, k, prune, warm_start, pause_after, row_cap)
+    assert_matches_reference(
+        graph, k, prune, warm_start, pause_after, row_cap, wedge_cap, budget
+    )
+
+
+def assert_bulk_matches_driver(
+    graph, k, prune, dead, start, row_cap=ROW_CAP, wedge_cap=WEDGE_CAP, budget=BATCH_BUDGET
+):
+    """Entries in root order, HeapInit's findmin_calls and
+    branches_pruned: the bulk pass over the graph left without ``dead``,
+    from root ``start`` on, equals the per-root driver over it (and, on
+    the whole graph, so does the substrate's cached HeapInit)."""
+    stats = {"findmin_calls": 0, "branches_pruned": 0}
+    reference = set_finder(graph, k, prune, stats)
+    reference.invalidate(dead)
+    expected = reference_heap_init(reference, k, graph.n, start)
+    with constants(row_cap, wedge_cap, budget):
+        substrate = ScoreOrientedCSR(graph, node_scores(graph, k), k)
+        if not dead and not start:
+            cold = (substrate.init_entries, substrate.init_calls, substrate.init_pruned)
+            assert cold[:2] == expected[:2] and cold[2] * prune == expected[2]
+        engine = LightweightEngine(graph, k, prune=prune, oriented=substrate)
+        engine.finder.invalidate(dead)
+        valid = np.ones(graph.n, dtype=bool)
+        valid[list(dead)] = False
+        entries, calls, pruned = substrate.residual_init(valid, start, engine.finder)
+    assert entries == expected[0]
+    assert calls + engine.stats["findmin_calls"] == expected[1]
+    assert pruned * prune + engine.stats["branches_pruned"] == expected[2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    graph=graphs(),
+    k=st.integers(2, 6),
+    prune=st.booleans(),
+    data=st.data(),
+    row_cap=st.sampled_from((ROW_CAP, 5)),
+    wedge_cap=WEDGE_CAPS,
+    budget=BUDGETS,
+)
+def test_bulk_heap_init_equals_per_root_driver(
+    graph, k, prune, data, row_cap, wedge_cap, budget
+):
+    nodes = st.integers(0, graph.n - 1) if graph.n else st.nothing()
+    dead = sorted(data.draw(st.sets(nodes, max_size=graph.n)))
+    start = data.draw(st.integers(0, graph.n))
+    assert_bulk_matches_driver(graph, k, prune, dead, start, row_cap, wedge_cap, budget)
+
+
+@pytest.mark.parametrize("prune", [True, False])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_bulk_heap_init_equals_per_root_driver_on_a_denser_graph(k, prune):
+    graph = powerlaw_cluster(250, 8, 0.8, seed=3)
+    rng = np.random.default_rng(k)
+    assert_bulk_matches_driver(graph, k, prune, [], 0)
+    for share in (0.1, 0.3):
+        dead = sorted(rng.choice(graph.n, int(share * graph.n), replace=False).tolist())
+        start = int(rng.integers(0, graph.n // 2))
+        assert_bulk_matches_driver(graph, k, prune, dead, start, wedge_cap=50, budget=64)
+
+
+def test_earlier_sibling_min_ranks_values_that_would_overflow():
+    owner = np.array([0, 0, 0, 1, 1, 2, 3, 3, 3], dtype=np.int64)
+    rng = np.random.default_rng(5)
+    for cap in (40, 1 << 62):
+        values = rng.integers(0, cap + 3, len(owner), dtype=np.int64)
+        expected = []
+        for i, c in enumerate(owner.tolist()):
+            earlier = [v for j, v in enumerate(values.tolist()[:i]) if owner[j] == c]
+            expected.append(min([cap, *earlier]))
+        assert _earlier_sibling_min(values, owner, cap).tolist() == expected
+
+
+class TestParentFormatInitCheckpoint:
+    """Before the bulk HeapInit, an ``"init"`` checkpoint could stop at
+    any root, holding the entries of the roots before it. Such a
+    checkpoint (same version) still restores and finishes like the
+    uninterrupted run."""
+
+    @pytest.mark.parametrize("wedge_cap", [WEDGE_CAP, 5])
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_mid_init_checkpoint_restores(self, k, warm, wedge_cap):
+        graph = powerlaw_cluster(120, 5, 0.6, seed=8)
+        session = Session(graph)
+        warm_start = session.solve(k, "hg").sorted_cliques()[::2] if warm else None
+        uninterrupted = session.task(k, "lp", warm_start=warm_start).run()
+        reference = drain(
+            reference_engine(graph, k, True, warm_start), graph.n // 2, reference_tick
+        )
+        state = reference.state_dict()
+        assert state["phase"] == "init" and state["next_root"] == graph.n // 2
+        assert state["heap"] and bool(state["solution"]) == warm
+        with constants(wedge_cap=wedge_cap):
+            fresh = Session(graph)
+            blob = fresh.task(k, "lp").checkpoint()
+            blob["engine"] = state
+            task = fresh.restore_task(json.loads(json.dumps(blob)))
+            result = task.run()
+        assert result.sorted_cliques() == uninterrupted.sorted_cliques()
+        assert dict(result.stats) == dict(uninterrupted.stats)
 
 
 class TestMultiWordMasks:
@@ -226,22 +422,34 @@ class TestMultiWordMasks:
         rows = [sub.cols[sub.indptr[r] : sub.indptr[r + 1]] for r in graph.nodes()]
         assert max(len(row) for row in rows) > 64
         short = [len(row) <= row_cap for row in rows]
-        searchable = [
-            scores[r] > 0 and len(row) >= k - 1 and k > 2 for r, row in enumerate(rows)
-        ]
-        # Short rows a long searchable row's walk re-bases into.
+        # Rows the drain can search: roots with a HeapInit entry (from
+        # the per-root driver) or walked for their wedge count.
+        stats = {"findmin_calls": 0, "branches_pruned": 0}
+        entries, _, _ = reference_heap_init(
+            set_finder(graph, k, True, stats), k, graph.n
+        )
+        searched = {root for _, root, _ in entries} | {
+            r
+            for r, row in enumerate(rows)
+            if scores[r] > 0
+            and len(row) >= k - 1
+            and k > 2
+            and sum(len(rows[u]) for u in row) > WEDGE_CAP
+        }
+        live = [short[r] and r in searched for r in graph.nodes()]
+        # Short rows a long searched row's walk re-bases into.
         targets = {
             u
             for r, row in enumerate(rows)
-            if searchable[r] and not short[r] and k > 3
+            if r in searched and not short[r] and k > 3
             for u in row
             if len(rows[u]) >= 2
         }
         assert bool(targets) == (row_cap < 64 and k > 3)
         for r, row in enumerate(rows):
             assert row == sorted(out[r])
-            assert sub.full[r] == ((1 << len(row)) - 1 if short[r] else 0)
-            built = short[r] and (searchable[r] or r in targets)
+            assert sub.full[r] == ((1 << len(row)) - 1 if live[r] else 0)
+            built = short[r] and k > 2 and (live[r] or r in targets)
             for i, u in enumerate(row):
                 expected = sum(1 << j for j, w in enumerate(row) if w in out[u])
                 assert sub.masks[sub.indptr[r] + i] == (expected if built else 0)
@@ -251,7 +459,7 @@ class TestMultiWordMasks:
             for i in range(sub.in_ptr[w], sub.in_ptr[w + 1])
         )
         assert in_arcs == sorted(
-            (w, r, j) for r, row in enumerate(rows) if short[r] for j, w in enumerate(row)
+            (w, r, j) for r, row in enumerate(rows) if live[r] for j, w in enumerate(row)
         )
 
     @pytest.mark.parametrize("row_cap", [ROW_CAP, 40])
@@ -280,6 +488,29 @@ class TestLongRows:
         estimate = sub.estimated_bytes()
         # One mask per arc of the hub row would need ~D^2/16 = 25 MB.
         assert real <= estimate <= 200 * (graph.n + graph.m)
+
+    def test_estimate_counts_the_cached_heap_and_arrays(self):
+        graph = powerlaw_cluster(3000, 6, 0.8, seed=4)
+        sub = ScoreOrientedCSR(graph, node_scores(graph, 4), 4)
+        assert len(sub.init_entries) > 100
+        seen = set()
+
+        def deep_size(obj):
+            if id(obj) in seen:
+                return 0
+            seen.add(id(obj))
+            if isinstance(obj, (tuple, list)):
+                return sys.getsizeof(obj) + sum(map(deep_size, obj))
+            return sys.getsizeof(obj)
+
+        heap = deep_size(sub.init_entries)
+        arrays = sub._ocsr.indptr, sub._ocsr.cols, sub._ocsr.rank, sub._scores, sub._walked
+        masks = sum(8 + sys.getsizeof(x) for x in (*sub.masks, *sub.full))
+        # The int lists at their documented 40 bytes per entry, plus the
+        # rest at no less than its measured size.
+        lists = sub.indptr, sub.cols, sub.scores, sub.in_ptr, sub.in_tail, sub.in_bit
+        charged = 40 * sum(map(len, lists)) + masks + heap + sum(a.nbytes for a in arrays)
+        assert charged <= sub.estimated_bytes() <= 200 * (graph.n + graph.m)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("prune", [True, False])

@@ -13,7 +13,8 @@ Two modes::
         Pinned in-process workload: seeded generator graphs, full
         ``lp`` solves at k = 2-5 and an ``l`` solve at k = 4 (every
         branch of the FindMin walk), a full ``opt-bb`` exact solve, a
-        stepped ``lp`` task checkpointed mid-run, and the min-degree
+        stepped ``lp`` task checkpointed mid-run, a warm-started ``lp``
+        task (HeapInit over the residual graph), and the min-degree
         peel (degeneracy rank, core numbers, an ``hg`` solve under the
         degeneracy order). Emits one ``<label> <sha256>`` line per
         component plus a ``combined`` line.
@@ -46,8 +47,8 @@ def _digest(payload: object) -> str:
 
 
 def solve_digests() -> dict[str, str]:
-    """Digests of a pinned lp + opt-bb workload with a mid-run checkpoint,
-    plus the degeneracy peel."""
+    """Digests of a pinned lp + opt-bb workload with a mid-run checkpoint
+    and a warm start, plus the degeneracy peel."""
     from repro import Session
     from repro.graph.generators import erdos_renyi_gnm, powerlaw_cluster
     from repro.jsonsafe import json_safe
@@ -83,6 +84,13 @@ def solve_digests() -> dict[str, str]:
     out["lp_checkpoint"] = hashlib.sha256(
         checkpoint.encode("utf-8")
     ).hexdigest()
+
+    # Warm start: every other clique of an hg solve seeds an lp task, so
+    # its HeapInit runs over the residual graph instead of the cache.
+    seed = session.solve(4, "hg").sorted_cliques()[::2]
+    warm = session.task(4, "lp", warm_start=seed).run()
+    out["lp_warm_solution"] = _digest(warm.sorted_cliques())
+    out["lp_warm_stats"] = _digest(json_safe(dict(warm.stats)))
 
     # The min-degree peel: its order and core numbers, and the one
     # solver whose solution reads that order.
