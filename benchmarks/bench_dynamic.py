@@ -16,9 +16,9 @@ Protocol, per (k, workload):
   (an empty ``apply_batch`` drains the latent swap opportunities of the
   static solve, so no mode gets credit or blame for them);
 * per-edge applies the stream one update at a time; batched modes run
-  one whole-stream batch and a chunked (``--chunk``) variant, both with
-  the CSR refresh backend, plus a whole-stream ``sets`` run whose final
-  solution must be *identical* to the CSR one (trajectory equality);
+  one whole-stream batch (``batch-full``) and a chunked
+  (``batch-<chunk>``) variant, each repair picking its engine by region
+  size;
 * all modes must land on the same final edge set; medians of
   ``--repeats`` runs are recorded.
 
@@ -87,8 +87,7 @@ def run_workload(graph, workload: str, args,
                  echo=print) -> tuple[list[dict], dict[int, float]]:
     """Time every mode of one workload; returns rows + best batched speedup.
 
-    Asserts in-band that all modes land on the same final edge set and
-    that the csr/sets batched trajectories produce identical solutions.
+    Asserts in-band that all modes land on the same final edge set.
     """
     rows: list[dict] = []
     best_speedups: dict[int, float] = {}
@@ -106,24 +105,17 @@ def run_workload(graph, workload: str, args,
 
         modes = {
             "per-edge": lambda d: d.apply(updates),
-            "batch-full-csr": lambda d: d.apply_batch(updates, backend="csr"),
-            "batch-full-sets": lambda d: d.apply_batch(updates, backend="sets"),
-            f"batch-{args.chunk}-csr": lambda d: d.apply(
-                updates, batch_size=args.chunk, backend="csr"
-            ),
+            "batch-full": lambda d: d.apply_batch(updates),
+            f"batch-{args.chunk}": lambda d: d.apply(updates, batch_size=args.chunk),
         }
         results = {}
         edge_sets = {}
-        solutions = {}
         for mode, run in modes.items():
             seconds, dyn = timed_runs(build, run, args.repeats)
             results[mode] = (seconds, dyn.size)
             edge_sets[mode] = frozenset(dyn.graph.edges())
-            solutions[mode] = dyn.solution().sorted_cliques()
         assert len(set(edge_sets.values())) == 1, \
             f"modes diverged on the final graph ({workload}, k={k})"
-        assert solutions["batch-full-csr"] == solutions["batch-full-sets"], \
-            f"csr/sets trajectories diverged ({workload}, k={k})"
 
         per_edge_s = results["per-edge"][0]
         for mode, (seconds, size) in results.items():
@@ -154,8 +146,8 @@ def run_workload(graph, workload: str, args,
 def cells(smoke: bool = False) -> list:
     """Runner cells: one per workload, sharing one lazily built graph.
 
-    The trajectory-equality asserts run in-band; ``modes_converge``
-    records them in the gate, and the mixed cell carries the headline
+    The final-graph equality assert runs in-band; ``modes_converge``
+    records it in the gate, and the mixed cell carries the headline
     batched-speedup ratio.
     """
     from repro.bench.runner import CellSpec, check, ratio

@@ -46,9 +46,7 @@ def main() -> None:
 
         # The live region streams friendship churn through a feed;
         # batches of 32 go through the coalesced dynamic-update engine.
-        feed = client.feed_open(
-            "eu-west", k=K, policy={"max_updates": 32, "backend": "auto"}
-        )["feed"]
+        feed = client.feed_open("eu-west", k=K, policy={"max_updates": 32})["feed"]
         print(f"matchmaker feed open: {feed}, initial squads="
               f"{client.feed_solution(feed, include_cliques=False)['size']}\n")
 

@@ -1,7 +1,7 @@
 """Manifest-based benchmark runner behind ``python -m repro bench``.
 
 The unified experiment harness of the repository: a registry of every
-benchmark suite (the four standalone ``BENCH_*`` perf trajectories plus
+benchmark suite (the three standalone ``BENCH_*`` perf trajectories plus
 the fourteen paper table/figure/ablation suites under ``benchmarks/``),
 executed into per-run result directories with full provenance:
 
@@ -25,9 +25,10 @@ Each ``benchmarks/bench_*.py`` exposes ``cells(smoke=False)`` returning
 ``"gate"`` key (built with :func:`ratio` / :func:`quality` /
 :func:`check`) feeds the regression gate and whose ``"artefact"`` key
 (text) is written to the artefacts directory — everything else is
-recorded as metrics. Differential verification (backend equality,
-served-vs-direct identity, GC==LP) runs in-band: a failed assertion
-errors the cell, and errored cells fail both the run and the gate.
+recorded as metrics. Differential verification (batched-vs-per-edge
+convergence, served-vs-direct identity, GC==LP) runs in-band: a failed
+assertion errors the cell, and errored cells fail both the run and the
+gate.
 
 The gate (:func:`gate_run`) compares a fresh run against a baseline run
 directory. When both runs have the same mode (smoke vs full), ratio
@@ -129,7 +130,7 @@ class SuiteSpec:
 
 
 #: Every benchmark suite, in execution order: paper artefacts first,
-#: then the ablations, then the four standalone perf trajectories.
+#: then the ablations, then the three standalone perf trajectories.
 SUITES: tuple[SuiteSpec, ...] = (
     SuiteSpec("table1", "bench_table1_stats", "paper",
               "Table I: dataset statistics and clique counts"),
@@ -159,8 +160,6 @@ SUITES: tuple[SuiteSpec, ...] = (
               "Ablation: score-driven pruning (L vs LP)"),
     SuiteSpec("ablation_kcore", "bench_ablation_kcore", "ablation",
               "Ablation: (k-1)-core pruning preprocessing"),
-    SuiteSpec("backend", "bench_backend", "perf",
-              "Set-vs-CSR enumeration backend microbenchmark"),
     SuiteSpec("dynamic", "bench_dynamic", "perf",
               "Per-edge vs batched dynamic maintenance"),
     SuiteSpec("serve", "bench_serve", "perf",

@@ -32,7 +32,7 @@ Examples
     python -m repro compare --dataset FB --k 5 --methods hg lp
     python -m repro methods
     python -m repro dynamic --dataset HST --k 4 --workload mixed --count 100
-    python -m repro dynamic --dataset HST --k 4 --batch-size 128 --backend csr
+    python -m repro dynamic --dataset HST --k 4 --batch-size 128
     python -m repro serve --workers 2 --pool-sessions 8
     python -m repro experiments table1 fig7
 """
@@ -240,8 +240,8 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
     if args.batch_size < 0:
         raise SystemExit(f"error: --batch-size must be >= 0, got {args.batch_size}")
     if args.batch_size:
-        dyn.apply(updates, batch_size=args.batch_size, backend=args.backend)
-        mode = f"batched({args.batch_size},{args.backend})"
+        dyn.apply(updates, batch_size=args.batch_size)
+        mode = f"batched({args.batch_size})"
     else:
         dyn.apply(updates)
         mode = "per-edge"
@@ -433,12 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="coalesce updates into batches of this size (0 = per-edge)",
-    )
-    p.add_argument(
-        "--backend",
-        default="auto",
-        choices=["auto", "sets", "csr"],
-        help="dirty-region refresh engine for batched application",
     )
     p.set_defaults(fn=cmd_dynamic)
 

@@ -10,12 +10,8 @@ from repro.cliques.listing import (
 )
 from repro.cliques.counting import clique_profile, node_scores, total_cliques_from_scores
 from repro.cliques.clique_graph import CliqueGraph, build_clique_graph
-from repro.cliques.csr_kernels import AUTO_EDGE_THRESHOLD, BACKENDS, resolve_backend
 
 __all__ = [
-    "BACKENDS",
-    "AUTO_EDGE_THRESHOLD",
-    "resolve_backend",
     "iter_cliques",
     "list_cliques",
     "count_cliques",

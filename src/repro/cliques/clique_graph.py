@@ -10,6 +10,7 @@ square of the clique count, so callers should cap instance sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from repro.graph.graph import Graph
@@ -61,18 +62,22 @@ def build_clique_graph(
         session cache); skips the enumeration. The cap still applies.
         Tuples are trusted to be canonical (so the cached list is not
         copied element-wise); other collections are canonicalized.
+
+    Without ``cliques``, the enumerated cliques are numbered in sorted
+    order, as :meth:`repro.core.session.Preprocessing.cliques` caches
+    them, so a direct build and a session's build agree index for index
+    (and an exact MIS over either breaks ties alike).
     """
-    # Enumerated cliques arrive root-first and always need canonicalizing;
-    # caller-provided tuples are trusted canonical.
-    trusted = cliques is not None
-    source = iter_cliques(graph, k) if cliques is None else cliques
+    source = cliques
+    if source is None:
+        # One clique past the cap is enough to fail; never list more.
+        limit = None if max_cliques is None else max_cliques + 1
+        source = sorted(tuple(sorted(c)) for c in islice(iter_cliques(graph, k), limit))
     cliques = []
     membership: dict[int, list[int]] = {}
     for clique in source:
-        if trusted and isinstance(clique, tuple):
-            canon = clique
-        else:
-            canon = tuple(sorted(clique))
+        # Tuples are trusted canonical; other collections are sorted.
+        canon = clique if isinstance(clique, tuple) else tuple(sorted(clique))
         index = len(cliques)
         if max_cliques is not None and index >= max_cliques:
             raise MemoryError(

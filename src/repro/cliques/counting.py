@@ -16,7 +16,7 @@ from repro.errors import InvalidParameterError
 from repro.graph.dag import OrientedCSR, OrientedGraph
 from repro.graph.graph import Graph
 from repro.graph import ordering as _ordering
-from repro.cliques.csr_kernels import node_scores_csr, resolve_backend
+from repro.cliques.csr_kernels import node_scores_csr
 
 
 def node_scores(
@@ -24,61 +24,28 @@ def node_scores(
     k: int,
     order: _ordering.OrderSpec = "degeneracy",
     dag: OrientedGraph | None = None,
-    backend: str = "auto",
 ) -> np.ndarray:
     """int64 array of per-node k-clique counts (``s_n``).
 
-    Enumerates every k-clique once via the DAG recursion and increments a
-    counter per member node. Specialised fast paths handle ``k <= 2``.
-    ``dag`` supplies an already-oriented graph (e.g. a session cache),
-    in which case ``order`` is ignored. ``backend`` selects the set- or
-    CSR-based recursion (``"auto" | "sets" | "csr"``, see
-    :mod:`repro.cliques.csr_kernels`); the scores are identical either
-    way.
+    Enumerates every k-clique once with the frontier engine of
+    :mod:`repro.cliques.csr_kernels` and credits every member node.
+    Specialised fast paths handle ``k <= 2``. ``dag`` supplies an
+    already-oriented graph (e.g. a session cache), in which case
+    ``order`` is ignored.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be >= 1, got {k}")
-    n = graph.n
-    scores = np.zeros(n, dtype=np.int64)
+    scores = np.zeros(graph.n, dtype=np.int64)
     if k == 1:
         scores[:] = 1
         return scores
     if k == 2:
         return graph.degrees.astype(np.int64).copy()
-
-    if resolve_backend(backend, graph.m) == "csr":
-        if dag is not None:
-            ocsr = dag.csr()
-        else:
-            ocsr = OrientedCSR.from_rank(graph, _ordering.resolve(order, graph))
-        return node_scores_csr(ocsr, k, scores)
-
-    if dag is None:
-        dag = OrientedGraph.orient(graph, order)
-    out = dag.out
-
-    def walk(prefix: list[int], candidates: set[int], depth: int) -> None:
-        if depth == 1:
-            if candidates:
-                # Each completion adds one clique through every prefix node
-                # and one through each candidate terminal node.
-                cnt = len(candidates)
-                for p in prefix:
-                    scores[p] += cnt
-                for v in candidates:
-                    scores[v] += 1
-            return
-        for v in candidates:
-            nxt = candidates & out[v]
-            if len(nxt) >= depth - 1:
-                prefix.append(v)
-                walk(prefix, nxt, depth - 1)
-                prefix.pop()
-
-    for u in range(n):
-        if len(out[u]) >= k - 1:
-            walk([u], out[u], k - 1)
-    return scores
+    if dag is not None:
+        ocsr = dag.csr()
+    else:
+        ocsr = OrientedCSR.from_rank(graph, _ordering.resolve(order, graph))
+    return node_scores_csr(ocsr, k, scores)
 
 
 def total_cliques_from_scores(scores: np.ndarray, k: int) -> int:

@@ -1,32 +1,28 @@
 """Array-native k-clique kernels on the oriented-CSR substrate.
 
-These are the ``"csr"`` backend twins of the set-based recursions in
-:mod:`repro.cliques.listing` and :mod:`repro.cliques.counting`. Counting
-and node scores do **not** walk the kClist recursion root by root;
-they run it *level-synchronously*: the whole frontier of partial
-cliques at one recursion depth is held as flat numpy arrays (a ragged
-candidate-set matrix in CSR form) and expanded to the next depth with a
-constant number of vectorised operations — one bulk row gather
+This is the package's one static clique engine: listing, counting and
+node scores all run here (:mod:`repro.cliques.listing` and
+:mod:`repro.cliques.counting` are thin front ends). Counting and node
+scores do **not** walk the kClist recursion root by root; they run it
+*level-synchronously*: the whole frontier of partial cliques at one
+recursion depth is held as flat numpy arrays (a ragged candidate-set
+matrix in CSR form) and expanded to the next depth with a constant
+number of vectorised operations — one bulk row gather
 (:func:`repro.graph.csr.concat_rows`) plus one bulk sorted-membership
 test (:func:`~repro.graph.csr.in_sorted`) against a *biased-key* view
 of all candidate sets at once (candidate ``w`` of context ``c`` is
 encoded as ``c * n + w``, which keeps the flattened candidate array
 globally sorted). A per-root Python recursion pays numpy call overhead
 on every tiny candidate set; the frontier formulation pays it once per
-level, which is where the backend earns its speedup on large sparse
-graphs.
+level.
 
-Peak memory is proportional to the widest frontier rather than the
-set backend's ``O(n + m)``; to bound it, roots are processed in batches
-sized by an out-degree heuristic (:data:`ROOT_BATCH_BUDGET`). Results
-are integer sums, so batching never changes them.
-
-Both backends produce the same cliques, counts and scores; only
-enumeration order may differ (canonicalise with ``sorted``). Backend
-selection lives in :func:`resolve_backend`: ``"auto"`` picks ``"csr"``
-once the graph has at least :data:`AUTO_EDGE_THRESHOLD` edges — below
-that, numpy overhead outweighs the vectorisation win and the set
-backend is kept.
+Peak memory is proportional to the widest frontier; to bound it, roots
+are processed in batches sized by an out-degree heuristic
+(:data:`ROOT_BATCH_BUDGET`). Results are integer sums, so batching
+never changes them. Enumeration order is the engine's own (canonicalise
+with ``sorted``); the set recursion of
+:func:`repro.dynamic.local.iter_cliques_within` is the test reference
+for its cliques, counts and scores.
 
 The same frontier engine also serves the dynamic maintainer's batched
 repair path through *local patches*: :func:`local_oriented_csr`
@@ -56,12 +52,6 @@ from repro.graph.graph import Graph
 #: A frontier level: (cand_indptr, cand_vals, ctx_node, ctx_parent).
 _Level = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
-#: Valid values of every ``backend=`` knob in the package.
-BACKENDS = ("auto", "sets", "csr")
-
-#: ``auto`` switches from ``sets`` to ``csr`` at this edge count.
-AUTO_EDGE_THRESHOLD = 512
-
 #: Root-batch budget: roots are grouped until the sum of their squared
 #: out-degrees (an estimate of the first frontier's width) exceeds this.
 ROOT_BATCH_BUDGET = 1 << 19
@@ -71,19 +61,13 @@ ROOT_BATCH_BUDGET = 1 << 19
 BITMAP_BYTES_MAX = 1 << 25
 
 
-def resolve_backend(backend: str, m: int) -> str:
-    """Resolve a ``backend=`` argument to ``"sets"`` or ``"csr"``.
+def resolve_backend(*_: object) -> str:
+    """The static clique engine: always ``"csr"``, whatever the arguments.
 
-    ``m`` is the graph's edge count, consulted only by ``"auto"``.
-    Unknown names raise :class:`repro.errors.InvalidParameterError`.
+    A compatibility shim for callers outside the package that still ask
+    which engine a static pass takes; there is only this one.
     """
-    if backend not in BACKENDS:
-        raise InvalidParameterError(
-            f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend == "auto":
-        return "csr" if m >= AUTO_EDGE_THRESHOLD else "sets"
-    return backend
+    return "csr"
 
 
 def iter_cliques_csr(
@@ -93,9 +77,9 @@ def iter_cliques_csr(
 
     Same contract as
     :func:`repro.cliques.listing.iter_cliques_oriented`: the first tuple
-    element is the root; enumeration order may differ from the set
-    backend. Cliques are produced by the frontier engine one root batch
-    at a time — each batch's cliques are reconstructed from the frontier
+    element is the root; enumeration order is the engine's own. Cliques
+    are produced by the frontier engine one root batch at a time — each
+    batch's cliques are reconstructed from the frontier
     arrays (terminal pair plus the parent chain) into one ``(C, k)``
     member matrix, so peak memory is one batch's output rather than the
     whole listing.
@@ -310,7 +294,7 @@ def iter_cliques_within_csr(
     Yields every k-clique whose nodes all lie in ``nodes`` exactly once,
     as frozensets of global node ids, by running the level-synchronous
     frontier engine on a relabelled local patch instead of the per-node
-    Python set recursion. Same clique set as the ``sets`` twin; only
+    Python set recursion. Same clique set as the set recursion; only
     the enumeration order differs.
 
     ``require`` (a subset of ``nodes``) keeps only cliques containing at

@@ -6,23 +6,11 @@ once from its largest-rank node (*root*) by recursively intersecting
 out-neighbourhoods. The degeneracy ordering yields the standard
 ``O(k · m · (d/2)^(k-2))`` bound.
 
-Two interchangeable execution backends walk that recursion:
-
-``"sets"``
-    The original Python ``set`` intersections — lowest constant factors
-    on small graphs.
-``"csr"``
-    Sorted-array kernels over an oriented CSR
-    (:mod:`repro.cliques.csr_kernels`) — vectorised intersections that
-    win on large sparse graphs.
-``"auto"`` (default)
-    Picks ``"csr"`` once the graph has at least
-    :data:`repro.cliques.csr_kernels.AUTO_EDGE_THRESHOLD` edges.
-
-Both backends produce exactly the same cliques; only enumeration order
-may differ. Cliques are yielded as tuples whose first element is the
-root and whose remaining elements descend through the recursion; use
-``sorted(c)`` for a canonical form.
+The recursion runs on the level-synchronous frontier engine of
+:mod:`repro.cliques.csr_kernels`, over the oriented CSR of the graph,
+so listing and counting build no per-node Python sets. Cliques are
+yielded as tuples whose first element is the root; use ``sorted(c)``
+for a canonical form.
 """
 
 from __future__ import annotations
@@ -33,11 +21,7 @@ from repro.errors import InvalidParameterError
 from repro.graph.dag import OrientedCSR, OrientedGraph
 from repro.graph.graph import Graph
 from repro.graph import ordering as _ordering
-from repro.cliques.csr_kernels import (
-    count_cliques_csr,
-    iter_cliques_csr,
-    resolve_backend,
-)
+from repro.cliques.csr_kernels import count_cliques_csr, iter_cliques_csr
 
 
 def _check_k(k: int) -> None:
@@ -49,7 +33,6 @@ def iter_cliques(
     graph: Graph,
     k: int,
     order: _ordering.OrderSpec = "degeneracy",
-    backend: str = "auto",
 ) -> Iterator[tuple[int, ...]]:
     """Yield every k-clique of ``graph`` exactly once.
 
@@ -62,76 +45,31 @@ def iter_cliques(
     order:
         Ordering name, rank array or callable (see
         :func:`repro.graph.ordering.resolve`).
-    backend:
-        ``"auto" | "sets" | "csr"`` — execution backend (see module
-        docstring). The clique set is backend-independent.
     """
     _check_k(k)
-    if resolve_backend(backend, graph.m) == "csr":
-        # Build the oriented CSR directly from the rank array; the
-        # set-based out-neighbourhoods are never materialised.
-        rank = _ordering.resolve(order, graph)
-        return iter_cliques_csr(OrientedCSR.from_rank(graph, rank), k)
-    return iter_cliques_oriented(OrientedGraph.orient(graph, order), k, backend="sets")
+    rank = _ordering.resolve(order, graph)
+    return iter_cliques_csr(OrientedCSR.from_rank(graph, rank), k)
 
 
-def iter_cliques_oriented(
-    dag: OrientedGraph, k: int, backend: str = "auto"
-) -> Iterator[tuple[int, ...]]:
+def iter_cliques_oriented(dag: OrientedGraph, k: int) -> Iterator[tuple[int, ...]]:
     """Yield every k-clique of an already-oriented graph exactly once."""
     _check_k(k)
-    if resolve_backend(backend, dag.graph.m) == "csr":
-        return iter_cliques_csr(dag.csr(), k)
-    return _iter_cliques_sets(dag, k)
-
-
-def _iter_cliques_sets(dag: OrientedGraph, k: int) -> Iterator[tuple[int, ...]]:
-    """The set-backend listing recursion."""
-    n = dag.n
-    if k == 1:
-        for u in range(n):
-            yield (u,)
-        return
-    out = dag.out
-    if k == 2:
-        for u in range(n):
-            for v in out[u]:
-                yield (u, v)
-        return
-
-    def extend(
-        prefix: tuple[int, ...], candidates: set[int], depth: int
-    ) -> Iterator[tuple[int, ...]]:
-        # depth = number of nodes still to add.
-        if depth == 1:
-            for v in candidates:
-                yield prefix + (v,)
-            return
-        for v in candidates:
-            nxt = candidates & out[v]
-            if len(nxt) >= depth - 1:
-                yield from extend(prefix + (v,), nxt, depth - 1)
-
-    for u in range(n):
-        if len(out[u]) >= k - 1:
-            yield from extend((u,), out[u], k - 1)
+    return iter_cliques_csr(dag.csr(), k)
 
 
 def list_cliques(
     graph: Graph,
     k: int,
     order: _ordering.OrderSpec = "degeneracy",
-    backend: str = "auto",
 ) -> list[tuple[int, ...]]:
     """Materialise all k-cliques (use :func:`iter_cliques` when possible)."""
-    return list(iter_cliques(graph, k, order, backend=backend))
+    return list(iter_cliques(graph, k, order))
 
 
 def count_cliques(
     graph: Graph,
     k: int,
     order: _ordering.OrderSpec = "degeneracy",
-    backend: str = "auto",
     dag: OrientedGraph | None = None,
 ) -> int:
     """Total number of k-cliques, enumerated without storing them.
@@ -144,32 +82,11 @@ def count_cliques(
         return graph.n
     if k == 2:
         return graph.m
-    if resolve_backend(backend, graph.m) == "csr":
-        if dag is not None:
-            return count_cliques_csr(dag.csr(), k)
-        rank = _ordering.resolve(order, graph)
-        return count_cliques_csr(OrientedCSR.from_rank(graph, rank), k)
-    if dag is None:
-        dag = OrientedGraph.orient(graph, order)
-    out = dag.out
-
-    def count(candidates: set[int], depth: int) -> int:
-        if depth == 1:
-            return len(candidates)
-        if depth == 2:
-            # One level unrolled: count edges inside the candidate set.
-            total = 0
-            for v in candidates:
-                total += len(candidates & out[v])
-            return total
-        total = 0
-        for v in candidates:
-            nxt = candidates & out[v]
-            if len(nxt) >= depth - 1:
-                total += count(nxt, depth - 1)
-        return total
-
-    return sum(count(out[u], k - 1) for u in range(dag.n) if len(out[u]) >= k - 1)
+    if dag is not None:
+        ocsr = dag.csr()
+    else:
+        ocsr = OrientedCSR.from_rank(graph, _ordering.resolve(order, graph))
+    return count_cliques_csr(ocsr, k)
 
 
 def cliques_through_edge(

@@ -7,7 +7,6 @@ from repro.core.registry import (
     ExactOptions,
     GCOptions,
     HGOptions,
-    LightweightOptions,
     Method,
     SolveOptions,
     SolverRegistry,
@@ -42,7 +41,6 @@ __all__ = [
     "REGISTRY",
     "HGOptions",
     "GCOptions",
-    "LightweightOptions",
     "ExactOptions",
     "basic_framework",
     "store_all_cliques",

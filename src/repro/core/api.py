@@ -57,8 +57,8 @@ def find_disjoint_cliques(
     **kwargs:
         Typed per-method options, validated by the method's
         :class:`repro.core.registry.SolveOptions` class: ``order``
-        (hg), ``backend`` (gc/l/lp), ``max_cliques`` (gc/opt/opt-bb),
-        ``time_budget`` (opt/opt-bb). Unknown names raise
+        (hg), ``max_cliques`` (gc/opt/opt-bb), ``time_budget``
+        (opt/opt-bb); ``l``/``lp`` take none. Unknown names raise
         :class:`repro.errors.InvalidParameterError` listing the valid
         options for the chosen method.
 

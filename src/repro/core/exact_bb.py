@@ -37,7 +37,7 @@ from repro.errors import InvalidParameterError, OutOfMemoryError, OutOfTimeError
 from repro.graph.graph import Graph
 from repro.cliques.counting import node_scores
 from repro.cliques.listing import iter_cliques
-from repro.core.result import CliqueSetResult
+from repro.core.result import CliqueSetResult, is_int
 from repro.core.scores import clique_key
 
 #: Frame layout: ``[next_i, used_mask, owns_choice, depth]`` — the scan
@@ -247,14 +247,75 @@ class ExactBBEngine:
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot."""
-        self.ticks = int(state["ticks"])
-        self.best = [int(i) for i in state["best"]]
-        self.chosen = [int(i) for i in state["chosen"]]
+        """Restore a :meth:`state_dict` snapshot.
+
+        The snapshot is checked before anything is applied, and each of
+        these raises :class:`InvalidParameterError`: a ``ticks`` that is
+        not an int ``>= 0``; a ``best`` or ``chosen`` that is not a list
+        of distinct, in-range indices of pairwise node-disjoint cliques;
+        or a stack the search cannot reach with that ``chosen``. The
+        search keeps the root frame plus one frame per chosen clique (no
+        frame once finished), chooses in ascending index and parks each
+        frame just past the clique its child chose; frame ``j`` is
+        ``[next_i, used, j > 0, j]``, ``used`` being the hex cover of the
+        first ``j`` chosen cliques.
+        """
+        ticks, stack = state["ticks"], state["stack"]
+        if not (is_int(ticks) and ticks >= 0):
+            raise InvalidParameterError(f"ticks {ticks!r} is not an int >= 0")
+        best = self._checked_indices(state["best"], "best")
+        chosen = self._checked_indices(state["chosen"], "chosen")
+        if (
+            not isinstance(stack, list)
+            or max(len(stack) - 1, 0) != len(chosen)
+            or chosen != sorted(chosen)
+        ):
+            raise InvalidParameterError(f"stack {stack!r} cannot hold chosen {chosen}")
+        used = 0
+        for depth, frame in enumerate(stack):
+            top = depth == len(chosen)
+            fields = [format(used, "x"), depth > 0, depth]
+            if not (
+                isinstance(frame, list)
+                and len(frame) == 4
+                and is_int(frame[_I])
+                and frame[1:] == fields
+                and (
+                    (chosen[-1] if chosen else -1) < frame[_I] <= len(self.cliques)
+                    if top
+                    else frame[_I] == chosen[depth] + 1
+                )
+            ):
+                raise InvalidParameterError(
+                    f"stack frame {frame!r} at depth {depth} is not [next_i, "
+                    f"{fields[0]!r}, {fields[1]}, {depth}] for chosen {chosen}"
+                )
+            if not top:
+                used |= self.masks[chosen[depth]]
+        self.ticks = int(ticks)
+        self.best = best
+        self.chosen = chosen
         self.stack = [
-            [int(i), int(used, 16), bool(owns), int(depth)]
-            for i, used, owns, depth in state["stack"]
+            [int(i), int(mask, 16), bool(owns), int(d)] for i, mask, owns, d in stack
         ]
+
+    def _checked_indices(self, raw: object, what: str) -> list[int]:
+        """``raw`` as distinct, in-range indices of pairwise node-disjoint
+        cliques, else a typed error."""
+        if not isinstance(raw, list) or not all(is_int(i) for i in raw):
+            raise InvalidParameterError(f"{what} {raw!r} is not a list of ints")
+        used = 0
+        for i in raw:
+            if not 0 <= i < len(self.cliques):
+                raise InvalidParameterError(
+                    f"{what} index {i} is outside [0, {len(self.cliques)})"
+                )
+            if used & self.masks[i]:
+                raise InvalidParameterError(
+                    f"{what} clique {i} repeats or overlaps an earlier one"
+                )
+            used |= self.masks[i]
+        return [int(i) for i in raw]
 
 
 def exact_optimum_bb(

@@ -36,11 +36,9 @@ Either way candidates are visited in ascending id with the same prune
 points as a walk over live out-neighbour sets, so the solution *and*
 the ``findmin_calls``/``branches_pruned`` counters are those of the set
 walk (kept as the reference in ``tests/test_findmin_reference.py``).
-``backend`` (``"auto" | "sets" | "csr"``) selects only the engine of the
-score-counting pass; FindMin never reads the per-node sets of
+Neither the score pass nor FindMin reads the per-node sets of
 :attr:`OrientedGraph.out <repro.graph.dag.OrientedGraph.out>`, which
-are built lazily, so only ``hg`` and the ``"sets"`` score pass pay for
-them.
+are built lazily, so only ``hg`` pays for them.
 
 The paper runs HeapInit "for each node u in parallel"; here it is
 data-parallel. :class:`ScoreOrientedCSR` runs it once per ``k`` for
@@ -74,9 +72,8 @@ from repro.cliques.csr_kernels import (
     _level_hits,
     _root_batches,
     _root_level,
-    resolve_backend,
 )
-from repro.core.result import CliqueSetResult, is_seedable_clique
+from repro.core.result import CliqueSetResult, is_int, is_seedable_clique
 from repro.core.scores import CliqueKey
 
 _INF_KEY: CliqueKey = (np.iinfo(np.int64).max, ())
@@ -728,7 +725,7 @@ class LightweightEngine:
     finishes (``"done"``). At every tick boundary ``solution`` is a
     valid disjoint k-clique set; maximality holds once :attr:`finished`
     is true. Solutions and stats are identical to the pre-engine
-    monolithic loop for any backend (the drive-to-completion wrapper
+    monolithic loop (the drive-to-completion wrapper
     :func:`lightweight` is what the pinned equivalence tests run).
 
     The parameters are those of :func:`lightweight` (``scores`` must be
@@ -748,15 +745,13 @@ class LightweightEngine:
         prune: bool = True,
         listing_order: OrderSpec = "degeneracy",
         scores: np.ndarray | None = None,
-        backend: str = "auto",
         warm_start: Iterable[Iterable[int]] | None = None,
         oriented: ScoreOrientedCSR | None = None,
     ) -> None:
         if k < 2:
             raise InvalidParameterError(f"k must be >= 2, got {k}")
-        score_backend = resolve_backend(backend, graph.m)
         if scores is None:
-            scores = node_scores(graph, k, listing_order, backend=score_backend)
+            scores = node_scores(graph, k, listing_order)
         elif len(scores) != graph.n:
             raise InvalidParameterError(
                 f"scores has length {len(scores)}, expected n={graph.n}"
@@ -933,7 +928,7 @@ class LightweightEngine:
                 f"unknown engine phase {phase!r}; expected one of {_PHASES}"
             )
         next_root = state["next_root"]
-        if not (_is_int(next_root) and 0 <= next_root <= self.graph.n):
+        if not (is_int(next_root) and 0 <= next_root <= self.graph.n):
             raise InvalidParameterError(
                 f"next_root {next_root!r} is not an int in [0, {self.graph.n}]"
             )
@@ -963,7 +958,7 @@ class LightweightEngine:
             score, key_clique, root, raw = entry
             clique = self._checked_clique(raw, "heap clique")
             key = (sum(scores[v] for v in clique), clique)
-            if not (_is_int(root) and root in clique):
+            if not (is_int(root) and root in clique):
                 raise InvalidParameterError(
                     f"heap root {root!r} is not a node of its clique {raw!r}"
                 )
@@ -994,7 +989,7 @@ class LightweightEngine:
         if (
             isinstance(raw, (list, tuple))
             and len(raw) == self.k
-            and all(_is_int(v) for v in raw)
+            and all(is_int(v) for v in raw)
             and is_seedable_clique(self.graph, self.k, raw, lambda v: True)
         ):
             return tuple(sorted(int(v) for v in raw))
@@ -1004,18 +999,12 @@ class LightweightEngine:
         )
 
 
-def _is_int(value: object) -> bool:
-    """Whether ``value`` is an integer (``bool`` excluded)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def lightweight(
     graph: Graph,
     k: int,
     prune: bool = True,
     listing_order: OrderSpec = "degeneracy",
     scores: np.ndarray | None = None,
-    backend: str = "auto",
     oriented: ScoreOrientedCSR | None = None,
 ) -> CliqueSetResult:
     """Compute a disjoint k-clique set with Algorithm 3.
@@ -1037,12 +1026,6 @@ def lightweight(
         They must be the exact per-node k-clique counts: FindMin never
         searches from a node of score 0 (one in no k-clique), so a 0 on
         a node of some k-clique loses maximality.
-    backend:
-        ``"auto" | "sets" | "csr"`` — engine of the score-counting pass
-        (see :func:`repro.cliques.csr_kernels.resolve_backend`:
-        ``"auto"`` picks the CSR kernels on large graphs, where the
-        level-bulk vectorisation pays). The FindMin walk is the same
-        for every backend, and so are solutions and stats.
     oriented:
         The FindMin substrate of ``graph`` under the same ``scores`` and
         ``k`` (e.g. from
@@ -1066,7 +1049,6 @@ def lightweight(
         prune=prune,
         listing_order=listing_order,
         scores=scores,
-        backend=backend,
         oriented=oriented,
     )
     while not engine.finished:

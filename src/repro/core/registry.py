@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.errors import InvalidParameterError
-from repro.cliques.csr_kernels import BACKENDS
 from repro.core.basic import BasicEngine, basic_framework
 from repro.core.exact import exact_optimum
 from repro.core.exact_bb import ExactBBEngine, exact_optimum_bb
@@ -66,13 +65,6 @@ class SolveOptions:
 
     def validate(self) -> None:
         """Raise :class:`InvalidParameterError` on out-of-domain values."""
-
-
-def _check_backend(value: object) -> None:
-    if value not in BACKENDS:
-        raise InvalidParameterError(
-            f"backend must be one of {BACKENDS}, got {value!r}"
-        )
 
 
 def _check_budget(name: str, value: object, *, integral: bool) -> None:
@@ -116,29 +108,9 @@ class GCOptions(SolveOptions):
     """
 
     max_cliques: int | None = None
-    backend: str = "auto"
 
     def validate(self) -> None:
         _check_budget("max_cliques", self.max_cliques, integral=True)
-        _check_backend(self.backend)
-
-
-@dataclass(frozen=True)
-class LightweightOptions(SolveOptions):
-    """Options for Algorithm 3 (``l``/``lp``).
-
-    ``backend`` picks the score-pass engine (``"auto" | "sets" |
-    "csr"``); solutions and stats are backend-independent. The
-    score-counting pass runs under the session's cached degeneracy
-    orientation; pass ``listing_order=`` to
-    :func:`repro.core.lightweight.lightweight` directly to experiment
-    with other orientations.
-    """
-
-    backend: str = "auto"
-
-    def validate(self) -> None:
-        _check_backend(self.backend)
 
 
 @dataclass(frozen=True)
@@ -362,17 +334,16 @@ def _engine_lightweight(prune: bool) -> Callable[..., LightweightEngine]:
     def factory(
         prep: Preprocessing,
         k: int,
-        opts: LightweightOptions,
+        opts: SolveOptions,
         warm_start: Iterable[Iterable[int]] | None = None,
     ) -> LightweightEngine:
         return LightweightEngine(
             prep.graph,
             k,
             prune=prune,
-            scores=prep.scores(k, backend=opts.backend),
-            backend=opts.backend,
+            scores=prep.scores(k),
             warm_start=warm_start,
-            oriented=prep.score_oriented(k, backend=opts.backend),
+            oriented=prep.score_oriented(k),
         )
 
     return factory
@@ -416,12 +387,12 @@ def _run_hg(prep: Preprocessing, k: int, opts: HGOptions) -> CliqueSetResult:
     options=GCOptions,
 )
 def _run_gc(prep: Preprocessing, k: int, opts: GCOptions) -> CliqueSetResult:
-    cliques = prep.cliques(k, max_cliques=opts.max_cliques, backend=opts.backend)
+    cliques = prep.cliques(k, max_cliques=opts.max_cliques)
     return store_all_cliques(
         prep.graph,
         k,
         max_cliques=opts.max_cliques,
-        scores=prep.scores(k, backend=opts.backend),
+        scores=prep.scores(k),
         cliques=cliques,
     )
 
@@ -430,19 +401,17 @@ def _run_gc(prep: Preprocessing, k: int, opts: GCOptions) -> CliqueSetResult:
     "l",
     summary="Algorithm 3 without score pruning (O(n+m) space)",
     exact=False,
-    options=LightweightOptions,
     deadline_safe=True,
     supports_warm_start=True,
     engine=_engine_lightweight(prune=False),
 )
-def _run_l(prep: Preprocessing, k: int, opts: LightweightOptions) -> CliqueSetResult:
+def _run_l(prep: Preprocessing, k: int, opts: SolveOptions) -> CliqueSetResult:
     return lightweight(
         prep.graph,
         k,
         prune=False,
-        scores=prep.scores(k, backend=opts.backend),
-        backend=opts.backend,
-        oriented=prep.score_oriented(k, backend=opts.backend),
+        scores=prep.scores(k),
+        oriented=prep.score_oriented(k),
     )
 
 
@@ -450,19 +419,17 @@ def _run_l(prep: Preprocessing, k: int, opts: LightweightOptions) -> CliqueSetRe
     "lp",
     summary="Algorithm 3 with score pruning (the paper's headline method)",
     exact=False,
-    options=LightweightOptions,
     deadline_safe=True,
     supports_warm_start=True,
     engine=_engine_lightweight(prune=True),
 )
-def _run_lp(prep: Preprocessing, k: int, opts: LightweightOptions) -> CliqueSetResult:
+def _run_lp(prep: Preprocessing, k: int, opts: SolveOptions) -> CliqueSetResult:
     return lightweight(
         prep.graph,
         k,
         prune=True,
-        scores=prep.scores(k, backend=opts.backend),
-        backend=opts.backend,
-        oriented=prep.score_oriented(k, backend=opts.backend),
+        scores=prep.scores(k),
+        oriented=prep.score_oriented(k),
     )
 
 

@@ -9,6 +9,7 @@ k-approximation guarantee (Theorem 3).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -111,6 +112,11 @@ def verify_solution(
                 f"clique {members} overlaps earlier cliques on nodes {sorted(overlap)}"
             )
         seen.update(members)
+
+
+def is_int(value: object) -> bool:
+    """Whether ``value`` is an integer, numpy's included (``bool`` excluded)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def is_seedable_clique(

@@ -54,7 +54,6 @@ from repro.graph import kcore
 from repro.graph import ordering
 from repro.graph.dag import OrientedGraph
 from repro.cliques import counting
-from repro.cliques import csr_kernels
 from repro.cliques import listing
 from repro.core.lightweight import ScoreOrientedCSR
 from repro.core.registry import REGISTRY, Method, SolverRegistry
@@ -146,7 +145,7 @@ class Preprocessing:
                 self.stats["cache_hits"] += 1
             return cached
 
-    def score_oriented(self, k: int, backend: str = "auto") -> ScoreOrientedCSR:
+    def score_oriented(self, k: int) -> ScoreOrientedCSR:
         """FindMin's score-oriented CSR, arc masks and HeapInit for ``k``
         (cached per k).
 
@@ -162,15 +161,12 @@ class Preprocessing:
         reruns HeapInit over the residual graph. The build is one
         non-preemptible step: on large graphs its wedge and HeapInit
         passes bound how long a resumable task blocks before its first
-        preemptible step. ``backend`` only selects the engine used if
-        the ``k`` scores are a cache miss.
+        preemptible step.
         """
         with self._lock:
             cached = self._score_oriented.get(k)
             if cached is None:
-                cached = ScoreOrientedCSR(
-                    self.graph, self.scores(k, backend=backend), k
-                )
+                cached = ScoreOrientedCSR(self.graph, self.scores(k), k)
                 self._score_oriented[k] = cached
                 self.stats["orientations"] += 1
             else:
@@ -182,7 +178,7 @@ class Preprocessing:
 
         The :class:`~repro.graph.dag.OrientedCSR` twin is built lazily
         on the cached :class:`~repro.graph.dag.OrientedGraph` and shared
-        by every CSR-backend pass under the same orientation.
+        by every clique pass under the same orientation.
         """
         with self._lock:
             dag = self.oriented(order)
@@ -193,14 +189,11 @@ class Preprocessing:
             return dag.csr()
 
     # -- per-k clique substrates ---------------------------------------
-    def scores(self, k: int, backend: str = "auto") -> np.ndarray:
+    def scores(self, k: int) -> np.ndarray:
         """Node scores ``s_n`` for ``k`` (Definition 5), cached per k.
 
         When the k-clique listing is already cached the scores are
         derived from it by accumulation — no second enumeration.
-        ``backend`` selects the enumeration engine for a cache miss
-        (``"auto" | "sets" | "csr"``); the scores are identical either
-        way, so the cache is backend-agnostic.
         """
         with self._lock:
             cached = self._scores.get(k)
@@ -214,32 +207,28 @@ class Preprocessing:
                     for u in clique:
                         scores[u] += 1
             else:
-                dag = self._oriented_for(k, backend)
-                scores = counting.node_scores(self.graph, k, dag=dag, backend=backend)
+                scores = counting.node_scores(self.graph, k, dag=self._oriented_for(k))
                 self.stats["score_passes"] += 1
             self._scores[k] = scores
             return scores
 
-    def _oriented_for(self, k: int, backend: str) -> OrientedGraph:
-        """Cached degeneracy DAG, pre-building its CSR twin when the
-        resolved backend will need it (keeps ``csr_builds`` accounting
+    def _oriented_for(self, k: int) -> OrientedGraph:
+        """Cached degeneracy DAG, pre-building its CSR twin when a
+        ``k``-clique pass will read it (keeps ``csr_builds`` accounting
         accurate regardless of which accessor triggers the build)."""
-        if k >= 3 and csr_kernels.resolve_backend(backend, self.graph.m) == "csr":
+        if k >= 3:
             self.oriented_csr()
         return self.oriented()
 
-    def cliques(
-        self, k: int, max_cliques: int | None = None, backend: str = "auto"
-    ) -> list[tuple[int, ...]]:
+    def cliques(self, k: int, max_cliques: int | None = None) -> list[tuple[int, ...]]:
         """All k-cliques as canonical sorted tuples, cached per k.
 
         ``max_cliques`` keeps the paper's OOM semantics: the enumeration
         aborts with :class:`OutOfMemoryError` as soon as the budget is
         exceeded (nothing is cached on failure), and a cached listing
         larger than the budget raises the same error. The cached list is
-        sorted lexicographically, so its content *and order* are
-        independent of the enumeration ``backend`` that filled the
-        cache.
+        sorted lexicographically, so its order does not depend on the
+        engine's enumeration order.
         """
         with self._lock:
             stored = self._cliques.get(k)
@@ -248,8 +237,7 @@ class Preprocessing:
                 self._check_clique_budget(len(stored), k, max_cliques)
                 return stored
             stored = []
-            dag = self._oriented_for(k, backend)
-            for clique in listing.iter_cliques_oriented(dag, k, backend=backend):
+            for clique in listing.iter_cliques_oriented(self._oriented_for(k), k):
                 if max_cliques is not None and len(stored) >= max_cliques:
                     raise OutOfMemoryError(
                         f"clique listing exceeded its budget of {max_cliques} (k={k})"
@@ -269,19 +257,15 @@ class Preprocessing:
                 f"{count} cliques"
             )
 
-    def clique_count(self, k: int, backend: str = "auto") -> int:
+    def clique_count(self, k: int) -> int:
         """Number of k-cliques, cached; counts without storing if unknown."""
         with self._lock:
             cached = self._counts.get(k)
             if cached is not None:
                 self.stats["cache_hits"] += 1
                 return cached
-            if k >= 3 and csr_kernels.resolve_backend(backend, self.graph.m) == "csr":
-                count = csr_kernels.count_cliques_csr(self.oriented_csr(), k)
-            else:
-                count = listing.count_cliques(
-                    self.graph, k, order=self.rank("degeneracy"), backend="sets"
-                )
+            dag = self._oriented_for(k) if k >= 3 else None
+            count = listing.count_cliques(self.graph, k, dag=dag)
             self.stats["count_passes"] += 1
             self._counts[k] = count
             return count
@@ -571,25 +555,19 @@ class Session:
         return results
 
     # -- cache management ----------------------------------------------
-    def warm(
-        self, ks: Sequence[int], *, cliques: bool = False, backend: str = "auto"
-    ) -> "Session":
+    def warm(self, ks: Sequence[int], *, cliques: bool = False) -> "Session":
         """Precompute per-k substrates (scores; listings when asked).
 
         Useful before serving latency-sensitive queries or before timing
-        solves whose preprocessing should not be on the clock.
-        ``backend`` selects the enumeration engine used to fill cold
-        caches (``"auto" | "sets" | "csr"``); cached values are
-        backend-independent. With the CSR backend the oriented-CSR
-        substrate is built (and cached) as a side effect, so later
-        CSR-backend solves skip that step too.
+        solves whose preprocessing should not be on the clock. The
+        oriented-CSR substrate is built (and cached) as a side effect,
+        so later solves skip that step too.
         """
-        csr_kernels.resolve_backend(backend, self.graph.m)  # validate early
         for k in ks:
             k = self._check_k(k)
             if cliques:
-                self.prep.cliques(k, backend=backend)
-            self.prep.scores(k, backend=backend)
+                self.prep.cliques(k)
+            self.prep.scores(k)
         return self
 
     def dynamic(

@@ -34,7 +34,6 @@ def store_all_cliques(
     max_cliques: int | None = None,
     scores: np.ndarray | None = None,
     cliques: Sequence[tuple[int, ...]] | None = None,
-    backend: str = "auto",
 ) -> CliqueSetResult:
     """Compute a disjoint k-clique set with Algorithm 2.
 
@@ -57,12 +56,6 @@ def store_all_cliques(
         still applies. Both typically come from a session cache. The
         tuples are used as-is (member order is irrelevant downstream),
         so the cached list is never copied element-wise.
-    backend:
-        ``"auto" | "sets" | "csr"`` — enumeration backend for the
-        listing and score passes (see
-        :mod:`repro.cliques.csr_kernels`). The solution is
-        backend-independent because stored cliques are re-sorted by the
-        clique key before the greedy scan.
 
     Returns
     -------
@@ -72,12 +65,12 @@ def store_all_cliques(
     if k < 2:
         raise InvalidParameterError(f"k must be >= 2, got {k}")
     if scores is None:
-        scores = node_scores(graph, k, order, backend=backend)
+        scores = node_scores(graph, k, order)
 
     stored: list[tuple[int, ...]]
     if cliques is None:
         stored = []
-        for clique in iter_cliques(graph, k, order, backend=backend):
+        for clique in iter_cliques(graph, k, order):
             if max_cliques is not None and len(stored) >= max_cliques:
                 raise OutOfMemoryError(
                     f"Algorithm 2 exceeded its clique budget of {max_cliques} (k={k})"

@@ -92,7 +92,7 @@ class StepEngine(Protocol):
 
 
 #: Checkpoint schema version (bumped on incompatible layout changes).
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)

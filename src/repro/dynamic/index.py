@@ -13,6 +13,17 @@ Algorithm 5: for each owner clique ``C``, enumerate k-cliques inside
 ``C`` itself. Incremental maintenance goes through
 :meth:`refresh_nodes` (status changes) and
 :meth:`remove_candidates_with_edge` (structural edge deletions).
+
+Re-enumeration has two engines, and each wins on some inputs: the
+per-node set recursion of :mod:`repro.dynamic.local`, and the CSR
+frontier engine run once over a relabelled patch of the whole region
+(:func:`repro.cliques.csr_kernels.iter_cliques_within_csr`). One rule
+picks between them, from the region alone: a freed-node refresh or a
+batched insert discovery takes the patch when its region holds at least
+:data:`AUTO_DIRTY_THRESHOLD` nodes or edges and the patch spans at
+least :data:`PATCH_EDGE_THRESHOLD` edges. Every other pass, per-owner
+discovery included, takes the set recursion. Both engines give the
+same reports.
 """
 
 from __future__ import annotations
@@ -33,10 +44,17 @@ if TYPE_CHECKING:  # imported for annotations only
 
 Clique = frozenset[int]
 
-#: ``backend="auto"`` hands a dirty region to the CSR frontier engine
-#: only when it spans at least this many nodes/edges — below that, the
-#: per-node set recursion wins on patch-extraction overhead alone.
+#: The least region (dirty nodes or inserted edges) and patch size (in
+#: edges) for the CSR patch; below either, patch extraction costs more
+#: than the frontier engine saves.
 AUTO_DIRTY_THRESHOLD = 16
+PATCH_EDGE_THRESHOLD = 512
+
+
+def _wide_patch(graph: "DynamicGraph", patch: Iterable[int]) -> bool:
+    """Whether the patch on the nodes ``patch`` spans at least
+    :data:`PATCH_EDGE_THRESHOLD` edges (counted from its adjacency)."""
+    return sum(len(graph.neighbors(u)) for u in patch) // 2 >= PATCH_EDGE_THRESHOLD
 
 
 @dataclass
@@ -209,16 +227,16 @@ class CandidateIndex:
                     f"{sorted(map(sorted, report.all_free))[0]}"
                 )
 
-    def discover_owner_candidates(self, owner: int, backend: str = "sets") -> RefreshReport:
+    def discover_owner_candidates(self, owner: int) -> RefreshReport:
         """Register one owner's candidates from its Algorithm-5 patch.
 
         Enumerates the k-cliques of ``C ∪ N_F(C)`` (the owner's nodes
         plus their *free* neighbours — the only pool that can hold a
-        candidate of ``C``) and folds every clique except ``C`` itself
-        into a report: newly registered candidates under
-        ``new_by_owner[owner]``, and any all-free clique under
-        ``all_free`` (which callers treat as a maximality violation or
-        as absorption work, depending on context).
+        candidate of ``C``) with the set recursion, and folds every
+        clique except ``C`` itself into a report: newly registered
+        candidates under ``new_by_owner[owner]``, and any all-free
+        clique under ``all_free`` (which callers treat as a maximality
+        violation or as absorption work, depending on context).
         """
         clique = self.solution[owner]
         pool = set(clique)
@@ -227,39 +245,21 @@ class CandidateIndex:
                 if v not in self.owner_of:
                     pool.add(v)
         report = RefreshReport()
-        if backend != "sets":
-            volume = sum(len(self.graph.neighbors(u)) for u in pool) // 2
-            if csr_kernels.resolve_backend(backend, volume) == "csr":
-                for cand in csr_kernels.iter_cliques_within_csr(
-                    self.graph, pool, self.k, labels=self.owner_of
-                ):
-                    if cand != clique:
-                        self._classify_into(cand, report)
-                return report
         for cand in iter_cliques_within(self.graph, pool, self.k):
             if cand != clique:
                 self._classify_into(cand, report)
         return report
 
-    def refresh_nodes(
-        self, dirty: Iterable[int], *, backend: str = "sets"
-    ) -> RefreshReport:
+    def refresh_nodes(self, dirty: Iterable[int]) -> RefreshReport:
         """Re-derive all candidates touching ``dirty`` nodes.
 
         Call after the free status of ``dirty`` changed (solution cliques
         added/removed) or after local structure changed around them. Any
         candidate whose validity could have changed contains a dirty
         node, so removing those and re-discovering cliques through each
-        dirty node restores exactness.
-
-        ``backend`` selects the re-discovery engine: ``"sets"`` (default)
-        runs the per-node set recursion of
-        :func:`repro.dynamic.local.cliques_through_node`; ``"csr"`` builds
-        one relabelled CSR patch over ``dirty`` and its neighbourhood and
-        enumerates the whole dirty region with the frontier engine
-        (:func:`repro.cliques.csr_kernels.iter_cliques_within_csr`);
-        ``"auto"`` picks by the patch's adjacency volume. The resulting
-        report is identical either way.
+        dirty node restores exactness. The region is re-enumerated by
+        either engine (see the module docstring); the report is the
+        same.
         """
         report = RefreshReport()
         doomed: set[Clique] = set()
@@ -270,11 +270,10 @@ class CandidateIndex:
         report.removed = doomed
 
         # Canonical processing order: discovery order differs between
-        # the sets and csr engines, and it leaks into the owner queue
-        # (dict insertion order) hence into downstream swap
-        # trajectories. Sorting makes refresh backend-invariant.
-        dirty_set = set(dirty)
-        discovered = sorted(self._cliques_through_dirty(dirty_set, backend), key=sorted)
+        # the two engines, and it leaks into the owner queue (dict
+        # insertion order) hence into downstream swap trajectories.
+        # Sorting makes refresh engine-invariant.
+        discovered = sorted(self._cliques_through_dirty(set(dirty)), key=sorted)
         for clique in discovered:
             kind, owner = self.classify(clique)
             if kind == "candidate":
@@ -284,34 +283,25 @@ class CandidateIndex:
                 report.all_free.add(clique)
         return report
 
-    def _cliques_through_dirty(
-        self, dirty: set[int], backend: str
-    ) -> Iterator[Clique]:
+    def _cliques_through_dirty(self, dirty: set[int]) -> Iterator[Clique]:
         """Every *classifiable* k-clique touching a dirty node, once each.
 
-        The ``sets`` engine unions per-node enumerations (dedup via a
+        The set recursion unions per-node enumerations (dedup via a
         ``seen`` set) and leaves discarding owner-mixing cliques to
-        ``classify``. The ``csr`` engine enumerates the patch induced on
+        ``classify``. The CSR patch enumerates the subgraph induced on
         ``dirty ∪ N(dirty)`` in one frontier pass — any clique through a
         dirty node lies inside that node's closed neighbourhood, hence
         inside the patch — restricted to cliques through a dirty node
         (``require``) whose covered members share one owner (``labels``,
         pruned inside the frontier). The engines may therefore yield
         different *invalid* cliques, but classification maps both to the
-        same refresh report. ``auto`` resolves on the patch's summed
-        adjacency volume (the analogue of the global edge-count
-        threshold).
+        same refresh report.
         """
-        # ``auto`` only considers the frontier engine once the dirty set
-        # is large enough for patch extraction to amortise (the engine's
-        # win is batching many neighbourhoods into one pass); a forced
-        # ``csr`` always honours the caller.
-        if backend == "csr" or (backend == "auto" and len(dirty) >= AUTO_DIRTY_THRESHOLD):
+        if len(dirty) >= AUTO_DIRTY_THRESHOLD:
             pool: set[int] = set(dirty)
             for node in dirty:
                 pool |= self.graph.neighbors(node)
-            volume = sum(len(self.graph.neighbors(u)) for u in pool) // 2
-            if csr_kernels.resolve_backend(backend, volume) == "csr":
+            if _wide_patch(self.graph, pool):
                 yield from csr_kernels.iter_cliques_within_csr(
                     self.graph, pool, self.k, require=dirty, labels=self.owner_of
                 )
@@ -334,14 +324,12 @@ class CandidateIndex:
             self._classify_into(clique, report)
         return report
 
-    def discover_through_edges(
-        self, edges: Iterable[tuple[int, int]], *, backend: str = "sets"
-    ) -> RefreshReport:
+    def discover_through_edges(self, edges: Iterable[tuple[int, int]]) -> RefreshReport:
         """Batched :meth:`discover_through_edge` over many fresh edges.
 
-        The ``sets`` engine recurses per edge; the ``csr`` engine builds
-        one relabelled patch over the union of the edges' closed common
-        neighbourhoods (every clique through edge ``(u, v)`` lies in
+        The set recursion runs per edge; the CSR patch is one relabelled
+        patch over the union of the edges' closed common neighbourhoods
+        (every clique through edge ``(u, v)`` lies in
         ``{u, v} ∪ (N(u) ∩ N(v))``) and runs a single frontier
         enumeration restricted to cliques touching an endpoint. The
         patch may surface cliques through an endpoint but not through
@@ -352,14 +340,7 @@ class CandidateIndex:
         """
         report = RefreshReport()
         edges = list(edges)
-        if (
-            self.k >= 3
-            and len(edges) >= 2
-            and (
-                backend == "csr"
-                or (backend == "auto" and len(edges) >= AUTO_DIRTY_THRESHOLD)
-            )
-        ):
+        if self.k >= 3 and len(edges) >= AUTO_DIRTY_THRESHOLD:
             patch: set[int] = set()
             touch: set[int] = set()
             for u, v in edges:
@@ -370,21 +351,19 @@ class CandidateIndex:
                     patch |= common
                     touch.add(u)
                     touch.add(v)
-            if touch:
-                volume = sum(len(self.graph.neighbors(u)) for u in patch) // 2
-                if csr_kernels.resolve_backend(backend, volume) == "csr":
-                    for clique in sorted(
-                        csr_kernels.iter_cliques_within_csr(
-                            self.graph, patch, self.k,
-                            require=touch, labels=self.owner_of,
-                        ),
-                        key=sorted,
-                    ):
-                        self._classify_into(clique, report)
-                    return report
-        # Canonical order here too: without it the sets fallback would
+            if touch and _wide_patch(self.graph, patch):
+                for clique in sorted(
+                    csr_kernels.iter_cliques_within_csr(
+                        self.graph, patch, self.k,
+                        require=touch, labels=self.owner_of,
+                    ),
+                    key=sorted,
+                ):
+                    self._classify_into(clique, report)
+                return report
+        # Canonical order here too: without it the set recursion would
         # classify in raw edge/enumeration order and diverge from the
-        # csr branch's trajectory (same clique set, different owner
+        # CSR patch's trajectory (same clique set, different owner
         # queue order downstream).
         seen: set[Clique] = set()
         for u, v in edges:

@@ -237,7 +237,6 @@ class DynamicDisjointCliques:
         updates: Iterable[tuple[str, int, int]],
         *,
         batch_size: int | None = None,
-        backend: str = "auto",
     ) -> None:
         """Apply a stream of ``("insert" | "delete", u, v)`` updates.
 
@@ -245,8 +244,7 @@ class DynamicDisjointCliques:
         per-edge handlers (Algorithms 6/7) — the legacy behaviour. With a
         positive ``batch_size``, consecutive chunks of that size are
         coalesced and applied through :meth:`apply_batch`, which shares
-        one deferred repair pass per chunk; ``backend`` then selects the
-        dirty-region re-enumeration engine (``"auto" | "sets" | "csr"``).
+        one deferred repair pass per chunk.
         """
         if batch_size is None:
             for op, u, v in updates:
@@ -260,14 +258,9 @@ class DynamicDisjointCliques:
         from repro.dynamic.workload import iter_batches
 
         for chunk in iter_batches(updates, batch_size):
-            self.apply_batch(chunk, backend=backend)
+            self.apply_batch(chunk)
 
-    def apply_batch(
-        self,
-        updates: Iterable[tuple[str, int, int]],
-        *,
-        backend: str = "auto",
-    ) -> UpdateBatch:
+    def apply_batch(self, updates: Iterable[tuple[str, int, int]]) -> UpdateBatch:
         """Apply a whole update stream with one deferred repair pass.
 
         The stream is first coalesced to its net structural effect
@@ -279,10 +272,10 @@ class DynamicDisjointCliques:
         2. drop solution cliques broken by deletions, freeing their
            nodes;
         3. one candidate-index refresh over the union of freed nodes
-           (their status changed — CSR-backed for large regions when
-           ``backend`` allows) plus one clique discovery per net
+           (their status changed) plus one clique discovery per net
            inserted edge with a free endpoint (only cliques through a
-           new edge can be new);
+           new edge can be new); each picks its engine by region size
+           (see :mod:`repro.dynamic.index`);
         4. one absorb pass over discovered all-free cliques and one swap
            cascade (the maximality sweep) over every owner whose
            candidate set changed and still holds >= 2 candidates.
@@ -290,12 +283,6 @@ class DynamicDisjointCliques:
         All Section V invariants (validity, maximality, exact index)
         hold on return, exactly as after a per-edge stream. Returns the
         planned batch (net inserts/deletes and coalesced-op count).
-
-        ``backend`` governs the *batch-level* passes (freed-union
-        refresh, shared insert discovery, absorb discovery); the
-        re-enumerations inside individual swaps stay on the set engine
-        by design — their dirty regions are a handful of nodes, below
-        any patch-extraction break-even.
 
         Correctness of the single repair pass: every clique whose index
         status can change either contains a deleted edge (purged in
@@ -340,14 +327,14 @@ class DynamicDisjointCliques:
         # edge-granular discovery for each effective insertion.
         report = RefreshReport()
         if freed:
-            report = self.index.refresh_nodes(freed, backend=backend)
+            report = self.index.refresh_nodes(freed)
         eligible = [
             (u, v)
             for u, v in batch.inserts
             if self.index.is_free(u) or self.index.is_free(v)
         ]
         if eligible:
-            ins_report = self.index.discover_through_edges(eligible, backend=backend)
+            ins_report = self.index.discover_through_edges(eligible)
             for owner, cands in ins_report.new_by_owner.items():
                 report.new_by_owner.setdefault(owner, set()).update(cands)
             report.all_free |= ins_report.all_free
@@ -359,7 +346,7 @@ class DynamicDisjointCliques:
         # from the gaining owners first is measurably faster than a
         # sorted-order sweep alone, and a re-examined unchanged owner
         # costs one failed select_disjoint.
-        new_owners = self._absorb_all_free(report.all_free, backend=backend)
+        new_owners = self._absorb_all_free(report.all_free)
         queue: deque[int] = deque(
             owner for owner in report.new_by_owner if owner in self.index.solution
         )
@@ -397,9 +384,7 @@ class DynamicDisjointCliques:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _absorb_all_free(
-        self, all_free: set[Clique], *, backend: str = "sets"
-    ) -> list[int]:
+    def _absorb_all_free(self, all_free: set[Clique]) -> list[int]:
         """Greedily add disjoint all-free cliques to ``S`` (keeps S maximal).
 
         Absorption makes nodes non-free, which cuts both ways in the
@@ -408,9 +393,7 @@ class DynamicDisjointCliques:
         just-added owners gain candidates, discovered from each one's
         own Algorithm-5 patch ``C ∪ N_F(C)``. Existing owners can only
         *lose* candidates and no new all-free clique can appear, so one
-        pass per absorption round suffices. ``backend`` selects the
-        per-owner discovery engine (batched application forwards its
-        own; the per-edge handlers keep ``"sets"``).
+        pass per absorption round suffices.
         """
         new_owners: list[int] = []
         pending = set(all_free)
@@ -436,7 +419,7 @@ class DynamicDisjointCliques:
             for cand in doomed:
                 self.index.remove_candidate(cand)
             for owner in added:
-                report = self.index.discover_owner_candidates(owner, backend=backend)
+                report = self.index.discover_owner_candidates(owner)
                 pending |= report.all_free
             new_owners.extend(added)
         return new_owners

@@ -5,7 +5,7 @@ The CSR arrays are the primary adjacency of a
 node ``u`` is ``cols[indptr[u]:indptr[u+1]]``, sorted ascending, which
 makes neighbourhoods amenable to vectorised set algebra. They feed the
 degeneracy peel (:func:`repro.graph.ordering.peel`), the orientations,
-the Table-I statistics and the ``"csr"`` enumeration backend (see
+the Table-I statistics and the static clique engine (see
 :mod:`repro.cliques.csr_kernels`): sorted-array intersections via the
 module-level helpers below replace Python ``set`` operations on the hot
 paths, following the sorted-CSR design of Rossi & Gleich's parallel

@@ -24,8 +24,8 @@ class OrientedCSR:
     """Array form of an orientation: sorted int64 out-neighbour rows.
 
     The out-neighbourhood of ``u`` is ``cols[indptr[u]:indptr[u+1]]``,
-    sorted ascending by node id. This is the substrate the ``"csr"``
-    enumeration backend intersects (see
+    sorted ascending by node id. This is the substrate the static
+    clique engine intersects (see
     :mod:`repro.cliques.csr_kernels`); it carries exactly the same arcs
     as :attr:`OrientedGraph.out` for the same rank array.
     """
@@ -80,9 +80,9 @@ class OrientedGraph:
         ``rank[u]`` is the position of ``u`` in the total order.
     out:
         ``out[u]`` is the *set* of out-neighbours of ``u`` (all with
-        smaller rank), used by the ``"sets"`` enumeration backend and
-        ``hg``; built on first access (see :attr:`has_out`). The array
-        twin for the ``"csr"`` backend is built lazily by :meth:`csr`.
+        smaller rank), used by ``hg``; built on first access (see
+        :attr:`has_out`). The array twin every clique pass reads is
+        built lazily by :meth:`csr`.
     """
 
     __slots__ = ("graph", "rank", "_out", "_csr", "_lock")

@@ -4,12 +4,12 @@ The paper's algorithms operate on simple undirected graphs with nodes
 labelled ``0 .. n-1``. :class:`Graph` is CSR-first: the constructor
 reads the edge list into numpy once, validates it, dedupes it and
 builds the sorted int64 CSR arrays (:mod:`repro.graph.csr`) that the
-orderings, the orientations and the ``"csr"`` enumeration backend read
-(see :mod:`repro.graph.ordering` and :mod:`repro.cliques.csr_kernels`).
+orderings, the orientations and the static clique engine read (see
+:mod:`repro.graph.ordering` and :mod:`repro.cliques.csr_kernels`).
 A cold ``lp`` solve therefore builds no Python adjacency at all.
 
-The per-node Python ``set`` adjacency — the substrate of the ``"sets"``
-enumeration backend, ``hg`` and incremental neighbourhood queries — is
+The per-node Python ``set`` adjacency — the substrate of ``hg``,
+subgraph extraction and incremental neighbourhood queries — is
 built lazily on the first :meth:`Graph.neighbors`, :meth:`Graph.has_edge`,
 :meth:`Graph.edges` or :meth:`Graph.is_clique` call. It is filled from
 the input pairs in input order, so every set, and hence

@@ -32,7 +32,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.cliques.csr_kernels import BACKENDS
 from repro.concurrency import make_rlock
 from repro.core.result import CliqueSetResult
 from repro.core.session import Session
@@ -54,14 +53,10 @@ class FlushPolicy:
     max_age:
         Time trigger in seconds, measured from the oldest buffered
         update (``None`` disables the time trigger).
-    backend:
-        Dirty-region re-enumeration engine forwarded to ``apply_batch``
-        (``"auto" | "sets" | "csr"``).
     """
 
     max_updates: int = 256
     max_age: float | None = None
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.max_updates < 1:
@@ -71,11 +66,6 @@ class FlushPolicy:
         if self.max_age is not None and self.max_age <= 0:
             raise InvalidParameterError(
                 f"max_age must be positive seconds or None, got {self.max_age}"
-            )
-        if self.backend not in BACKENDS:
-            # Reject at feed_open, not on a later flush mid-repair.
-            raise InvalidParameterError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
 
 
@@ -203,7 +193,7 @@ class DynamicFeed:
         # makes this unreachable for feed traffic; this is belt and
         # braces against future failure modes).
         if chunk:
-            self.maintainer.apply_batch(chunk, backend=self.policy.backend)
+            self.maintainer.apply_batch(chunk)
             self.stats["flushes"] += 1
             self.stats["applied"] += len(chunk)
         self._buffer = self._buffer[take:]
@@ -253,7 +243,6 @@ class DynamicFeed:
                 "policy": {
                     "max_updates": self.policy.max_updates,
                     "max_age": self.policy.max_age,
-                    "backend": self.policy.backend,
                 },
                 **self.stats,
             }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 
@@ -35,6 +36,24 @@ def lock_order_watchdog():
         "runtime lock-order edges missing from the static graph "
         f"(the lockorder analyzer failed to resolve them): {sorted(missing)}"
     )
+
+
+@pytest.fixture
+def force_dynamic_engine(monkeypatch):
+    """``force(engine)`` pins dynamic repair to one engine for the test.
+
+    ``"csr"`` sends every batched refresh and insert discovery to the
+    CSR patch, ``"sets"`` sends them all to the set recursion; the two
+    region thresholds of :mod:`repro.dynamic.index` are patched.
+    """
+    from repro.dynamic import index
+
+    def force(engine: str) -> None:
+        limit = {"csr": 0, "sets": sys.maxsize}[engine]
+        monkeypatch.setattr(index, "AUTO_DIRTY_THRESHOLD", limit)
+        monkeypatch.setattr(index, "PATCH_EDGE_THRESHOLD", limit)
+
+    return force
 
 
 def paper_example_edges() -> list[tuple[int, int]]:

@@ -1,21 +1,29 @@
-"""Property-style equivalence of the set and CSR enumeration backends.
+"""Reference test of the CSR frontier engine, the one static clique engine.
 
-The ``"csr"`` backend must be an observationally perfect stand-in for
-the ``"sets"`` backend: identical clique listings (as canonical sets),
-identical counts, identical node scores, and byte-identical
-``lightweight`` / ``store_all`` solutions — on the paper's figures and
-on random G(n, p) graphs, across k in {3, 4, 5}.
+Listings, counts and node scores from :mod:`repro.cliques.csr_kernels`
+(through :mod:`repro.cliques.listing` and :mod:`repro.cliques.counting`)
+must equal those of the set recursion the dynamic path keeps,
+:func:`repro.dynamic.local.iter_cliques_within` over every node — on the
+paper's figures, on random G(n, p) graphs and on Hypothesis graphs of
+0-30 nodes, the sizes that once took a separate set-based engine. The
+solvers fed by the engine must answer as they do from reference scores
+and listings, and the removed ``backend`` knob must be rejected
+everywhere it was accepted.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Graph, Session
 from repro.cliques.counting import node_scores
-from repro.cliques.csr_kernels import AUTO_EDGE_THRESHOLD, resolve_backend
+from repro.cliques.csr_kernels import resolve_backend
 from repro.cliques.listing import count_cliques, iter_cliques, list_cliques
 from repro.core.lightweight import lightweight
+from repro.core.registry import GCOptions
 from repro.core.store_all import store_all_cliques
+from repro.dynamic.local import iter_cliques_within
 from repro.errors import InvalidParameterError
 from repro.graph.dag import OrientedCSR, OrientedGraph
 from repro.graph.generators import (
@@ -23,6 +31,7 @@ from repro.graph.generators import (
     erdos_renyi_gnp,
     powerlaw_cluster,
 )
+from repro.serve.feeds import FlushPolicy
 
 KS = (3, 4, 5)
 
@@ -44,6 +53,37 @@ def graph_corpus(paper_graph, fig5_g1):
 
 def canonical(cliques):
     return sorted(tuple(sorted(c)) for c in cliques)
+
+
+def reference_cliques(graph, k):
+    """Every k-clique by the set recursion, canonical."""
+    return canonical(iter_cliques_within(graph, range(graph.n), k))
+
+
+def reference_scores(graph, k):
+    scores = np.zeros(graph.n, dtype=np.int64)
+    for clique in reference_cliques(graph, k):
+        scores[list(clique)] += 1
+    return scores
+
+
+def assert_engine_matches_reference(graph, k):
+    expected = reference_cliques(graph, k)
+    assert canonical(iter_cliques(graph, k)) == expected
+    assert count_cliques(graph, k) == len(expected)
+    assert node_scores(graph, k).tolist() == reference_scores(graph, k).tolist()
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs of 0-30 nodes, from empty to complete."""
+    n = draw(st.integers(0, 30))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not pairs:
+        return Graph(n)
+    density = draw(st.floats(0.0, 1.0))
+    mask = draw(st.lists(st.floats(0.0, 1.0), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pair for pair, x in zip(pairs, mask) if x < density])
 
 
 class TestOrientedCSR:
@@ -70,57 +110,60 @@ class TestOrientedCSR:
 
 
 class TestResolveBackend:
-    def test_explicit_backends_pass_through(self):
-        assert resolve_backend("sets", 10**9) == "sets"
-        assert resolve_backend("csr", 0) == "csr"
-
-    def test_auto_uses_edge_threshold(self):
-        assert resolve_backend("auto", AUTO_EDGE_THRESHOLD - 1) == "sets"
-        assert resolve_backend("auto", AUTO_EDGE_THRESHOLD) == "csr"
+    def test_resolve_backend_returns_csr(self):
+        # Kept only for callers outside the package; it validates nothing.
+        for args in ((), ("auto", 0), ("sets", 10**9), ("bogus", 100)):
+            assert resolve_backend(*args) == "csr"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(InvalidParameterError, match="backend"):
-            resolve_backend("numpy", 100)
+        # No options class has the field any more.
+        with pytest.raises(TypeError, match="backend"):
+            GCOptions(backend="csr")
+        with pytest.raises(TypeError, match="backend"):
+            FlushPolicy(backend="csr")
 
     @pytest.mark.parametrize("fn", [count_cliques, node_scores, list_cliques])
     def test_unknown_backend_rejected_at_entrypoints(self, paper_graph, fn):
-        with pytest.raises(InvalidParameterError, match="backend"):
-            fn(paper_graph, 3, backend="bogus")
+        with pytest.raises(TypeError, match="backend"):
+            fn(paper_graph, 3, backend="csr")
 
     def test_lightweight_rejects_unknown_backend(self, paper_graph):
-        with pytest.raises(InvalidParameterError, match="backend"):
-            lightweight(paper_graph, 3, backend="bogus")
+        with pytest.raises(TypeError, match="backend"):
+            lightweight(paper_graph, 3, backend="csr")
+        with pytest.raises(TypeError, match="backend"):
+            store_all_cliques(paper_graph, 3, backend="csr")
 
 
 class TestEnumerationEquivalence:
-    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("k", (1, 2, *KS, 6))
     def test_listings_counts_scores_match(self, k, graph_corpus):
         for g in graph_corpus:
-            listing_sets = canonical(iter_cliques(g, k, backend="sets"))
-            listing_csr = canonical(iter_cliques(g, k, backend="csr"))
-            assert listing_sets == listing_csr
-            count_sets = count_cliques(g, k, backend="sets")
-            count_csr = count_cliques(g, k, backend="csr")
-            assert count_sets == count_csr == len(listing_sets)
-            assert (
-                node_scores(g, k, backend="sets").tolist()
-                == node_scores(g, k, backend="csr").tolist()
-            )
+            assert_engine_matches_reference(g, k)
 
     @pytest.mark.parametrize("order", ["id", "degree", "degeneracy"])
     def test_order_invariant_across_backends(self, paper_graph, order):
-        assert canonical(
-            iter_cliques(paper_graph, 3, order=order, backend="csr")
-        ) == canonical(iter_cliques(paper_graph, 3, order=order, backend="sets"))
+        for k in (2, 3):
+            assert canonical(iter_cliques(paper_graph, k, order=order)) == (
+                reference_cliques(paper_graph, k)
+            )
+            assert count_cliques(paper_graph, k, order=order) == len(
+                reference_cliques(paper_graph, k)
+            )
 
     def test_small_k_fast_paths(self, paper_graph):
         for k in (1, 2):
-            assert canonical(iter_cliques(paper_graph, k, backend="csr")) == canonical(
-                iter_cliques(paper_graph, k, backend="sets")
+            assert canonical(iter_cliques(paper_graph, k)) == reference_cliques(
+                paper_graph, k
             )
-            assert count_cliques(paper_graph, k, backend="csr") == count_cliques(
-                paper_graph, k, backend="sets"
+            assert count_cliques(paper_graph, k) == len(reference_cliques(paper_graph, k))
+            assert node_scores(paper_graph, k).tolist() == (
+                reference_scores(paper_graph, k).tolist()
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=small_graphs(), k=st.integers(1, 6))
+    def test_small_graphs_match_the_set_recursion(self, graph, k):
+        assert_engine_matches_reference(graph, k)
 
 
 class TestSolverEquivalence:
@@ -128,36 +171,30 @@ class TestSolverEquivalence:
     @pytest.mark.parametrize("prune", [False, True])
     def test_lightweight_identical(self, k, prune, graph_corpus):
         for g in graph_corpus:
-            rs = lightweight(g, k, prune=prune, backend="sets")
-            rc = lightweight(g, k, prune=prune, backend="csr")
-            assert rs.sorted_cliques() == rc.sorted_cliques()
-            # Candidate iteration order matches, so even the ablation
-            # counters are backend-invariant.
-            assert rs.stats == rc.stats
+            engine = lightweight(g, k, prune=prune)
+            reference = lightweight(g, k, prune=prune, scores=reference_scores(g, k))
+            assert engine.sorted_cliques() == reference.sorted_cliques()
+            # Same scores, same FindMin walk: even the ablation counters
+            # match.
+            assert engine.stats == reference.stats
 
     @pytest.mark.parametrize("k", KS)
     def test_store_all_identical(self, k, graph_corpus):
         for g in graph_corpus:
-            rs = store_all_cliques(g, k, backend="sets")
-            rc = store_all_cliques(g, k, backend="csr")
-            assert rs.sorted_cliques() == rc.sorted_cliques()
-
-    def test_auto_matches_forced_backends(self):
-        g = powerlaw_cluster(200, 6, 0.5, seed=3)
-        for k in KS:
-            ra = lightweight(g, k, backend="auto")
-            rs = lightweight(g, k, backend="sets")
-            assert ra.sorted_cliques() == rs.sorted_cliques()
-            assert ra.stats == rs.stats
+            engine = store_all_cliques(g, k)
+            reference = store_all_cliques(
+                g, k, scores=reference_scores(g, k), cliques=reference_cliques(g, k)
+            )
+            assert engine.sorted_cliques() == reference.sorted_cliques()
 
 
 class TestSessionBackend:
-    def test_solve_accepts_backend_option(self, paper_graph):
+    def test_solve_rejects_backend_option(self, paper_graph):
         session = Session(paper_graph)
-        for backend in ("auto", "sets", "csr"):
-            a = session.solve(3, "lp", backend=backend)
-            b = session.solve(3, "gc", backend=backend)
-            assert a.sorted_cliques() == b.sorted_cliques()
+        for method in ("gc", "l", "lp"):
+            for backend in ("auto", "sets", "csr"):
+                with pytest.raises(InvalidParameterError, match="unknown option 'backend'"):
+                    session.solve(3, method, backend=backend)
 
     def test_unknown_backend_option_rejected(self, paper_graph):
         session = Session(paper_graph)
@@ -165,21 +202,17 @@ class TestSessionBackend:
             session.solve(3, "lp", backend="bogus")
 
     def test_warm_backend_caches_are_shared(self, paper_graph):
-        warm_csr = Session(paper_graph).warm([3, 4], cliques=True, backend="csr")
-        warm_sets = Session(paper_graph).warm([3, 4], cliques=True, backend="sets")
+        warm = Session(paper_graph).warm([3, 4], cliques=True)
         for k in (3, 4):
-            assert warm_csr.prep.cliques(k) == warm_sets.prep.cliques(k)
-            assert (
-                warm_csr.prep.scores(k).tolist()
-                == warm_sets.prep.scores(k).tolist()
-            )
-        assert warm_csr.solve(3, "lp").sorted_cliques() == warm_sets.solve(
-            3, "lp"
+            assert warm.prep.cliques(k) == reference_cliques(paper_graph, k)
+            assert warm.prep.scores(k).tolist() == reference_scores(paper_graph, k).tolist()
+        assert warm.solve(3, "lp").sorted_cliques() == Session(paper_graph).solve(
+            3, "gc"
         ).sorted_cliques()
 
     def test_warm_rejects_unknown_backend(self, paper_graph):
-        with pytest.raises(InvalidParameterError, match="backend"):
-            Session(paper_graph).warm([3], backend="bogus")
+        with pytest.raises(TypeError, match="backend"):
+            Session(paper_graph).warm([3], backend="csr")
 
     def test_oriented_csr_cached(self, paper_graph):
         session = Session(paper_graph)
@@ -191,7 +224,7 @@ class TestSessionBackend:
 
 
 class TestLocalPatchEnumeration:
-    """The dynamic path's patch engine vs the set recursion it replaces."""
+    """The dynamic path's patch engine vs the set recursion beside it."""
 
     def canonical(self, cliques):
         return sorted(sorted(c) for c in cliques)
@@ -199,7 +232,6 @@ class TestLocalPatchEnumeration:
     @pytest.mark.parametrize("k", KS)
     def test_iter_cliques_within_csr_matches_sets(self, k):
         from repro.cliques.csr_kernels import iter_cliques_within_csr
-        from repro.dynamic.local import iter_cliques_within
 
         rng = np.random.default_rng(5)
         for seed in range(4):
@@ -211,7 +243,6 @@ class TestLocalPatchEnumeration:
     @pytest.mark.parametrize("k", (2, 3, 4))
     def test_require_filters_by_membership(self, k):
         from repro.cliques.csr_kernels import iter_cliques_within_csr
-        from repro.dynamic.local import iter_cliques_within
 
         g = erdos_renyi_gnp(26, 0.35, seed=9)
         pool = set(range(26))
@@ -226,7 +257,6 @@ class TestLocalPatchEnumeration:
     @pytest.mark.parametrize("k", (2, 3, 4))
     def test_labels_restrict_to_single_group(self, k):
         from repro.cliques.csr_kernels import iter_cliques_within_csr
-        from repro.dynamic.local import iter_cliques_within
 
         g = erdos_renyi_gnp(26, 0.35, seed=4)
         pool = set(range(26))
@@ -241,7 +271,6 @@ class TestLocalPatchEnumeration:
 
     def test_require_and_labels_compose(self):
         from repro.cliques.csr_kernels import iter_cliques_within_csr
-        from repro.dynamic.local import iter_cliques_within
 
         g = erdos_renyi_gnp(24, 0.4, seed=2)
         pool = set(range(24))

@@ -346,14 +346,13 @@ class TestMigratedBaseline:
         data = runner.load_run(self.BASELINE)
         assert data.manifest["mode"] == "full"
         assert sorted(data.summary["gate"]) == [
-            "anytime", "backend", "dynamic", "serve",
+            "anytime", "dynamic", "serve",
         ]
         assert data.summary["stats"]["cells_error"] == 0
 
     def test_baseline_gate_metric_names_match_cells(self):
         """Synthesized gate metrics must match what cells() emit today."""
         expected = {
-            "backend": {"count_speedup_cold", "backends_agree"},
             "dynamic": {"modes_converge", "mixed_speedup"},
             "serve": {"warm_vs_cold", "served_matches_direct",
                       "worker_scaling"},
@@ -365,7 +364,7 @@ class TestMigratedBaseline:
             assert set(data.summary["gate"][suite]) == metrics
 
     def test_root_shims_resolve_into_the_baseline(self):
-        for name in ("anytime", "backend", "dynamic", "serve"):
+        for name in ("anytime", "dynamic", "serve"):
             shim = REPO_ROOT / f"BENCH_{name}.json"
             assert shim.exists(), shim
             payload = json.loads(shim.read_text())

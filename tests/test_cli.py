@@ -117,10 +117,10 @@ class TestOtherCommands:
         assert main([
             "dynamic", "--dataset", "FTB", "--k", "3",
             "--workload", "mixed", "--count", "15",
-            "--batch-size", "8", "--backend", "csr",
+            "--batch-size", "8",
         ]) == 0
         out = capsys.readouterr().out
-        assert "mode=batched(8,csr)" in out and "updates/s" in out
+        assert "mode=batched(8)" in out and "updates/s" in out
 
     def test_datasets(self, capsys):
         assert main(["datasets"]) == 0

@@ -1,9 +1,9 @@
 """Tests for DAG orientation."""
 
 import numpy as np
+import pytest
 
 from repro import Graph, Session
-from repro.cliques.csr_kernels import resolve_backend
 from repro.graph.dag import OrientedGraph
 from repro.graph.generators import powerlaw_cluster
 
@@ -56,9 +56,18 @@ class TestLazyOutSets:
 
     def test_csr_backend_lp_solve_builds_no_out_sets(self):
         graph = powerlaw_cluster(300, 5, 0.5, seed=2)
-        assert resolve_backend("auto", graph.m) == "csr"
         session = Session(graph)
         session.solve(4, "lp")
         assert not session.prep.oriented().has_out
         session.solve(4, "hg", order="degeneracy")
         assert session.prep.oriented().has_out
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_lp_on_a_small_graph_builds_no_sets(self, paper_graph, k):
+        """Small graphs (15 edges here) take the CSR engine too: an
+        ``lp`` solve builds neither orientation out-sets nor the graph's
+        neighbour sets."""
+        session = Session(paper_graph)
+        session.solve(k, "lp")
+        assert not session.prep.oriented().has_out
+        assert not paper_graph.has_sets

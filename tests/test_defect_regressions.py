@@ -17,7 +17,12 @@ Each class pins one fixed defect so it cannot silently return:
   equal graphs from differently ordered edge lists (one fingerprint,
   one pooled session) got different ranks and ``hg`` solutions;
 * a malformed edge (not a pair, or a non-integer endpoint) failed with
-  a bare ``TypeError``/``ValueError`` instead of ``GraphError``.
+  a bare ``TypeError``/``ValueError`` instead of ``GraphError``;
+* an ``opt-bb`` checkpoint with repeated, extra, overlapping or
+  out-of-range clique indices, or a malformed stack frame, restored
+  into a task that finished with an invalid answer or crashed untyped;
+* a direct ``exact_optimum`` numbered cliques in enumeration order, so
+  it broke ties differently from ``Session.solve(k, "opt")``.
 """
 
 import json
@@ -26,9 +31,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro import Session
+from repro import Session, verify_solution
+from repro.core.exact import exact_optimum
 from repro.errors import GraphError, InvalidParameterError
-from repro.graph.generators import powerlaw_cluster, watts_strogatz
+from repro.graph.generators import erdos_renyi_gnp, powerlaw_cluster, watts_strogatz
 from repro.graph.dag import OrientedGraph
 from repro.graph.graph import Graph
 from repro.graph.kcore import core_numbers
@@ -364,6 +370,15 @@ class TestCheckpointPhaseValidation:
         with pytest.raises(InvalidParameterError, match="checkpoint version 1"):
             session.restore_task(blob)
 
+    def test_version_two_checkpoint_fails_the_version_check(self):
+        """Version 2 carried the dropped ``backend`` option of ``l``/``lp``."""
+        session = Session(powerlaw_cluster(100, 5, 0.6, seed=1))
+        blob = self._blob(session)
+        blob["version"] = 2
+        blob["options"] = {"backend": "auto"}
+        with pytest.raises(InvalidParameterError, match="checkpoint version 2"):
+            session.restore_task(blob)
+
 
 class TestCheckpointStateValidation:
     """``LightweightEngine.load_state`` trusted the restored state: a
@@ -492,3 +507,118 @@ class TestMalformedEdges:
             Graph(4, [(0, 1), (2, 2), (0, 5)])
         with pytest.raises(GraphError, match="outside node range"):
             Graph(4, [(0, 2**70)])
+
+
+class TestExactBBRestoreValidation:
+    """``ExactBBEngine.load_state`` cast the restored state and checked
+    nothing: a ``best`` of one index repeated finished with copies of
+    one clique, extra ``best`` indices finished with overlapping
+    cliques, a repeated ``chosen`` index finished with an answer
+    ``verify_solution`` rejects, and an index past the clique list, a
+    non-hex ``used`` mask or a non-list ``best`` raised a bare
+    ``IndexError``, ``ValueError`` or ``TypeError``. Each now fails the
+    restore with :class:`InvalidParameterError`."""
+
+    @staticmethod
+    def _tampered(edit):
+        session = Session(powerlaw_cluster(40, 4, 0.6, seed=5))
+        task = session.task(3, "opt-bb")
+        task.step(max_work=20)
+        blob = json.loads(json.dumps(task.checkpoint()))
+        engine = blob["engine"]
+        assert len(engine["best"]) >= 2 and engine["chosen"] and engine["stack"]
+        edit(engine)
+        return session, blob
+
+    def _assert_rejected(self, edit, match):
+        session, blob = self._tampered(edit)
+        with pytest.raises(InvalidParameterError, match=match):
+            session.restore_task(blob)
+
+    def test_repeated_best_index_is_rejected(self):
+        self._assert_rejected(
+            lambda e: e.update(best=[e["best"][0]] * 12), "best clique .* repeats"
+        )
+
+    def test_extra_best_indices_are_rejected(self):
+        def edit(engine):
+            extra = [i for i in range(200) if i not in engine["best"]][:2]
+            engine["best"] = engine["best"] + extra
+
+        self._assert_rejected(edit, "best clique .* overlaps")
+
+    def test_repeated_chosen_index_is_rejected(self):
+        self._assert_rejected(
+            lambda e: e["chosen"].append(e["chosen"][0]), "chosen clique .* repeats"
+        )
+
+    def test_out_of_range_index_is_rejected(self):
+        self._assert_rejected(
+            lambda e: e["best"].append(10**6), "best index 1000000 is outside"
+        )
+
+    def test_non_hex_mask_is_rejected(self):
+        self._assert_rejected(
+            lambda e: e["stack"][0].__setitem__(1, "zz"), r"frame \[\d+, 'zz'"
+        )
+
+    def test_non_list_best_is_rejected(self):
+        self._assert_rejected(lambda e: e.update(best=7), "best 7 is not a list")
+
+    def test_short_frame_is_rejected(self):
+        self._assert_rejected(
+            lambda e: e["stack"].__setitem__(0, e["stack"][0][:3]),
+            r"frame \[\d+, '0', False\] at depth 0 is not \[next_i",
+        )
+
+    def test_frame_that_does_not_cover_chosen_is_rejected(self):
+        # A zeroed mask would let the search take a clique that overlaps
+        # one already chosen.
+        self._assert_rejected(
+            lambda e: e["stack"][-1].__setitem__(1, "0"), r"frame \[\d+, '0', True"
+        )
+
+    def test_descending_chosen_is_rejected(self):
+        # Disjoint and in range, but no search chooses in that order.
+        self._assert_rejected(
+            lambda e: e["chosen"].reverse(), "cannot hold chosen"
+        )
+
+    def test_untampered_checkpoint_still_restores(self):
+        session, blob = self._tampered(lambda e: None)
+        task = session.restore_task(blob)
+        assert task.engine.state_dict() == blob["engine"]
+
+    def test_untampered_checkpoint_finishes_like_a_cold_run(self):
+        # A graph whose search finishes in milliseconds (the one above
+        # takes tens of seconds to prove its optimum).
+        session = Session(watts_strogatz(40, 6, 0.2, seed=1))
+        task = session.task(3, "opt-bb")
+        task.step(max_work=20)
+        blob = json.loads(json.dumps(task.checkpoint()))
+        assert blob["engine"]["chosen"]
+        result = session.restore_task(blob).run()
+        verify_solution(session.graph, 3, result.cliques)
+        assert result.sorted_cliques() == session.solve(3, "opt-bb").sorted_cliques()
+
+
+class TestExactOptimumCliqueOrder:
+    """``build_clique_graph`` numbered enumerated cliques in enumeration
+    order, so a direct ``exact_optimum(g, k)`` broke exact-MIS ties
+    differently from ``Session(g).solve(k, "opt")``, which passes the
+    sorted cached listing: 101 of these 160 cases differed."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda seed: erdos_renyi_gnp(25, 0.3, seed=seed),
+            lambda seed: powerlaw_cluster(40, 4, 0.6, seed=seed),
+        ],
+        ids=["gnp", "powerlaw"],
+    )
+    def test_direct_call_equals_session_opt(self, make, k):
+        for seed in range(40):
+            graph = make(seed)
+            direct = exact_optimum(graph, k).sorted_cliques()
+            assert direct == Session(graph).solve(k, "opt").sorted_cliques(), seed

@@ -7,10 +7,11 @@ maximality, exact candidate index — ``check_invariants``), reach the
 same final graph as per-edge application, and deliver a solution at
 least as large as the per-edge trajectory (the batch path closes each
 batch with a maximality sweep, so on these pinned seeds it never
-trails; both trajectories are fully deterministic). Both refresh
-backends are exercised and must produce *identical* solutions — batch
-maintenance canonicalises discovery order, so ``"sets"`` and ``"csr"``
-follow the same trajectory, not merely equally-good ones.
+trails; both trajectories are fully deterministic). Both repair engines
+are exercised, each forced by the ``force_dynamic_engine`` fixture, and
+must produce *identical* solutions — batch maintenance canonicalises
+discovery order, so the set recursion and the CSR patch follow the same
+trajectory, not merely equally-good ones.
 """
 
 import pytest
@@ -32,11 +33,14 @@ CASES = [
 SEEDS = (1, 2, 4, 5)
 
 
-@pytest.mark.parametrize("backend", ["sets", "csr"])
+@pytest.mark.parametrize("engine", ["sets", "csr"])
 @pytest.mark.parametrize("make_graph,k,count", CASES)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_batch_matches_per_edge(make_graph, k, count, seed, workload, backend):
+def test_batch_matches_per_edge(
+    make_graph, k, count, seed, workload, engine, force_dynamic_engine
+):
+    force_dynamic_engine(engine)
     graph = make_graph(seed)
     start, updates = make_workload(graph, workload, count, seed + 50)
 
@@ -47,7 +51,7 @@ def test_batch_matches_per_edge(make_graph, k, count, seed, workload, backend):
     for batch_size in (len(updates), 7):
         batched = DynamicDisjointCliques(start, k)
         for chunk in iter_batches(updates, batch_size):
-            batched.apply_batch(chunk, backend=backend)
+            batched.apply_batch(chunk)
             batched.check_invariants()
         assert set(batched.graph.edges()) == set(per_edge.graph.edges())
         assert batched.size >= per_edge.size
@@ -55,15 +59,18 @@ def test_batch_matches_per_edge(make_graph, k, count, seed, workload, backend):
 
 @pytest.mark.parametrize("make_graph,k,count", CASES)
 @pytest.mark.parametrize("seed", SEEDS[:2])
-def test_backends_identical_trajectories(make_graph, k, count, seed):
-    """sets and csr refreshes yield the same solutions, not just sizes."""
+def test_backends_identical_trajectories(
+    make_graph, k, count, seed, force_dynamic_engine
+):
+    """Both repair engines yield the same solutions, not just sizes."""
     graph = make_graph(seed)
     start, updates = make_workload(graph, "mixed", count, seed + 50)
     results = {}
-    for backend in ("sets", "csr"):
+    for engine in ("sets", "csr"):
+        force_dynamic_engine(engine)
         dyn = DynamicDisjointCliques(start, k)
-        dyn.apply(updates, batch_size=6, backend=backend)
-        results[backend] = dyn.solution().sorted_cliques()
+        dyn.apply(updates, batch_size=6)
+        results[engine] = dyn.solution().sorted_cliques()
     assert results["sets"] == results["csr"]
 
 
@@ -80,16 +87,17 @@ def test_apply_batch_single_shot_invariants(workload):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("backend", ["sets", "csr"])
-def test_batch_matches_per_edge_larger(workload, backend):
+@pytest.mark.parametrize("engine", ["sets", "csr"])
+def test_batch_matches_per_edge_larger(workload, engine, force_dynamic_engine):
     """The same differential contract at a larger, slower scale."""
+    force_dynamic_engine(engine)
     graph = powerlaw_cluster(400, 6, 0.6, seed=5)
     start, updates = make_workload(graph, workload, 60, 17)
     per_edge = DynamicDisjointCliques(start, 3)
     per_edge.apply(updates)
     batched = DynamicDisjointCliques(start, 3)
     for chunk in iter_batches(updates, 25):
-        batched.apply_batch(chunk, backend=backend)
+        batched.apply_batch(chunk)
         batched.check_invariants()
     assert set(batched.graph.edges()) == set(per_edge.graph.edges())
     assert batched.size >= per_edge.size

@@ -10,13 +10,16 @@ candidate-index agreement with the from-scratch definition. A shadow
 edge-set model additionally pins the graph state itself.
 """
 
+import sys
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro import Graph
 from repro.core.result import is_maximal, verify_solution
-from repro.dynamic import DynamicDisjointCliques
+from repro.dynamic import DynamicDisjointCliques, index
 
 N = 12
 K = 3
@@ -62,9 +65,17 @@ class MaintainerMachine(RuleBasedStateMachine):
         assert applied == (edge in self.model_edges)
         self.model_edges.discard(edge)
 
-    @rule(updates=batch, backend=st.sampled_from(["sets", "csr", "auto"]))
-    def apply_batch(self, updates, backend):
-        planned = self.dyn.apply_batch(updates, backend=backend)
+    @rule(updates=batch, engine=st.sampled_from(["sets", "csr", "rule"]))
+    def apply_batch(self, updates, engine):
+        # Regions of a 12-node graph never reach the CSR patch under the
+        # region rule, so "sets"/"csr" pin the engine by patching its
+        # two thresholds; "rule" leaves them alone.
+        with pytest.MonkeyPatch.context() as patch:
+            if engine != "rule":
+                limit = 0 if engine == "csr" else sys.maxsize
+                patch.setattr(index, "AUTO_DIRTY_THRESHOLD", limit)
+                patch.setattr(index, "PATCH_EDGE_THRESHOLD", limit)
+            planned = self.dyn.apply_batch(updates)
         assert planned.effective + planned.nops == len(updates)
         # The shadow model replays the stream sequentially; the planner's
         # last-op-wins coalescing must land on the same edge set.

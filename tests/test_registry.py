@@ -8,7 +8,6 @@ from repro.core.registry import (
     ExactOptions,
     GCOptions,
     HGOptions,
-    LightweightOptions,
     Method,
     SolveOptions,
     SolverRegistry,
@@ -57,8 +56,8 @@ class TestRegistryContents:
     def test_options_classes(self):
         assert REGISTRY.get("hg").options_cls is HGOptions
         assert REGISTRY.get("gc").options_cls is GCOptions
-        assert REGISTRY.get("l").options_cls is LightweightOptions
-        assert REGISTRY.get("lp").options_cls is LightweightOptions
+        assert REGISTRY.get("l").options_cls is SolveOptions
+        assert REGISTRY.get("lp").options_cls is SolveOptions
         assert REGISTRY.get("opt").options_cls is ExactOptions
         assert REGISTRY.get("opt-bb").options_cls is ExactOptions
 
@@ -90,8 +89,8 @@ class TestOptionParsing:
             REGISTRY.get("gc").parse_options({"workers": 2})
 
     def test_option_valid_for_other_method_rejected(self):
-        # time_budget belongs to opt/opt-bb, not lp.
-        with pytest.raises(InvalidParameterError, match="backend"):
+        # time_budget belongs to opt/opt-bb, not lp (which takes none).
+        with pytest.raises(InvalidParameterError, match=r"valid options: \(none\)"):
             REGISTRY.get("lp").parse_options({"time_budget": 5.0})
 
     def test_prune_hint(self):
@@ -99,13 +98,10 @@ class TestOptionParsing:
             REGISTRY.get("lp").parse_options({"prune": False})
 
     def test_defaults(self):
-        opts = REGISTRY.get("lp").parse_options({})
-        assert opts.backend == "auto"
+        assert REGISTRY.get("lp").parse_options({}) == SolveOptions()
         assert REGISTRY.get("gc").parse_options({}).max_cliques is None
 
     def test_domain_validation(self):
-        with pytest.raises(InvalidParameterError, match="backend"):
-            REGISTRY.get("lp").parse_options({"backend": "gpu"})
         with pytest.raises(InvalidParameterError, match="time_budget"):
             REGISTRY.get("opt").parse_options({"time_budget": -3})
         with pytest.raises(InvalidParameterError, match="max_cliques"):

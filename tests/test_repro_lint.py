@@ -279,8 +279,10 @@ class TestCliSurfaces:
 
         edges = static_edge_set()
         assert ("OrientedGraph._lock", "Graph._lock") in edges
-        assert ("Preprocessing._lock", "Graph._lock") in edges
         assert ("Preprocessing._lock", "OrientedGraph._lock") in edges
+        # No Preprocessing accessor reads the graph's neighbour sets: the
+        # set-recursion clique count that did, under the lock, is gone.
+        assert ("Preprocessing._lock", "Graph._lock") not in edges
 
 
 class TestRepoIsClean:

@@ -4,7 +4,6 @@ import threading
 
 import pytest
 
-from repro.cliques.csr_kernels import resolve_backend
 from repro.core.session import Session
 from repro.errors import InvalidParameterError
 from repro.graph.generators import powerlaw_cluster, ring_of_cliques
@@ -146,10 +145,9 @@ class TestByteBudget:
 
     def test_real_estimator_monotone_in_cache_content(self):
         g = powerlaw_cluster(300, 5, 0.5, seed=2)
-        assert resolve_backend("auto", g.m) == "csr"
         session = Session(g)
         cold = session.estimated_bytes()
-        session.solve(3)  # CSR-backend lp: no per-node out-sets built
+        session.solve(3)  # lp: no per-node out-sets built
         warm = session.estimated_bytes()
         # Reuses the cached degeneracy orientation and builds its out-sets.
         session.solve(3, "hg", order="degeneracy")
@@ -164,7 +162,7 @@ class TestByteBudget:
         eager.neighbors(0)  # builds the eager graph's neighbour sets
         sessions = Session(lazy), Session(eager)
         for session in sessions:
-            session.solve(3)  # CSR-backend lp: builds no neighbour sets
+            session.solve(3)  # lp: builds no neighbour sets
         assert not lazy.has_sets
         assert sessions[0].estimated_bytes() < sessions[1].estimated_bytes()
         for session in sessions:

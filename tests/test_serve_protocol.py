@@ -14,6 +14,7 @@ from repro.core.session import Session
 from repro.dynamic.maintainer import DynamicDisjointCliques
 from repro.errors import (
     InvalidParameterError,
+    OutOfMemoryError,
     OverloadedError,
     ProtocolError,
     UnknownFeedError,
@@ -140,14 +141,25 @@ class TestCompute:
     def test_solve_options_forwarded(self, served, social):
         _, client = served
         client.register_graph("social", social)
-        res = client.solve("social", 3, "lp", options={"backend": "sets"})
-        assert res["method"] == "lp"
+        res = client.solve("social", 3, "gc", options={"max_cliques": 10**6})
+        assert res["method"] == "gc"
+        with pytest.raises(OutOfMemoryError, match="budget of 1"):
+            client.solve("social", 3, "gc", options={"max_cliques": 1})
 
     def test_solve_unknown_option_rejected_at_admission(self, served, social):
         _, client = served
         client.register_graph("social", social)
         with pytest.raises(InvalidParameterError, match="valid options"):
             client.solve("social", 3, "lp", options={"time_budgt": 1})
+
+    def test_solve_backend_option_rejected_at_admission(self, served, social):
+        """The static clique engine has no knob: ``backend`` is an
+        unknown option for every method."""
+        _, client = served
+        client.register_graph("social", social)
+        for method in ("lp", "l", "gc"):
+            with pytest.raises(InvalidParameterError, match="unknown option 'backend'"):
+                client.solve("social", 3, method, options={"backend": "csr"})
 
     def test_include_cliques_false_trims_payload(self, served, social):
         _, client = served
@@ -286,13 +298,24 @@ class TestFeeds:
     def test_invalid_flush_policy_rejected_at_open(self, served, social):
         _, client = served
         client.register_graph("social", social)
-        with pytest.raises(InvalidParameterError, match="backend"):
-            client.feed_open("social", k=3, policy={"backend": "cssr"})
         with pytest.raises(InvalidParameterError):
             client.feed_open("social", k=3, policy={"max_updates": 0})
         with pytest.raises(ProtocolError):
             client.feed_open("social", k=3, policy={"flush_every": 5})
         assert client.call("stats")["feeds"] == {}
+
+    def test_flush_policy_backend_rejected_at_open(self, served, social):
+        """Dynamic repair picks its engine by region size, so a policy
+        naming one is malformed; the feed is never opened."""
+        _, client = served
+        client.register_graph("social", social)
+        for engine in ("auto", "sets", "csr"):
+            with pytest.raises(ProtocolError, match="backend"):
+                client.feed_open("social", k=3, policy={"backend": engine})
+        assert client.call("stats")["feeds"] == {}
+        opened = client.feed_open("social", k=3, policy={"max_updates": 8})
+        feeds = client.call("stats")["feeds"]
+        assert feeds[opened["feed"]]["policy"] == {"max_updates": 8, "max_age": None}
 
     def test_duplicate_feed_id_rejected(self, served, social):
         _, client = served

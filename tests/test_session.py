@@ -14,9 +14,9 @@ def listing_spy(monkeypatch):
     calls = []
     real = listing.iter_cliques_oriented
 
-    def spy(dag, k, backend="auto"):
+    def spy(dag, k):
         calls.append(k)
-        return real(dag, k, backend=backend)
+        return real(dag, k)
 
     monkeypatch.setattr(listing, "iter_cliques_oriented", spy)
     return calls
@@ -28,9 +28,9 @@ def score_spy(monkeypatch):
     calls = []
     real = counting.node_scores
 
-    def spy(graph, k, order="degeneracy", dag=None, backend="auto"):
+    def spy(graph, k, order="degeneracy", dag=None):
         calls.append(k)
-        return real(graph, k, order, dag, backend=backend)
+        return real(graph, k, order, dag)
 
     monkeypatch.setattr(counting, "node_scores", spy)
     return calls

@@ -4,7 +4,7 @@ The core acceptance contract: interrupting a resumable task at *any*
 step boundary yields a valid disjoint k-clique set (Section V
 invariants), and driving the same task to completion produces solutions
 and stats identical to the blocking ``Session.solve`` path — across
-methods, seeds and backends.
+methods and seeds.
 """
 
 import json
@@ -42,12 +42,11 @@ class TestEquivalence:
         assert result.stats == blocking.stats
         assert result.method == blocking.method
 
-    @pytest.mark.parametrize("backend", ["sets", "csr"])
-    def test_lp_task_matches_blocking_across_backends(self, backend):
+    def test_lp_task_matches_blocking(self):
         g = powerlaw_cluster(300, 6, 0.7, seed=5)
         session = Session(g)
-        blocking = session.solve(4, "lp", backend=backend)
-        result = session.task(4, "lp", backend=backend).run()
+        blocking = session.solve(4, "lp")
+        result = session.task(4, "lp").run()
         assert result.sorted_cliques() == blocking.sorted_cliques()
         assert result.stats == blocking.stats
 

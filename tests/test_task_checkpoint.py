@@ -67,12 +67,12 @@ class TestInProcessRoundTrip:
 
     def test_checkpoint_preserves_options(self):
         session = Session(powerlaw_cluster(120, 5, 0.6, seed=3))
-        task = session.task(3, "lp", backend="csr")
+        task = session.task(3, "hg", order="id")
         task.step(max_work=10)
         blob = roundtrip(task.checkpoint())
-        assert blob["options"]["backend"] == "csr"
+        assert blob["options"] == {"order": "id"}
         restored = session.restore_task(blob)
-        assert restored.options.backend == "csr"
+        assert restored.options.order == "id"
 
 
 class TestGuards:

@@ -1,7 +1,7 @@
 """repro-lint: repo-specific static analysis gating CI.
 
 The correctness story of this repository — bit-identical solutions and
-stats across backends and engines, Section V invariants after every
+stats across engines and reference implementations, Section V invariants after every
 dynamic batch, JSON-safe cross-process checkpoints — rests on contracts
 that ordinary linters cannot see. ``repro_lint`` encodes them as
 AST-based (and one runtime-introspection) rules, each with a committed
@@ -39,7 +39,7 @@ pass/fail fixture corpus proving it detects its target defect class:
 ``statskeys``
     Stats-key discipline: stats dicts only use keys from the canonical
     set in :mod:`tools.repro_lint.rules.stats_keys`, so the
-    backend-equivalence differential diffs stay meaningful.
+    engine-equivalence differential diffs stay meaningful.
 
 ``annotations``
     Typing completeness: every function in ``src/repro`` carries a full
