@@ -27,7 +27,8 @@ for its cliques, counts and scores.
 The same frontier engine also serves the dynamic maintainer's batched
 repair path through *local patches*: :func:`local_oriented_csr`
 relabels an induced subgraph (for example a batch's dirty region and
-its neighbourhood) into a standalone oriented CSR, and
+its neighbourhood), gathered from the graph's CSR rows (a dynamic
+graph's CSR mirror), into a standalone oriented CSR, and
 :func:`iter_cliques_within_csr` enumerates its k-cliques with two
 engine-level restrictions — ``require`` (clique must touch a required
 node; required nodes get the smallest local ids, making the test a
@@ -39,12 +40,13 @@ never materialised during candidate-index refreshes).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.graph.csr import concat_rows, in_sorted
+from repro.graph.csr import concat_rows, in_sorted, sorted_unique
 from repro.graph.dag import OrientedCSR
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.graph import Graph
@@ -228,41 +230,34 @@ def _clique_matrices_csr(
 
 
 def local_oriented_csr(
-    graph: Graph | DynamicGraph, pool: Sequence[int]
+    graph: Graph | DynamicGraph, pool: Sequence[int] | np.ndarray
 ) -> tuple[OrientedCSR, np.ndarray]:
     """Orient the subgraph induced on ``pool`` as a relabelled CSR patch.
 
-    ``graph`` is anything exposing ``neighbors(u)`` (static
-    :class:`~repro.graph.graph.Graph` or mutable
-    :class:`~repro.graph.dynamic.DynamicGraph`); ``pool`` is unique node
-    ids in **any order** — the order *is* the orientation: the patch
-    uses ascending local position as the total order (any total order
-    roots each clique exactly once), which is what lets
-    ``require``-capable callers place required nodes first so the
-    engine's ``require_below`` prune applies. A single extraction pass
-    over the pool's adjacency is enough — no degeneracy pass, no
-    ``O(graph.n)`` scratch arrays.
+    ``graph`` is a static :class:`~repro.graph.graph.Graph` or a mutable
+    :class:`~repro.graph.dynamic.DynamicGraph`; both expose a sorted CSR
+    (``csr()``; the dynamic one is its mirror), whose rows of the pool
+    are gathered with one :func:`~repro.graph.csr.concat_rows`. ``pool``
+    is unique node ids in **any order** — the order *is* the
+    orientation: the patch uses ascending local position as the total
+    order (any total order roots each clique exactly once), which is
+    what lets ``require``-capable callers place required nodes first so
+    the engine's ``require_below`` prune applies. No degeneracy pass is
+    needed.
 
     Returns ``(ocsr, pool_arr)`` where ``pool_arr[i]`` is the global id
     of local node ``i``.
     """
     pool_arr = np.asarray(pool, dtype=np.int64)
     nloc = len(pool_arr)
-    pool_list = pool_arr.tolist()
-    # One flat drain of the pool's adjacency, then bulk relabel/filter.
+    csr = graph.csr()
+    rows_full, flat = concat_rows(csr.indptr, csr.cols, pool_arr)
     # Two relabelling strategies: a dense global position map (O(1) per
     # entry, but an O(graph.n) memset) when the graph is small relative
-    # to the drained volume, and binary search against a sorted view of
+    # to the gathered volume, and binary search against a sorted view of
     # the pool (patch-sized scratch only) when a small dirty region is
     # extracted from a huge dynamic graph.
-    degs = [len(graph.neighbors(u)) for u in pool_list]
-    total = int(sum(degs))
-    flat = np.fromiter(
-        (v for u in pool_list for v in graph.neighbors(u)),
-        dtype=np.int64,
-        count=total,
-    )
-    if graph.n <= 8 * total + 1024:
+    if graph.n <= 8 * len(flat) + 1024:
         local_map = np.full(graph.n, -1, dtype=np.int64)
         local_map[pool_arr] = np.arange(nloc, dtype=np.int64)
         loc = local_map[flat]
@@ -271,7 +266,6 @@ def local_oriented_csr(
         sorted_pool = pool_arr[order]
         idx = np.minimum(np.searchsorted(sorted_pool, flat), nloc - 1)
         loc = np.where(sorted_pool[idx] == flat, order[idx], -1)
-    rows_full = np.repeat(np.arange(nloc, dtype=np.int64), degs)
     keep = (loc >= 0) & (loc < rows_full)
     rows_arr = rows_full[keep]
     cols_arr = loc[keep]
@@ -282,11 +276,18 @@ def local_oriented_csr(
     return OrientedCSR(indptr, cols_arr, np.arange(nloc, dtype=np.int64)), pool_arr
 
 
+def _node_array(nodes: Iterable[int] | np.ndarray) -> np.ndarray:
+    """``nodes`` as a sorted int64 array without repeats."""
+    if not isinstance(nodes, np.ndarray):
+        nodes = np.fromiter(nodes, dtype=np.int64)
+    return sorted_unique(nodes.astype(np.int64, copy=False))
+
+
 def iter_cliques_within_csr(
     graph: Graph | DynamicGraph,
-    nodes: Iterable[int],
+    nodes: Iterable[int] | np.ndarray,
     k: int,
-    require: Iterable[int] | None = None,
+    require: Iterable[int] | np.ndarray | None = None,
     labels: "dict[int, int] | None" = None,
 ) -> Iterator[frozenset[int]]:
     """CSR twin of :func:`repro.dynamic.local.iter_cliques_within`.
@@ -295,7 +296,8 @@ def iter_cliques_within_csr(
     as frozensets of global node ids, by running the level-synchronous
     frontier engine on a relabelled local patch instead of the per-node
     Python set recursion. Same clique set as the set recursion; only
-    the enumeration order differs.
+    the enumeration order differs. ``nodes`` and ``require`` may be any
+    iterables of ids or int arrays.
 
     ``require`` (a subset of ``nodes``) keeps only cliques containing at
     least one required node: the patch is relabelled with required nodes
@@ -309,23 +311,22 @@ def iter_cliques_within_csr(
     """
     if k < 1:
         return
-    pool_set = {int(u) for u in nodes}
-    if len(pool_set) < k:
+    pool = _node_array(nodes)
+    if len(pool) < k:
         return
-    if require is None:
-        pool = sorted(pool_set)
-        below = None
-    else:
-        required = sorted(pool_set & {int(u) for u in require})
-        if not required:
+    below = None
+    if require is not None:
+        required = _node_array(require)
+        required = required[in_sorted(pool, required)]
+        if not len(required):
             return
-        pool = required + sorted(pool_set.difference(required))
+        pool = np.concatenate((required, pool[~in_sorted(required, pool)]))
         below = len(required)
     ocsr, pool_arr = local_oriented_csr(graph, pool)
     label_arr = None
     if labels is not None:
         label_arr = np.fromiter(
-            (labels.get(u, -1) for u in pool), dtype=np.int64, count=len(pool)
+            map(labels.get, pool.tolist(), repeat(-1)), dtype=np.int64, count=len(pool)
         )
     for members in _clique_matrices_csr(
         ocsr, k, require_below=below, labels=label_arr

@@ -14,9 +14,9 @@ instead of once per edge.
 
 Planning is purely functional: nothing is mutated, so a batch can be
 inspected (or tested) before being applied. Validation is transactional:
-a malformed update (unknown op, self-loop, endpoint out of range)
-raises before any structural change is made, unlike the per-edge path
-which fails mid-stream.
+a malformed update (unknown op, non-integer endpoint, self-loop,
+endpoint out of range) raises before any structural change is made,
+unlike the per-edge path which fails mid-stream.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from typing import TYPE_CHECKING, Iterable
 if TYPE_CHECKING:  # imported for annotations only
     from repro.graph.dynamic import DynamicGraph
 
-from repro.errors import GraphError, InvalidParameterError
+from repro.errors import InvalidParameterError
+from repro.graph.graph import check_edge
 
 Edge = tuple[int, int]
 Update = tuple[str, int, int]
@@ -38,22 +39,20 @@ _OPS = {"insert": True, "delete": False}
 def validate_update(op: str, u: int, v: int, n: int) -> tuple[bool, int, int]:
     """Validate one ``(op, u, v)`` update against a graph of ``n`` nodes.
 
-    Returns ``(want_present, u, v)`` with the endpoints coerced to plain
-    ints. Raises :class:`~repro.errors.InvalidParameterError` for an
-    unknown op and :class:`~repro.errors.GraphError` for a self-loop or
-    an endpoint outside ``[0, n)``. Shared by :meth:`UpdateBatch.plan`
-    and the serving layer's push-time validation
-    (:meth:`repro.serve.feeds.DynamicFeed.push`), so what a feed buffers
-    is exactly what planning will accept.
+    Returns ``(want_present, u, v)`` with the endpoints as plain ints.
+    Raises :class:`~repro.errors.InvalidParameterError` for an unknown
+    op and :class:`~repro.errors.GraphError` for an endpoint that is
+    not an integer (the rule of :class:`~repro.graph.graph.Graph`:
+    ints, numpy integers and ``bool`` pass; floats and strings do not),
+    a self-loop or an endpoint outside ``[0, n)``. Shared by
+    :meth:`UpdateBatch.plan` and the serving layer's push-time
+    validation (:meth:`repro.serve.feeds.DynamicFeed.push`), so what a
+    feed buffers is exactly what planning will accept.
     """
     want = _OPS.get(op)
     if want is None:
         raise InvalidParameterError(f"unknown update op {op!r}")
-    u, v = int(u), int(v)
-    if u == v:
-        raise GraphError(f"self-loop on node {u} is not allowed")
-    if not (0 <= u < n and 0 <= v < n):
-        raise GraphError(f"edge ({u}, {v}) outside node range [0, {n})")
+    u, v = check_edge(n, (u, v))
     return want, u, v
 
 

@@ -10,20 +10,31 @@ owner, with a per-node inverted index for O(1)-amortised invalidation.
 The full-build entry point (:meth:`CandidateIndex.build`) is the paper's
 Algorithm 5: for each owner clique ``C``, enumerate k-cliques inside
 ``C ∪ N_F(C)`` (its nodes plus their free neighbours) and keep all but
-``C`` itself. Incremental maintenance goes through
-:meth:`refresh_nodes` (status changes) and
-:meth:`remove_candidates_with_edge` (structural edge deletions).
+``C`` itself. That per-owner enumeration
+(:meth:`~CandidateIndex.discover_owner_candidates`) runs only there.
+Incremental maintenance goes through :meth:`~CandidateIndex.refresh_nodes`
+(status changes), :meth:`~CandidateIndex.discover_through_edges` (fresh
+edges) and :meth:`~CandidateIndex.remove_candidates_with_edge`
+(structural edge deletions). Owners that enter ``S`` later get their
+candidates by reclassifying cliques already found, with
+:meth:`~CandidateIndex.classify`: an owner absorbed after an update
+from the update's all-free cliques, a swap's replacement owners from
+the popped owner's candidates (see
+:meth:`repro.dynamic.maintainer.DynamicDisjointCliques._absorb_all_free`
+and :func:`repro.dynamic.swap.try_swap`). Both rest on ``S`` being
+maximal before the change, so each region is enumerated once.
 
 Re-enumeration has two engines, and each wins on some inputs: the
 per-node set recursion of :mod:`repro.dynamic.local`, and the CSR
 frontier engine run once over a relabelled patch of the whole region
-(:func:`repro.cliques.csr_kernels.iter_cliques_within_csr`). One rule
-picks between them, from the region alone: a freed-node refresh or a
-batched insert discovery takes the patch when its region holds at least
+(:func:`repro.cliques.csr_kernels.iter_cliques_within_csr`), whose rows
+are gathered from the graph's CSR mirror
+(:meth:`repro.graph.dynamic.DynamicGraph.csr`). One rule picks between
+them, from the region alone: a freed-node refresh or a batched insert
+discovery takes the patch when its region holds at least
 :data:`AUTO_DIRTY_THRESHOLD` nodes or edges and the patch spans at
-least :data:`PATCH_EDGE_THRESHOLD` edges. Every other pass, per-owner
-discovery included, takes the set recursion. Both engines give the
-same reports.
+least :data:`PATCH_EDGE_THRESHOLD` edges. Every other pass takes the
+set recursion. Both engines give the same reports.
 """
 
 from __future__ import annotations
@@ -31,8 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+import numpy as np
+
 from repro.errors import SolutionError
 from repro.cliques import csr_kernels
+from repro.graph.csr import concat_rows, sorted_unique
 from repro.dynamic.local import (
     cliques_through_edge,
     cliques_through_node,
@@ -51,10 +65,12 @@ AUTO_DIRTY_THRESHOLD = 16
 PATCH_EDGE_THRESHOLD = 512
 
 
-def _wide_patch(graph: "DynamicGraph", patch: Iterable[int]) -> bool:
+def _wide_patch(graph: "DynamicGraph", patch: np.ndarray) -> bool:
     """Whether the patch on the nodes ``patch`` spans at least
-    :data:`PATCH_EDGE_THRESHOLD` edges (counted from its adjacency)."""
-    return sum(len(graph.neighbors(u)) for u in patch) // 2 >= PATCH_EDGE_THRESHOLD
+    :data:`PATCH_EDGE_THRESHOLD` edges (half its degree sum, read from
+    the graph's CSR mirror)."""
+    indptr = graph.csr().indptr
+    return int((indptr[patch + 1] - indptr[patch]).sum()) // 2 >= PATCH_EDGE_THRESHOLD
 
 
 @dataclass
@@ -235,8 +251,8 @@ class CandidateIndex:
         candidate of ``C``) with the set recursion, and folds every
         clique except ``C`` itself into a report: newly registered
         candidates under ``new_by_owner[owner]``, and any all-free
-        clique under ``all_free`` (which callers treat as a maximality
-        violation or as absorption work, depending on context).
+        clique under ``all_free`` (which :meth:`build` treats as a
+        maximality violation).
         """
         clique = self.solution[owner]
         pool = set(clique)
@@ -298,12 +314,13 @@ class CandidateIndex:
         same refresh report.
         """
         if len(dirty) >= AUTO_DIRTY_THRESHOLD:
-            pool: set[int] = set(dirty)
-            for node in dirty:
-                pool |= self.graph.neighbors(node)
+            csr = self.graph.csr()
+            seeds = np.array(sorted(dirty), dtype=np.int64)
+            _, around = concat_rows(csr.indptr, csr.cols, seeds)
+            pool = sorted_unique(np.concatenate((seeds, around)))
             if _wide_patch(self.graph, pool):
                 yield from csr_kernels.iter_cliques_within_csr(
-                    self.graph, pool, self.k, require=dirty, labels=self.owner_of
+                    self.graph, pool, self.k, require=seeds, labels=self.owner_of
                 )
                 return
         seen: set[Clique] = set()
@@ -351,10 +368,11 @@ class CandidateIndex:
                     patch |= common
                     touch.add(u)
                     touch.add(v)
-            if touch and _wide_patch(self.graph, patch):
+            patch_arr = np.fromiter(patch, dtype=np.int64)
+            if touch and _wide_patch(self.graph, patch_arr):
                 for clique in sorted(
                     csr_kernels.iter_cliques_within_csr(
-                        self.graph, patch, self.k,
+                        self.graph, patch_arr, self.k,
                         require=touch, labels=self.owner_of,
                     ),
                     key=sorted,

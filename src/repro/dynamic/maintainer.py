@@ -387,19 +387,26 @@ class DynamicDisjointCliques:
     def _absorb_all_free(self, all_free: set[Clique]) -> list[int]:
         """Greedily add disjoint all-free cliques to ``S`` (keeps S maximal).
 
-        Absorption makes nodes non-free, which cuts both ways in the
-        index — candidates that used those nodes as free members die
-        (dropped via the inverted node index, no enumeration), and the
-        just-added owners gain candidates, discovered from each one's
-        own Algorithm-5 patch ``C ∪ N_F(C)``. Existing owners can only
-        *lose* candidates and no new all-free clique can appear, so one
-        pass per absorption round suffices.
+        ``all_free`` must hold every all-free clique of the graph, as the
+        reports of the update handlers do: ``S`` was maximal before the
+        update, so an all-free clique contains a freed node or an
+        inserted edge between free nodes. Absorption makes nodes
+        non-free, which cuts both ways in the index — candidates that
+        used those nodes as free members die (dropped via the inverted
+        node index, no enumeration), and the just-added owners gain
+        candidates. Those were all-free cliques a moment before, hence
+        members of ``all_free``, so reclassifying the cliques of
+        ``all_free`` registers them without any enumeration. Existing
+        owners can only *lose* candidates and no new all-free clique can
+        appear; any clique of ``all_free`` that is still all-free goes
+        to the next round.
         """
         new_owners: list[int] = []
-        pending = set(all_free)
+        # Tie-free key (distinct cliques, distinct sorted node lists):
+        # a hash-independent order.
+        pending = sorted(all_free, key=sorted)  # repro-lint: ignore=iterorder
         while pending:
             chosen = select_disjoint(pending, self.k)
-            pending.clear()
             added: list[int] = []
             covered: set[int] = set()
             for clique in chosen:
@@ -418,9 +425,14 @@ class DynamicDisjointCliques:
                 doomed |= self.index.cands_by_node.get(node, set())
             for cand in doomed:
                 self.index.remove_candidate(cand)
-            for owner in added:
-                report = self.index.discover_owner_candidates(owner)
-                pending |= report.all_free
+            still_free: list[Clique] = []
+            for clique in pending:
+                kind, owner = self.index.classify(clique)
+                if kind == "candidate":
+                    self.index.add_candidate(clique, owner)
+                elif kind == "all_free":
+                    still_free.append(clique)
+            pending = still_free
             new_owners.extend(added)
         return new_owners
 

@@ -83,7 +83,11 @@ def try_swap(
         if len(replacement) <= 1:
             continue
 
-        # Perform the swap: C out, replacement in.
+        # Perform the swap: C out, replacement in. C's candidates are
+        # kept: they hold every candidate the replacement owners get.
+        # Distinct cliques have distinct sorted node lists, so the key is
+        # tie-free and the order hash-independent.
+        held = sorted(candidates, key=sorted)  # repro-lint: ignore=iterorder
         removed = index.remove_solution_clique(owner)
         covered: set[int] = set()
         new_ids: list[int] = []
@@ -98,8 +102,13 @@ def try_swap(
         # candidates using newly covered free nodes die via the node
         # index; nodes of C left uncovered get a through-node refresh
         # (they may now seed candidates of *other* owners); and each
-        # replacement owner's own candidates come from its Algorithm-5
-        # patch. Covered-to-covered cliques need no enumeration at all.
+        # replacement owner's own candidates are C's former candidates,
+        # reclassified. That last move needs no enumeration: a candidate
+        # Q of a replacement R lies in C ∪ (nodes free before the swap),
+        # as R and the free nodes around it do. Q meets C (else it was
+        # all-free before the swap, breaking maximality) and Q ≠ C (C
+        # meets at least two replacement cliques), so Q was a candidate
+        # of C.
         doomed = set()
         for node in covered:
             doomed |= index.cands_by_node.get(node, set())
@@ -120,14 +129,14 @@ def try_swap(
                     f"{sorted(map(sorted, report.all_free))}"
                 )
             gained.extend(report.new_by_owner)
-        for new_id in new_ids:
-            report = index.discover_owner_candidates(new_id)
-            if report.all_free:
-                raise AssertionError(
-                    f"swap left uncovered free cliques: "
-                    f"{sorted(map(sorted, report.all_free))}"
-                )
-            gained.extend(report.new_by_owner)
+        registered: set[int] = set()
+        for cand in held:
+            kind, cand_owner = index.classify(cand)
+            if kind == "all_free":
+                raise AssertionError(f"swap left uncovered free clique {sorted(cand)}")
+            if kind == "candidate" and index.add_candidate(cand, cand_owner):
+                registered.add(cand_owner)
+        gained.extend(new_id for new_id in new_ids if new_id in registered)
         for gained_owner in gained:
             if gained_owner in index.solution and gained_owner not in queue:
                 queue.append(gained_owner)

@@ -44,8 +44,14 @@ def _canonical(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _check_edge(n: int, edge: object) -> Edge:
-    """One input edge as a pair of ints; :class:`GraphError` if invalid."""
+def check_edge(n: int, edge: object) -> Edge:
+    """One edge of a graph on ``n`` nodes as a pair of plain ints.
+
+    The package's one endpoint rule: an endpoint must be an integer
+    (``operator.index``: Python ints, numpy integers and ``bool`` pass),
+    the endpoints must differ and both must lie in ``[0, n)``. Anything
+    else raises :class:`GraphError`.
+    """
     try:
         u, v = edge  # type: ignore[misc]
     except (TypeError, ValueError):
@@ -83,12 +89,12 @@ def _read_pairs(n: int, edges: Iterable[Edge]) -> np.ndarray:
     if pairs is None:
         # Something is malformed or unusual (an edge without len(), a
         # non-integer, an int past int64): check edge by edge, in order.
-        checked = [_check_edge(n, edge) for edge in edge_list]
+        checked = [check_edge(n, edge) for edge in edge_list]
         pairs = np.array(checked, dtype=np.int64).reshape(count, 2)
     u, v = pairs[:, 0], pairs[:, 1]
     bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
     if bad.any():
-        _check_edge(n, tuple(pairs[int(np.argmax(bad))].tolist()))
+        check_edge(n, tuple(pairs[int(np.argmax(bad))].tolist()))
     return pairs
 
 

@@ -131,11 +131,12 @@ class DynamicFeed:
 
         Returns the last :class:`FlushReport` if any flush happened,
         else ``None`` (updates are pending). Malformed updates — unknown
-        op, self-loop, endpoint outside the graph — raise before
-        anything is buffered, so a bad request never half-applies *and*
-        never poisons the buffer: everything buffered is guaranteed
-        plannable by ``UpdateBatch.plan`` at flush time (a feed's node
-        count never changes, so push-time range validation is sound).
+        op, non-integer endpoint, self-loop, endpoint outside the graph —
+        raise before anything is buffered, so a bad request never
+        half-applies *and* never poisons the buffer: everything
+        buffered is guaranteed plannable by ``UpdateBatch.plan`` at
+        flush time (a feed's node count never changes, so push-time
+        range validation is sound).
         Validation is :func:`repro.dynamic.batch.validate_update` — the
         same rules planning applies at flush time, by construction.
         """

@@ -22,7 +22,11 @@ Each class pins one fixed defect so it cannot silently return:
   out-of-range clique indices, or a malformed stack frame, restored
   into a task that finished with an invalid answer or crashed untyped;
 * a direct ``exact_optimum`` numbered cliques in enumeration order, so
-  it broke ties differently from ``Session.solve(k, "opt")``.
+  it broke ties differently from ``Session.solve(k, "opt")``;
+* a non-integer update endpoint was truncated by ``int()`` (``2.7``
+  became node 2, ``"4"`` node 4) in batch planning and feed pushes, and
+  failed with a bare ``TypeError`` in ``DynamicGraph`` updates, where
+  ``Graph`` raises ``GraphError``.
 """
 
 import json
@@ -507,6 +511,72 @@ class TestMalformedEdges:
             Graph(4, [(0, 1), (2, 2), (0, 5)])
         with pytest.raises(GraphError, match="outside node range"):
             Graph(4, [(0, 2**70)])
+
+
+class TestNonIntegerUpdateEndpoints:
+    """Dynamic updates apply ``Graph``'s integer rule to endpoints."""
+
+    EDGES = [(0, 1), (1, 2), (0, 2), (3, 4)]
+    BAD = (2.7, "4", 1.0, None)
+
+    def _maintainer(self):
+        from repro.dynamic import DynamicDisjointCliques
+
+        return DynamicDisjointCliques(Graph(6, self.EDGES), 3)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_graph_rejects_the_same_values(self, bad):
+        with pytest.raises(GraphError, match="non-integer endpoint"):
+            Graph(6, [(bad, 5)])
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_batch_rejects_before_any_mutation(self, bad):
+        dyn = self._maintainer()
+        edges, stats = sorted(dyn.graph.edges()), dict(dyn.stats)
+        with pytest.raises(GraphError, match="non-integer endpoint"):
+            dyn.apply_batch([("insert", 0, 5), ("insert", bad, 5)])
+        assert sorted(dyn.graph.edges()) == edges
+        assert dyn.stats == stats
+
+    def test_truncating_batch_from_the_report_is_rejected(self):
+        dyn = self._maintainer()
+        with pytest.raises(GraphError, match="non-integer endpoint"):
+            dyn.apply_batch([("insert", 2.7, 5), ("insert", "4", 5)])
+        assert not dyn.graph.has_edge(2, 5) and not dyn.graph.has_edge(4, 5)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_per_edge_updates_raise_graph_error(self, bad):
+        dyn = self._maintainer()
+        edges = sorted(dyn.graph.edges())
+        graph = dyn.graph
+        for update in (dyn.insert_edge, dyn.delete_edge, graph.insert_edge, graph.delete_edge):
+            with pytest.raises(GraphError, match="non-integer endpoint"):
+                update(bad, 3)
+            with pytest.raises(GraphError, match="non-integer endpoint"):
+                update(3, bad)
+        assert sorted(dyn.graph.edges()) == edges
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_feed_push_rejects_before_buffering(self, bad):
+        from repro.serve.feeds import DynamicFeed
+
+        feed = DynamicFeed(Session(Graph(6, self.EDGES)), 3)
+        with pytest.raises(GraphError, match="non-integer endpoint"):
+            feed.push([("insert", 0, 5), ("delete", 1, bad)])
+        assert feed.pending == 0
+
+    def test_integer_likes_are_accepted_as_plain_ints(self):
+        from repro.dynamic.batch import validate_update
+
+        want, u, v = validate_update("delete", np.int32(2), False, 6)
+        assert (want, u, v) == (False, 2, 0)
+        assert type(u) is int and type(v) is int
+        dyn = self._maintainer()
+        assert dyn.insert_edge(np.int64(4), True)
+        batch = dyn.apply_batch([("insert", np.uint8(5), np.int16(3))])
+        assert batch.inserts == ((3, 5),)
+        assert all(type(x) is int for x in batch.inserts[0])
+        dyn.check_invariants()
 
 
 class TestExactBBRestoreValidation:

@@ -17,7 +17,11 @@ Two modes::
         task (HeapInit over the residual graph), and the min-degree
         peel (degeneracy rank, core numbers, an ``hg`` solve under the
         degeneracy order). Emits one ``<label> <sha256>`` line per
-        component plus a ``combined`` line.
+        component plus a ``combined`` line over them. Three more lines,
+        ``dynamic_solution``, ``dynamic_stats`` and ``dynamic_index``,
+        digest dynamic repair: a pinned mixed update stream applied in
+        16-update batches and per edge at k = 3 and 4, recorded after
+        every batch and at the end of the per-edge run.
 
     python tools/determinism_digest.py run <results/run-dir>
         Digest of a bench run directory's order-bearing content: per
@@ -104,6 +108,38 @@ def solve_digests() -> dict[str, str]:
     return out
 
 
+def dynamic_digests() -> dict[str, str]:
+    """Digests of dynamic repair over a pinned mixed update stream:
+    the solution (owner ids included), the stats and the candidate
+    index after every 16-update batch and after a per-edge run."""
+    from repro.dynamic import DynamicDisjointCliques, iter_batches, make_workload
+    from repro.graph.generators import powerlaw_cluster
+
+    start, updates = make_workload(
+        powerlaw_cluster(300, 6, 0.8, seed=5), "mixed", 120, seed=9
+    )
+    states: dict[str, list] = {"solution": [], "stats": [], "index": []}
+
+    def record(dyn: DynamicDisjointCliques) -> None:
+        index = dyn.index
+        states["solution"].append(sorted((o, sorted(c)) for o, c in index.solution.items()))
+        states["stats"].append(sorted(dyn.stats.items()))
+        states["index"].append(
+            sorted((sorted(c), o) for c, o in index.owner_of_cand.items())
+        )
+
+    for k in (3, 4):
+        batched = DynamicDisjointCliques(start, k)
+        record(batched)
+        for chunk in iter_batches(updates, 16):
+            batched.apply_batch(chunk)
+            record(batched)
+        per_edge = DynamicDisjointCliques(start, k)
+        per_edge.apply(updates)
+        record(per_edge)
+    return {f"dynamic_{part}": _digest(seq) for part, seq in states.items()}
+
+
 def run_digests(run_dir: Path) -> dict[str, str]:
     """Digest of a bench run directory's order-bearing records."""
     metrics_path = run_dir / "metrics.jsonl"
@@ -141,7 +177,7 @@ def run_digests(run_dir: Path) -> dict[str, str]:
 
 def main(argv: list[str]) -> int:
     if len(argv) >= 1 and argv[0] == "solve":
-        digests = solve_digests()
+        digests = {**solve_digests(), **dynamic_digests()}
     elif len(argv) >= 2 and argv[0] == "run":
         digests = run_digests(Path(argv[1]))
     else:
