@@ -27,11 +27,12 @@ FindMin is a bit-parallel walk over the score-oriented CSR
 bit ``j`` of every mask of root ``r`` stands for the ``j``-th node of
 ``r``'s id-sorted out-row, each arc ``(r, u)`` carries the mask of
 ``out(u)`` within that row, and narrowing a candidate set is one
-Python-int ``&``. An engine owns only a validity list and one live mask
-per root. A mask is as wide as its row, so only rows of at most
-:data:`ROW_CAP` nodes get masks; that keeps them within ``O(n + m)``
-space. A longer row (a hub's) is walked as an id-sorted candidate list,
-and each of its candidates re-bases the walk into its own, shorter row.
+Python-int ``&``. An engine owns only a validity list: a search reads
+its root's live candidates from the flags of the root's row. A mask is
+as wide as its row, so only rows of at most :data:`ROW_CAP` nodes get
+masks; that keeps them within ``O(n + m)`` space. A longer row (a
+hub's) is walked as an id-sorted candidate list, and each of its
+candidates re-bases the walk into its own, shorter row.
 Either way candidates are visited in ascending id with the same prune
 points as a walk over live out-neighbour sets, so the solution *and*
 the ``findmin_calls``/``branches_pruned`` counters are those of the set
@@ -48,27 +49,30 @@ also replays the walk's prune points, so its ``findmin_calls`` and
 ``branches_pruned`` are those of one FindMin per root. A root with more
 than :data:`WEDGE_CAP` first-level wedges is walked with FindMin
 instead, since the pass lists whole search trees and the walk skips
-pruned subtrees. The engine's ``"init"`` phase is then one tick that
-copies the cached entries; after a warm start or a restored mid-init
-checkpoint it reruns the pass over the residual graph.
+pruned subtrees. Its first-level wedge hits are the arc masks' bits,
+so the masks are packed from them (:class:`_ArcMasks`). The engine's
+``"init"`` phase is then one tick that copies the cached entries; after
+a warm start or a restored mid-init checkpoint it reruns the pass over
+the residual graph.
 """
 
 from __future__ import annotations
 
 import heapq
 import sys
+from itertools import compress
 from typing import Iterable
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.graph.csr import concat_rows
 from repro.graph.dag import OrientedCSR
 from repro.graph.graph import Graph
 from repro.graph.ordering import OrderSpec, by_score
 from repro.cliques.counting import node_scores
 from repro.cliques.csr_kernels import (
     _EMPTY,
+    _Level,
     _level_hits,
     _root_batches,
     _root_level,
@@ -86,10 +90,6 @@ _PHASES = ("init", "drain", "done")
 #: ``24 + 4 * ceil(ROW_CAP / 30)`` bytes (164 here), so masks stay within
 #: ``O(n + m)`` space; longer rows are walked as candidate lists.
 ROW_CAP = 1024
-
-#: Wedges tested per numpy batch of the arc-mask pass; bounds its
-#: temporaries to a few int64 arrays of this length.
-WEDGE_BATCH = 1 << 16
 
 #: Longest first-level wedge count (``Σ outdeg(u)`` over a root's
 #: out-row) that HeapInit's bulk pass takes on. The bulk pass lists a
@@ -129,7 +129,11 @@ def _earlier_sibling_min(values: np.ndarray, owner: np.ndarray, cap: int) -> np.
 
 
 def _bulk_batch(
-    ocsr: OrientedCSR, scores: np.ndarray, k: int, roots: np.ndarray
+    ocsr: OrientedCSR,
+    scores: np.ndarray,
+    k: int,
+    roots: np.ndarray,
+    masks: "_ArcMasks | None" = None,
 ) -> tuple[list[_Entry], int]:
     """HeapInit for one batch of ascending searchable roots, all at once.
 
@@ -146,9 +150,13 @@ def _bulk_batch(
     minima bottom-up, then ``B`` and "reached" top-down; a node's
     children are reached iff it is reached, not cut and has at least
     as many candidates as the walk needs to recurse.
+
+    With ``masks``, the depth-1 hits of the roots that have an entry
+    are packed into it once the batch is done.
     """
     n = ocsr.n
     level = _root_level(ocsr, roots)
+    top: tuple[_Level, np.ndarray, np.ndarray, np.ndarray] | None = None
     ctx_sum = scores[roots]
     ctx_root = np.arange(len(roots), dtype=np.int64)
     # Per depth 1..k-2: (candidates, owner, prefix sums, spawned).
@@ -161,6 +169,8 @@ def _bulk_batch(
         pos, w, ok, owner = _level_hits(level, ocsr, n)
         sums = ctx_sum[owner] + scores[level[1]]
         hit, w = pos[ok], w[ok]
+        if depth == 1 and masks is not None:
+            top = level, owner, hit, w
         if depth == k - 2:
             tiers.append((level[1], owner, sums, _EMPTY))
             leaf_pos, leaf_w = hit, w
@@ -201,6 +211,10 @@ def _bulk_batch(
     tied_root = leaf_root[tied]
     order = np.lexsort((*members.T[::-1], tied_root))
     first = order[np.r_[True, np.diff(tied_root[order]) != 0]] if len(order) else order
+    if top is not None and masks is not None:
+        level, owner, hit, w = top
+        keep = (root_min < _INF_KEY[0])[owner[hit]]
+        masks.add(level, owner, hit[keep], w[keep])
     entries: list[_Entry] = []
     for total, root, row in zip(
         root_min[tied_root[first]].tolist(),
@@ -247,70 +261,87 @@ def _pruned_nodes(
     return pruned
 
 
-def _arc_masks(
-    ocsr: OrientedCSR, tails: np.ndarray, built: np.ndarray
-) -> list[int]:
-    """One Python-int mask per arc of the ``built`` roots (0 elsewhere).
+class _ArcMasks:
+    """Arc masks packed from first-level wedge hits, 64 bits a word.
 
-    ``tails[a]`` is the root owning arc ``a``. For the arc
-    ``a = (r, u)``, bit ``j`` of ``masks[a]`` is set iff
-    ``u -> row(r)[j]``. Every wedge ``r -> u -> w`` of a built root is
-    tested in batches of :data:`WEDGE_BATCH`: the key ``r * n + w`` is
-    looked up with ``searchsorted`` in the globally sorted arc keys, and
-    the hit position minus ``r``'s row start is ``w``'s bit. Hits arrive
-    sorted by (arc, bit), so each 64-bit word of a mask is one
-    ``reduceat``.
+    A hit of a root-level frontier is a wedge ``r -> u -> w`` whose
+    ``w`` lies in ``r``'s row too: it sets bit ``j`` of the mask of arc
+    ``(r, u)``, ``w`` being ``row(r)[j]``. Only the rows flagged in
+    ``rows`` are packed, each by one :meth:`add`.
     """
-    n, indptr, cols = ocsr.n, ocsr.indptr, ocsr.cols
-    keys = tails * n + cols
-    arcs = np.flatnonzero(built[tails])
-    wedge_ends = np.cumsum(ocsr.out_degrees()[cols[arcs]])
-    words = np.zeros(len(cols), dtype=np.uint64)
-    high: list[tuple[int, int, int]] = []
-    start = 0
-    while start < len(arcs):
-        done = int(wedge_ends[start - 1]) if start else 0
-        stop = max(
-            start + 1,
-            int(np.searchsorted(wedge_ends, done + WEDGE_BATCH, side="right")),
-        )
-        pos, w = concat_rows(indptr, cols, cols[arcs[start:stop]])
-        arc = arcs[start:stop][pos]
-        probe = tails[arc] * n + w
-        at = np.searchsorted(keys, probe).clip(max=len(keys) - 1)
-        hit = keys[at] == probe
-        start = stop
-        if not hit.any():
-            continue
-        arc, at = arc[hit], at[hit]
-        bit = at - indptr[tails[arc]]
+
+    __slots__ = ("ocsr", "rows", "words", "high")
+
+    def __init__(self, ocsr: OrientedCSR, rows: np.ndarray) -> None:
+        self.ocsr = ocsr
+        self.rows = rows
+        self.words = np.zeros(len(ocsr.cols), dtype=np.uint64)
+        self.high: list[tuple[int, int, int]] = []
+
+    def add(
+        self, level: _Level, owner: np.ndarray, hit: np.ndarray, w: np.ndarray
+    ) -> None:
+        """Pack the hits of the root-level frontier ``level`` (``owner``
+        maps its candidates to their roots): the wedges through candidate
+        position ``hit[i]`` to ``w[i]``, sorted by position, then ``w``.
+
+        ``w``'s bit is its biased key's ``searchsorted`` position among
+        the frontier's sorted biased candidates, less its root's start.
+        Hits sorted by (arc, bit) make each 64-bit word one ``reduceat``.
+        """
+        n = self.ocsr.n
+        ctx = owner[hit]
+        keep = self.rows[level[2][ctx]]
+        if not keep.any():
+            return
+        hit, w, ctx = hit[keep], w[keep], ctx[keep]
+        start = level[0][ctx]
+        bit = np.searchsorted(level[1] + n * owner, ctx * n + w) - start
+        arc = self.ocsr.indptr[level[2][ctx]] + hit - start
         word = bit >> 6
         seg = np.flatnonzero(np.r_[True, (np.diff(arc) != 0) | (np.diff(word) != 0)])
         vals = np.bitwise_or.reduceat(
             np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64)), seg
         )
         first = word[seg] == 0
-        words[arc[seg[first]]] = vals[first]
+        self.words[arc[seg[first]]] = vals[first]
         if not first.all():
             rest = ~first
-            high.extend(
+            self.high.extend(
                 zip(arc[seg[rest]].tolist(), word[seg[rest]].tolist(), vals[rest].tolist())
             )
-    masks = words.tolist()
-    for a, word_index, value in high:
-        masks[a] |= value << (64 * word_index)
-    return masks
+
+    def add_rows(self, k: int, roots: np.ndarray) -> None:
+        """Pack every first-level hit of the ascending ``roots``' rows,
+        one :func:`~repro.cliques.csr_kernels._level_hits` pass per root
+        batch."""
+        ocsr = self.ocsr
+        for batch in _root_batches(ocsr, k, roots):
+            level = _root_level(ocsr, batch)
+            pos, w, ok, owner = _level_hits(level, ocsr, ocsr.n)
+            self.add(level, owner, pos[ok], w[ok])
+
+    def masks(self) -> list[int]:
+        """One Python-int mask per arc (0 on rows never packed)."""
+        masks = self.words.tolist()
+        for a, word_index, value in self.high:
+            masks[a] |= value << (64 * word_index)
+        return masks
 
 
 def _bulk_init(
-    ocsr: OrientedCSR, scores: np.ndarray, k: int, roots: np.ndarray
+    ocsr: OrientedCSR,
+    scores: np.ndarray,
+    k: int,
+    roots: np.ndarray,
+    masks: _ArcMasks | None = None,
 ) -> tuple[list[_Entry], int]:
     """:func:`_bulk_batch` over ``roots`` in batches sized by
     :data:`~repro.cliques.csr_kernels.ROOT_BATCH_BUDGET`."""
     entries: list[_Entry] = []
     pruned = 0
     for batch in _root_batches(ocsr, k, roots):
-        found, cut = _bulk_batch(ocsr, scores, k, batch)
+        found, cut = _bulk_batch(ocsr, scores, k, batch, masks)
         entries += found
         pruned += cut
     return entries, pruned
@@ -358,7 +389,10 @@ class ScoreOrientedCSR:
     :data:`WEDGE_CAP` first-level wedges are walked with FindMin
     instead. A root without a clique can never be searched again (the
     residual graph only shrinks), so masks go only to rows with an
-    entry or a walk.
+    entry or a walk. The masks of rows with an entry are packed from
+    the bulk pass's own first-level wedge hits; the other rows that
+    need masks (walked roots and re-base targets) get one pass of
+    their own.
 
     Attributes
     ----------
@@ -379,13 +413,10 @@ class ScoreOrientedCSR:
         such a long row re-bases into (its out-neighbours with
         out-degree ``>= 2``); none at ``k = 2`` (a one-level walk). 0
         elsewhere.
-    full:
-        Per root, the mask of its whole row if the row is short and
-        has an entry or walk, else 0 (an engine's starting live masks).
-    in_ptr, in_tail, in_bit:
-        In-arcs from the rows with a live mask, grouped by head: node
-        ``w`` is bit ``in_bit[i]`` of root ``in_tail[i]`` for ``i`` in
-        ``in_ptr[w]:in_ptr[w + 1]``.
+    bits:
+        ``1 << j`` for each ``j`` below the longest masked row's
+        length: FindMin ORs a row's candidate mask out of them with
+        ``itertools.compress``.
     init_entries, init_calls, init_pruned:
         HeapInit on the whole graph: the heap entries ``(key, root,
         clique)`` in ascending root order, the ``findmin_calls`` it
@@ -393,9 +424,9 @@ class ScoreOrientedCSR:
     """
 
     __slots__ = (
-        "k", "row_cap", "indptr", "cols", "scores", "masks", "full",
-        "in_ptr", "in_tail", "in_bit", "init_entries", "init_calls",
-        "init_pruned", "_ocsr", "_scores", "_walked", "_bytes",
+        "k", "row_cap", "indptr", "cols", "scores", "masks", "bits",
+        "init_entries", "init_calls", "init_pruned", "_ocsr", "_scores",
+        "_walked", "_bytes",
     )
 
     def __init__(self, graph: Graph, scores: np.ndarray, k: int) -> None:
@@ -405,7 +436,8 @@ class ScoreOrientedCSR:
         n = graph.n
         deg = ocsr.out_degrees()
         tails = np.repeat(np.arange(n, dtype=np.int64), deg)
-        short = deg <= row_cap
+        long_rows = deg > row_cap
+        short = ~long_rows & (k > 2)
         wedges = np.bincount(tails, weights=deg[ocsr.cols], minlength=n)
         self.k = k
         self.row_cap = row_cap
@@ -413,27 +445,22 @@ class ScoreOrientedCSR:
         self._scores = scores
         self._walked = (wedges > WEDGE_CAP) & (k > 2)
         calls, bulk, walked = self._roots(ocsr, 0)
-        entries, pruned = _bulk_init(ocsr, scores, k, bulk)
-        searched = np.zeros(n, dtype=bool)
-        searched[[root for _, root, _ in entries]] = True
+        masks = _ArcMasks(ocsr, short)
+        entries, pruned = _bulk_init(ocsr, scores, k, bulk, masks)
+        packed = np.zeros(n, dtype=bool)
+        packed[[root for _, root, _ in entries]] = True
+        searched = packed.copy()
         searched[walked] = True
-        live_rows = short & searched
         targets = np.zeros(n, dtype=bool)
         if k > 3:
-            targets[ocsr.cols[(searched & ~short)[tails]]] = True
-        built = (live_rows | (short & targets & (deg >= 2))) & (k > 2)
-        kept = np.flatnonzero(live_rows[tails])
-        by_head = kept[np.argsort(ocsr.cols[kept], kind="stable")]
-        in_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ocsr.cols[kept], minlength=n), out=in_ptr[1:])
+            targets[ocsr.cols[(searched & long_rows)[tails]]] = True
+        built = short & (searched | (targets & (deg >= 2)))
+        masks.add_rows(k, np.flatnonzero(built & ~packed))
         self.indptr: list[int] = ocsr.indptr.tolist()
         self.cols: list[int] = ocsr.cols.tolist()
         self.scores: list[int] = scores.tolist()
-        self.masks = _arc_masks(ocsr, tails, built)
-        self.full = [(1 << d) - 1 for d in np.where(live_rows, deg, 0).tolist()]
-        self.in_ptr: list[int] = in_ptr.tolist()
-        self.in_tail: list[int] = tails[by_head].tolist()
-        self.in_bit: list[int] = (by_head - ocsr.indptr[tails[by_head]]).tolist()
+        self.masks = masks.masks()
+        self.bits = [1 << j for j in range(int(deg[short].max(initial=0)))]
         self._bytes: int | None = None
         stats: dict[str, float] = {"findmin_calls": 0, "branches_pruned": 0}
         finder = _FindMin(self, True, stats)
@@ -460,10 +487,10 @@ class ScoreOrientedCSR:
         ``valid`` nodes: ``(entries in root order, FindMin calls, lp
         prunes)``.
 
-        The same pass as the build's; the calls and prunes are those of
-        the bulk pass, since a walked root goes through ``finder`` (an
-        engine's FindMin over the same residual graph), which counts
-        its own.
+        The same pass as the build's, without packing masks; the calls
+        and prunes are those of the bulk pass, since a walked root goes
+        through ``finder`` (an engine's FindMin over the same residual
+        graph), which counts its own.
         """
         ocsr = self._ocsr
         n = ocsr.n
@@ -479,26 +506,22 @@ class ScoreOrientedCSR:
     def estimated_bytes(self) -> int:
         """Resident size in bytes (CPython 3.11), measured once.
 
-        Masks and the cached heap entries count at their real size;
-        the other lists hold small ints, at an 8-byte slot plus a
-        32-byte int object per entry, and the numpy arrays kept for
-        :meth:`residual_init` at their ``nbytes``.
+        Masks, the bit table and the cached heap entries count at their
+        real size; the other lists hold small ints, at an 8-byte slot
+        plus a 32-byte int object per entry, and the numpy arrays kept
+        for :meth:`residual_init` at their ``nbytes``.
         """
         if self._bytes is None:
-            lists = (
-                self.indptr, self.cols, self.scores,
-                self.in_ptr, self.in_tail, self.in_bit,
-            )
-            masks = len(self.masks) + len(self.full)
+            lists = self.indptr, self.cols, self.scores
             arrays = (
                 self._ocsr.indptr, self._ocsr.cols, self._ocsr.rank,
                 self._scores, self._walked,
             )
             self._bytes = (
                 40 * sum(len(entries) for entries in lists)
-                + 8 * masks
+                + 8 * (len(self.masks) + len(self.bits))
                 + sum(map(sys.getsizeof, self.masks))
-                + sum(map(sys.getsizeof, self.full))
+                + sum(map(sys.getsizeof, self.bits))
                 + sum(int(array.nbytes) for array in arrays)
                 + sys.getsizeof(self.init_entries)
                 + sum(map(_entry_bytes, self.init_entries))
@@ -506,100 +529,69 @@ class ScoreOrientedCSR:
         return self._bytes
 
 
-def _nodes(row: list[int], mask: int) -> list[int]:
-    """The entries of ``row`` whose bits are set in ``mask``, in row order."""
-    nodes = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        nodes.append(row[low.bit_length() - 1])
-    return nodes
-
-
 class _FindMin:
     """Bit-parallel local-minimum clique search with optional pruning.
 
-    Reads the shared :class:`ScoreOrientedCSR`; owns ``valid`` (one
-    flag per node) and ``live`` (per short root, the mask of its
-    still-valid out-row entries), which :meth:`invalidate` shrinks as
-    cliques enter the solution.
+    Reads the shared :class:`ScoreOrientedCSR` and owns ``valid`` (one
+    flag per node), which :meth:`invalidate` clears as cliques enter
+    the solution. A search reads its root's live candidates from the
+    flags of the root's row.
     """
 
-    __slots__ = ("sub", "live", "valid", "prune", "stats", "best_key", "best")
+    __slots__ = ("sub", "valid", "prune", "stats", "best_key", "best")
 
     def __init__(
         self, substrate: ScoreOrientedCSR, prune: bool, stats: dict[str, float]
     ) -> None:
         self.sub = substrate
-        self.live = list(substrate.full)
-        self.valid = [True] * len(substrate.full)
+        self.valid = [True] * len(substrate.scores)
         self.prune = prune
         self.stats = stats
         self.best_key: CliqueKey = _INF_KEY
         self.best: tuple[int, ...] | None = None
 
     def live_out_degree(self, u: int) -> int:
-        """Number of still-valid out-neighbours of ``u`` (counted from
-        the validity flags where the row has no live mask)."""
-        if self.sub.full[u]:
-            return self.live[u].bit_count()
-        return len(self._live_members(u))
-
-    def _live_members(self, u: int) -> list[int]:
-        """The still-valid out-neighbours of ``u`` (none once ``u`` is
-        invalid), ids ascending: a long row's counterpart of its live
-        mask."""
+        """Number of still-valid out-neighbours of ``u`` (0 once ``u``
+        is invalid)."""
         valid = self.valid
         if not valid[u]:
-            return []
+            return 0
         sub = self.sub
-        return [v for v in sub.cols[sub.indptr[u] : sub.indptr[u + 1]] if valid[v]]
+        return sum(map(valid.__getitem__, sub.cols[sub.indptr[u] : sub.indptr[u + 1]]))
 
     def alive(self, v: int) -> bool:
         """Whether ``v`` is still available for a clique."""
         return self.valid[v]
 
     def invalidate(self, clique: Iterable[int]) -> None:
-        """Remove a chosen clique's nodes from the residual graph.
-
-        Clears each node's bit in the live mask of every short root
-        whose row holds it (its in-arcs) and empties its own live mask.
-        """
-        sub, live = self.sub, self.live
-        in_ptr, in_tail, in_bit = sub.in_ptr, sub.in_tail, sub.in_bit
+        """Remove a chosen clique's nodes from the residual graph."""
+        valid = self.valid
         for w in clique:
-            self.valid[w] = False
-            live[w] = 0
-            for i in range(in_ptr[w], in_ptr[w + 1]):
-                live[in_tail[i]] &= ~(1 << in_bit[i])
+            valid[w] = False
 
     def search(self, root: int, k: int) -> tuple[CliqueKey, tuple[int, ...]] | None:
         """Minimum-key k-clique rooted at ``root``, or ``None``."""
         self.stats["findmin_calls"] += 1
-        sub = self.sub
-        # A zero-score root is in no k-clique.
-        if not sub.scores[root]:
+        sub, valid = self.sub, self.valid
+        # A zero-score root is in no k-clique, an invalid one in none of
+        # the residual graph's.
+        if not (sub.scores[root] and valid[root]):
             return None
         lo, hi = sub.indptr[root], sub.indptr[root + 1]
         row = sub.cols[lo:hi]
-        long_row = hi - lo > sub.row_cap
-        if long_row:
-            members = self._live_members(root)
-            size = len(members)
-        else:
-            candidates = self.live[root]
-            size = candidates.bit_count()
-        if size < k - 1:
+        live = list(map(valid.__getitem__, row))
+        if sum(live) < k - 1:
             return None
         self.best_key = _INF_KEY
         self.best = None
         if k == 2:
-            self._pair(root, members if long_row else _nodes(row, candidates))
-        elif long_row:
+            self._pair(root, list(compress(row, live)))
+        elif hi - lo > sub.row_cap:
             self.stats["branches_pruned"] += self._list_walk(
-                [root], members, k - 1, sub.scores[root]
+                [root], list(compress(row, live)), k - 1, sub.scores[root]
             )
         else:
+            candidates = sum(compress(sub.bits, live))
             self.stats["branches_pruned"] += self._walk(
                 [root], row, sub.masks[lo:hi], candidates, k - 1, sub.scores[root]
             )
@@ -657,10 +649,7 @@ class _FindMin:
                 if len(nxt) >= need - 1:
                     pruned += self._list_walk(prefix, nxt, need - 1, score_sum + su)
             else:
-                mask = 0
-                for j, v in enumerate(row):
-                    if v in member_set:
-                        mask |= 1 << j
+                mask = sum(compress(sub.bits, map(member_set.__contains__, row)))
                 if mask.bit_count() >= need - 1:
                     pruned += self._walk(
                         prefix, row, sub.masks[lo:hi], mask, need - 1, score_sum + su
@@ -733,7 +722,7 @@ class LightweightEngine:
     the solution before HeapInit).
 
     :meth:`state_dict` captures ``(phase, next root, heap, solution,
-    stats)``; substrates (scores, orientation, live masks) are
+    stats)``; substrates (scores, orientation, validity flags) are
     deterministic functions of the graph plus the replayed solution, so
     :meth:`load_state` rebuilds them instead of serialising them.
     """
@@ -756,9 +745,9 @@ class LightweightEngine:
             raise InvalidParameterError(
                 f"scores has length {len(scores)}, expected n={graph.n}"
             )
-        if oriented is not None and (oriented.k != k or len(oriented.full) != graph.n):
+        if oriented is not None and (oriented.k != k or len(oriented.scores) != graph.n):
             raise InvalidParameterError(
-                f"oriented substrate is for k={oriented.k}, n={len(oriented.full)}; "
+                f"oriented substrate is for k={oriented.k}, n={len(oriented.scores)}; "
                 f"expected k={k}, n={graph.n}"
             )
         self.graph = graph
@@ -813,7 +802,7 @@ class LightweightEngine:
             finder, k, stats = self.finder, self.k, self.stats
             key, root, clique = heapq.heappop(self.heap)
             stats["heap_pops"] += 1
-            if all(finder.alive(v) for v in clique):
+            if all(map(finder.alive, clique)):
                 self.solution.append(frozenset(clique))
                 stats["cliques_taken"] += 1
                 finder.invalidate(clique)
@@ -906,11 +895,11 @@ class LightweightEngine:
     def load_state(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot onto fresh substrates.
 
-        The residual graph (live masks and validity flags) is rebuilt by
-        replaying the checkpointed solution's invalidations; heap
-        entries keep their total order under JSON round-tripping, so pop
-        sequences — and therefore the final solution and stats — are
-        identical to an uninterrupted run.
+        The residual graph (the validity flags) is rebuilt by replaying
+        the checkpointed solution's invalidations; heap entries keep
+        their total order under JSON round-tripping, so pop sequences —
+        and therefore the final solution and stats — are identical to
+        an uninterrupted run.
 
         The snapshot is checked before anything is applied, and each of
         these raises :class:`InvalidParameterError`: an unknown

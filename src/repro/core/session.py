@@ -24,10 +24,9 @@ fully supported; it simply delegates to a throwaway session.
 
 Cache invariants: all cached substrates are read-only after
 construction (solvers copy the DAG out-sets, keep their own FindMin
-live masks and never mutate score arrays or clique lists), and nothing
-here depends on the method tag —
-only on ``(graph, k)`` and the orientation name — so any method mix
-shares them safely.
+validity flags and never mutate score arrays or clique lists), and
+nothing here depends on the method tag — only on ``(graph, k)`` and
+the orientation name — so any method mix shares them safely.
 
 Thread safety: a session may be shared by concurrent solves (the
 serving layer in :mod:`repro.serve` does exactly that). Every
@@ -159,9 +158,9 @@ class Preprocessing:
         from one data-parallel pass), so every ``l``/``lp`` solve or
         task without a warm start begins at the drain; a warm start
         reruns HeapInit over the residual graph. The build is one
-        non-preemptible step: on large graphs its wedge and HeapInit
-        passes bound how long a resumable task blocks before its first
-        preemptible step.
+        non-preemptible step: on large graphs its HeapInit pass, which
+        also yields the arc masks, bounds how long a resumable task
+        blocks before its first preemptible step.
         """
         with self._lock:
             cached = self._score_oriented.get(k)
@@ -463,9 +462,10 @@ class Session:
             Optional previous solution (a
             :class:`~repro.core.result.CliqueSetResult` or iterable of
             cliques) to seed the engine with; cliques no longer valid in
-            this session's graph are silently skipped. Greedy engines
-            keep the seed in the solution; the exact B&B uses it as its
-            starting incumbent.
+            this session's graph are silently skipped, while a node that
+            is not an integer raises :class:`InvalidParameterError`.
+            Greedy engines keep the seed in the solution; the exact B&B
+            uses it as its starting incumbent.
         """
         from repro.core.task import SolveTask, normalize_warm_start
 

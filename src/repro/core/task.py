@@ -35,6 +35,7 @@ the same engines.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol
@@ -127,9 +128,13 @@ def normalize_warm_start(
     """Coerce a warm-start spec into a list of candidate cliques.
 
     Accepts a :class:`~repro.core.result.CliqueSetResult` or any
-    iterable of node collections; returns ``None`` for ``None``.
-    Engines filter the candidates themselves (membership in the bound
-    graph, disjointness), so stale cliques are skipped, not errors.
+    iterable of node collections; returns ``None`` for ``None``. Nodes
+    follow the package's endpoint rule (``operator.index``: Python ints,
+    numpy integers and ``bool`` pass): a non-integer node, or a clique
+    that is not iterable, raises :class:`InvalidParameterError`.
+    Engines filter the candidates themselves (range, membership in the
+    bound graph, disjointness), so stale cliques are skipped, not
+    errors.
     """
     if warm_start is None:
         return None
@@ -137,7 +142,15 @@ def normalize_warm_start(
         cliques: Iterable = warm_start.cliques
     else:
         cliques = warm_start
-    return [frozenset(int(u) for u in clique) for clique in cliques]
+    seed: list[frozenset[int]] = []
+    for clique in cliques:
+        try:
+            seed.append(frozenset(map(operator.index, clique)))
+        except TypeError:
+            raise InvalidParameterError(
+                f"warm_start clique {clique!r} is not an iterable of integer nodes"
+            ) from None
+    return seed
 
 
 class SolveTask:

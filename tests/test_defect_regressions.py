@@ -26,7 +26,10 @@ Each class pins one fixed defect so it cannot silently return:
 * a non-integer update endpoint was truncated by ``int()`` (``2.7``
   became node 2, ``"4"`` node 4) in batch planning and feed pushes, and
   failed with a bare ``TypeError`` in ``DynamicGraph`` updates, where
-  ``Graph`` raises ``GraphError``.
+  ``Graph`` raises ``GraphError``;
+* a warm start's nodes went through ``int()``, so ``0.9`` and ``"0"``
+  seeded node 0, while a non-numeric node or a clique that is not
+  iterable failed with a bare ``ValueError``/``TypeError``.
 """
 
 import json
@@ -692,3 +695,41 @@ class TestExactOptimumCliqueOrder:
             graph = make(seed)
             direct = exact_optimum(graph, k).sorted_cliques()
             assert direct == Session(graph).solve(k, "opt").sorted_cliques(), seed
+
+
+class TestNonIntegerWarmStartNodes:
+    """Warm-start nodes follow ``Graph``'s integer rule. On this graph
+    the ``hg`` k=3 solution holds the clique (0, 16, 58), which
+    ``[0.9, 16, 58]`` and ``["0", 16, 58]`` used to seed."""
+
+    BAD = ([[0.9, 16, 58]], [["0", 16, 58]], [["a", 1, 2]], [5], [None])
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        session = Session(powerlaw_cluster(60, 4, 0.6, seed=2))
+        assert (0, 16, 58) in session.solve(3, "hg").sorted_cliques()
+        return session
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_task_rejects_the_warm_start(self, session, bad):
+        with pytest.raises(InvalidParameterError, match="not an iterable of integer nodes"):
+            session.task(3, "lp", warm_start=bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_dynamic_rejects_the_warm_start(self, session, bad):
+        with pytest.raises(InvalidParameterError, match="not an iterable of integer nodes"):
+            session.dynamic(3, "lp", warm_start=bad)
+
+    def test_integer_likes_still_seed(self, session):
+        for seed in ([[0, 16, 58]], [[np.int64(0), np.uint8(16), 58]]):
+            result = session.task(3, "lp", warm_start=seed).run()
+            assert result.stats["warm_seeded"] == 1
+            assert (0, 16, 58) in result.sorted_cliques()
+        dyn = session.dynamic(3, "lp", warm_start=[[np.int32(0), 16, 58]])
+        assert frozenset((0, 16, 58)) in dyn.index.solution.values()
+
+    def test_stale_candidates_are_still_skipped(self, session):
+        # Out of range, not a clique, too small, and overlapping.
+        stale = [[60, 1, 2], [-1, 0, 1], [1, 2, 3], [16, 58], [0, 16, 58]]
+        result = session.task(3, "lp", warm_start=[[0, 16, 58], *stale]).run()
+        assert result.stats["warm_seeded"] == 1

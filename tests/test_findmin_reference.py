@@ -13,6 +13,9 @@ determinism digests and Theorem 4 tests pin both. Tests that patch
 ``ROW_CAP`` to a few nodes run the long-row path on small graphs; those
 that patch ``WEDGE_CAP`` small walk HeapInit roots with FindMin, and a
 small ``ROOT_BATCH_BUDGET`` splits the bulk pass into many batches.
+:func:`reference_arc_masks` is the former arc-mask build, a wedge pass
+of its own, kept as the reference for the masks the substrate now
+packs from the bulk HeapInit's hits.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ from repro.core.lightweight import (
     _earlier_sibling_min,
 )
 from repro.errors import InvalidParameterError
-from repro.graph.dag import OrientedGraph
+from repro.graph.csr import concat_rows
+from repro.graph.dag import OrientedCSR, OrientedGraph
 from repro.graph.graph import Graph
 from repro.graph.generators import erdos_renyi_gnp, powerlaw_cluster
 from repro.graph.ordering import by_score
@@ -196,6 +200,93 @@ def reference_heap_init(finder, k, n, start=0):
     )
 
 
+#: Wedges tested per numpy batch of :func:`reference_arc_masks`.
+REFERENCE_WEDGE_BATCH = 1 << 16
+
+
+def reference_arc_masks(ocsr, tails, built):
+    """One Python-int mask per arc of the ``built`` roots (0 elsewhere).
+
+    ``tails[a]`` is the root owning arc ``a``. For the arc
+    ``a = (r, u)``, bit ``j`` of ``masks[a]`` is set iff
+    ``u -> row(r)[j]``. Every wedge ``r -> u -> w`` of a built root is
+    tested in batches of :data:`REFERENCE_WEDGE_BATCH`: the key
+    ``r * n + w`` is looked up with ``searchsorted`` in the globally
+    sorted arc keys, and the hit position minus ``r``'s row start is
+    ``w``'s bit. Hits arrive sorted by (arc, bit), so each 64-bit word
+    of a mask is one ``reduceat``.
+    """
+    n, indptr, cols = ocsr.n, ocsr.indptr, ocsr.cols
+    keys = tails * n + cols
+    arcs = np.flatnonzero(built[tails])
+    wedge_ends = np.cumsum(ocsr.out_degrees()[cols[arcs]])
+    words = np.zeros(len(cols), dtype=np.uint64)
+    high = []
+    start = 0
+    while start < len(arcs):
+        done = int(wedge_ends[start - 1]) if start else 0
+        stop = max(
+            start + 1,
+            int(np.searchsorted(wedge_ends, done + REFERENCE_WEDGE_BATCH, side="right")),
+        )
+        pos, w = concat_rows(indptr, cols, cols[arcs[start:stop]])
+        arc = arcs[start:stop][pos]
+        probe = tails[arc] * n + w
+        at = np.searchsorted(keys, probe).clip(max=len(keys) - 1)
+        hit = keys[at] == probe
+        start = stop
+        if not hit.any():
+            continue
+        arc, at = arc[hit], at[hit]
+        bit = at - indptr[tails[arc]]
+        word = bit >> 6
+        seg = np.flatnonzero(np.r_[True, (np.diff(arc) != 0) | (np.diff(word) != 0)])
+        vals = np.bitwise_or.reduceat(
+            np.left_shift(np.uint64(1), (bit & 63).astype(np.uint64)), seg
+        )
+        first = word[seg] == 0
+        words[arc[seg[first]]] = vals[first]
+        if not first.all():
+            rest = ~first
+            high.extend(
+                zip(arc[seg[rest]].tolist(), word[seg[rest]].tolist(), vals[rest].tolist())
+            )
+    masks = words.tolist()
+    for a, word_index, value in high:
+        masks[a] |= value << (64 * word_index)
+    return masks
+
+
+def masked_rows(graph, k, row_cap=ROW_CAP, wedge_cap=WEDGE_CAP):
+    """The rows FindMin can walk with masks, as the former build chose
+    them: ``(ocsr, tails, built, entry, walked, targets)``, flags per node.
+
+    ``entry`` marks the roots with a HeapInit entry (from the per-root
+    set-walk driver) and ``walked`` those walked for their wedge count;
+    both are *searched*. ``targets`` are the out-neighbours of searched
+    long rows at ``k > 3``. A short row is built if it is searched, or
+    a target of out-degree ``>= 2``; none is at ``k = 2``.
+    """
+    scores = node_scores(graph, k)
+    ocsr = OrientedCSR.from_rank(graph, by_score(graph, scores))
+    n = graph.n
+    deg = ocsr.out_degrees()
+    tails = np.repeat(np.arange(n, dtype=np.int64), deg)
+    short = deg <= row_cap
+    wedges = np.bincount(tails, weights=deg[ocsr.cols], minlength=n)
+    stats = {"findmin_calls": 0, "branches_pruned": 0}
+    entries, _, _ = reference_heap_init(set_finder(graph, k, True, stats), k, n)
+    entry = np.zeros(n, dtype=bool)
+    entry[[root for _, root, _ in entries]] = True
+    walked = (wedges > wedge_cap) & (np.asarray(scores) > 0) & (deg >= k - 1) & (k > 2)
+    searched = entry | walked
+    targets = np.zeros(n, dtype=bool)
+    if k > 3:
+        targets[ocsr.cols[(searched & ~short)[tails]]] = True
+    built = short & (searched | (targets & (deg >= 2))) & (k > 2)
+    return ocsr, tails, built, entry, walked, targets
+
+
 def drain(engine, ticks=None, tick=LightweightEngine.tick):
     done = 0
     while not engine.finished and (ticks is None or done < ticks):
@@ -282,12 +373,16 @@ def graphs(draw):
     return powerlaw_cluster(n, m_attach, p, seed=seed)
 
 
+def with_hub(base):
+    """``base`` plus a hub node joined to every node."""
+    hub = base.n
+    return Graph(hub + 1, [*base.edges(), *((hub, v) for v in base.nodes())])
+
+
 WEDGE_CAPS = st.sampled_from((WEDGE_CAP, 0, 5, 50))
 BUDGETS = st.sampled_from((BATCH_BUDGET, 8))
 
-
-@settings(max_examples=60, deadline=None)
-@given(
+WALK_CASES = dict(
     graph=graphs(),
     k=st.integers(2, 6),
     prune=st.booleans(),
@@ -297,13 +392,114 @@ BUDGETS = st.sampled_from((BATCH_BUDGET, 8))
     wedge_cap=WEDGE_CAPS,
     budget=BUDGETS,
 )
-def test_walk_equals_set_walk_reference(
-    graph, k, prune, warm, pause_after, row_cap, wedge_cap, budget
-):
+
+
+def check_walk(graph, k, prune, warm, pause_after, row_cap, wedge_cap, budget):
     warm_start = basic_framework(graph, k).sorted_cliques()[::2] if warm else None
     assert_matches_reference(
         graph, k, prune, warm_start, pause_after, row_cap, wedge_cap, budget
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(**WALK_CASES)
+def test_walk_equals_set_walk_reference(
+    graph, k, prune, warm, pause_after, row_cap, wedge_cap, budget
+):
+    check_walk(graph, k, prune, warm, pause_after, row_cap, wedge_cap, budget)
+
+
+@pytest.mark.slow
+@settings(max_examples=400, deadline=None)
+@given(**WALK_CASES)
+def test_walk_equals_set_walk_reference_deep(
+    graph, k, prune, warm, pause_after, row_cap, wedge_cap, budget
+):
+    check_walk(graph, k, prune, warm, pause_after, row_cap, wedge_cap, budget)
+
+
+MASK_CASES = dict(
+    graph=graphs(),
+    hub=st.booleans(),
+    k=st.integers(2, 6),
+    row_cap=st.sampled_from((ROW_CAP, 2, 5, 12, 40)),
+    wedge_cap=WEDGE_CAPS,
+    budget=BUDGETS,
+)
+
+
+def check_masks(graph, hub, k, row_cap, wedge_cap, budget):
+    """The substrate's masks, packed from the bulk HeapInit's hits and
+    a pass over the rows it does not cover, are those of the former
+    wedge pass over the same rows. A hub makes a long row at every
+    small ``row_cap``, whose re-base targets need masks at ``k > 3``;
+    a small ``wedge_cap`` walks short rows."""
+    if hub:
+        graph = with_hub(graph)
+    ocsr, tails, built, _, _, _ = masked_rows(graph, k, row_cap, wedge_cap)
+    with constants(row_cap, wedge_cap, budget):
+        sub = ScoreOrientedCSR(graph, node_scores(graph, k), k)
+    assert sub.masks == reference_arc_masks(ocsr, tails, built)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**MASK_CASES)
+def test_masks_equal_wedge_pass_reference(graph, hub, k, row_cap, wedge_cap, budget):
+    check_masks(graph, hub, k, row_cap, wedge_cap, budget)
+
+
+@pytest.mark.slow
+@settings(max_examples=400, deadline=None)
+@given(**MASK_CASES)
+def test_masks_equal_wedge_pass_reference_deep(graph, hub, k, row_cap, wedge_cap, budget):
+    check_masks(graph, hub, k, row_cap, wedge_cap, budget)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_masks_cover_walked_rows_and_rebase_targets(k):
+    """On a denser graph, some masked rows are packed by the extra pass:
+    walked short rows and, at ``k > 3``, re-base targets without an
+    entry."""
+    graph = powerlaw_cluster(250, 8, 0.8, seed=3)
+    ocsr, tails, built, entry, walked, targets = masked_rows(graph, k, 40, 50)
+    assert (built & walked).any()
+    assert (built & targets & ~entry & ~walked).any() == (k > 3)
+    with constants(row_cap=40, wedge_cap=50, budget=64):
+        sub = ScoreOrientedCSR(graph, node_scores(graph, k), k)
+    assert sub.masks == reference_arc_masks(ocsr, tails, built)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=graphs(),
+    k=st.integers(2, 5),
+    row_cap=st.sampled_from((ROW_CAP, 2, 5, 12)),
+    data=st.data(),
+)
+def test_live_out_degree_reads_validity_flags(graph, k, row_cap, data):
+    """After each round of invalidations, every node's live out-degree
+    is the size of the set walk's live out-set: 0 for an invalid node,
+    and on long and short rows alike. A search from every node, valid
+    or not, finds what the set walk finds, with the same counts."""
+    engine = LightweightEngine(graph, k, oriented=substrate_with_cap(graph, k, row_cap))
+    finder = engine.finder
+    reference = set_finder(graph, k, True, {"findmin_calls": 0, "branches_pruned": 0})
+    nodes = st.integers(0, graph.n - 1) if graph.n else st.nothing()
+    dead = set()
+    for _ in range(data.draw(st.integers(0, 3)) + 1):
+        assert [finder.live_out_degree(u) for u in graph.nodes()] == [
+            reference.live_out_degree(u) for u in graph.nodes()
+        ]
+        assert not any(finder.live_out_degree(u) for u in dead)
+        assert [finder.search(u, k) for u in graph.nodes()] == [
+            reference.search(u, k) for u in graph.nodes()
+        ]
+        for key in ("findmin_calls", "branches_pruned"):
+            assert engine.stats[key] == reference.stats[key]
+        killed = data.draw(st.sets(nodes, max_size=(graph.n + 3) // 4))
+        finder.invalidate(killed)
+        reference.invalidate(killed)
+        dead |= killed
 
 
 def assert_bulk_matches_driver(
@@ -448,19 +644,10 @@ class TestMultiWordMasks:
         assert bool(targets) == (row_cap < 64 and k > 3)
         for r, row in enumerate(rows):
             assert row == sorted(out[r])
-            assert sub.full[r] == ((1 << len(row)) - 1 if live[r] else 0)
             built = short[r] and k > 2 and (live[r] or r in targets)
             for i, u in enumerate(row):
                 expected = sum(1 << j for j, w in enumerate(row) if w in out[u])
                 assert sub.masks[sub.indptr[r] + i] == (expected if built else 0)
-        in_arcs = sorted(
-            (w, sub.in_tail[i], sub.in_bit[i])
-            for w in graph.nodes()
-            for i in range(sub.in_ptr[w], sub.in_ptr[w + 1])
-        )
-        assert in_arcs == sorted(
-            (w, r, j) for r, row in enumerate(rows) if live[r] for j, w in enumerate(row)
-        )
 
     @pytest.mark.parametrize("row_cap", [ROW_CAP, 40])
     @pytest.mark.parametrize("k", [3, 4, 5])
@@ -484,7 +671,7 @@ class TestLongRows:
         graph = wheel_with_spokes(20_000)
         sub = ScoreOrientedCSR(graph, node_scores(graph, 3), 3)
         assert sub.indptr[1] - sub.indptr[0] == 20_000 > ROW_CAP
-        real = sum(8 + sys.getsizeof(x) for x in (*sub.masks, *sub.full))
+        real = sum(8 + sys.getsizeof(x) for x in (*sub.masks, *sub.bits))
         estimate = sub.estimated_bytes()
         # One mask per arc of the hub row would need ~D^2/16 = 25 MB.
         assert real <= estimate <= 200 * (graph.n + graph.m)
@@ -505,10 +692,10 @@ class TestLongRows:
 
         heap = deep_size(sub.init_entries)
         arrays = sub._ocsr.indptr, sub._ocsr.cols, sub._ocsr.rank, sub._scores, sub._walked
-        masks = sum(8 + sys.getsizeof(x) for x in (*sub.masks, *sub.full))
+        masks = sum(8 + sys.getsizeof(x) for x in (*sub.masks, *sub.bits))
         # The int lists at their documented 40 bytes per entry, plus the
         # rest at no less than its measured size.
-        lists = sub.indptr, sub.cols, sub.scores, sub.in_ptr, sub.in_tail, sub.in_bit
+        lists = sub.indptr, sub.cols, sub.scores
         charged = 40 * sum(map(len, lists)) + masks + heap + sum(a.nbytes for a in arrays)
         assert charged <= sub.estimated_bytes() <= 200 * (graph.n + graph.m)
 
@@ -517,7 +704,7 @@ class TestLongRows:
     def test_hub_graph_matches_reference(self, k, prune):
         base = powerlaw_cluster(1100, 4, 0.7, seed=5)
         hub = base.n
-        graph = Graph(hub + 1, [*base.edges(), *((hub, v) for v in base.nodes())])
+        graph = with_hub(base)
         sub = ScoreOrientedCSR(graph, node_scores(graph, k), k)
         assert sub.indptr[hub + 1] - sub.indptr[hub] == base.n > ROW_CAP
         assert_matches_reference(graph, k, prune, pause_after=300)

@@ -21,7 +21,11 @@ Two modes::
         ``dynamic_solution``, ``dynamic_stats`` and ``dynamic_index``,
         digest dynamic repair: a pinned mixed update stream applied in
         16-update batches and per edge at k = 3 and 4, recorded after
-        every batch and at the end of the per-edge run.
+        every batch and at the end of the per-edge run. Two more,
+        ``lp_hub_solution`` and ``lp_hub_stats``, digest ``lp`` at
+        k = 3-5 and ``l`` at k = 4 on a graph with a hub joined to every
+        node, whose row is longer than ``ROW_CAP`` (the list walk and its
+        re-bases) while seven rows are over 64 nodes (multi-word masks).
 
     python tools/determinism_digest.py run <results/run-dir>
         Digest of a bench run directory's order-bearing content: per
@@ -108,6 +112,27 @@ def solve_digests() -> dict[str, str]:
     return out
 
 
+def hub_digests() -> dict[str, str]:
+    """Digests of the ``lp``/``l`` solves on a pinned graph whose hub
+    row takes FindMin's long-row path."""
+    from repro import Graph, Session
+    from repro.graph.generators import powerlaw_cluster
+    from repro.jsonsafe import json_safe
+
+    base = powerlaw_cluster(1100, 4, 0.7, seed=5)
+    hub = base.n
+    session = Session(
+        Graph(hub + 1, [*base.edges(), *((hub, v) for v in base.nodes())])
+    )
+    solutions: dict[str, list] = {}
+    stats: dict[str, object] = {}
+    for method, k in (("lp", 3), ("lp", 4), ("lp", 5), ("l", 4)):
+        result = session.solve(k, method)
+        solutions[f"{method}_k{k}"] = result.sorted_cliques()
+        stats[f"{method}_k{k}"] = json_safe(dict(result.stats))
+    return {"lp_hub_solution": _digest(solutions), "lp_hub_stats": _digest(stats)}
+
+
 def dynamic_digests() -> dict[str, str]:
     """Digests of dynamic repair over a pinned mixed update stream:
     the solution (owner ids included), the stats and the candidate
@@ -177,7 +202,7 @@ def run_digests(run_dir: Path) -> dict[str, str]:
 
 def main(argv: list[str]) -> int:
     if len(argv) >= 1 and argv[0] == "solve":
-        digests = {**solve_digests(), **dynamic_digests()}
+        digests = {**solve_digests(), **hub_digests(), **dynamic_digests()}
     elif len(argv) >= 2 and argv[0] == "run":
         digests = run_digests(Path(argv[1]))
     else:
