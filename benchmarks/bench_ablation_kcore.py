@@ -78,7 +78,7 @@ def build_core_periphery(smoke: bool):
 
 def cells(smoke: bool = False) -> list:
     """Runner cells: (k-1)-core pruning payoff and solution invariance."""
-    from repro.bench.runner import CellSpec, check, ratio
+    from repro.bench.runner import CellSpec, check, quality
 
     def run() -> dict:
         graph = build_core_periphery(smoke)
@@ -92,7 +92,7 @@ def cells(smoke: bool = False) -> list:
             "kept_edges": pruned.m,
             "solution_size": raw.size,
             "gate": {
-                "prune_edge_reduction": ratio(graph.m / max(pruned.m, 1)),
+                "prune_edge_reduction": quality(graph.m / max(pruned.m, 1)),
                 "solution_invariant": check(
                     raw.sorted_cliques() == on_pruned.sorted_cliques()
                 ),

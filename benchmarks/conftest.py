@@ -1,11 +1,13 @@
 """Shared fixtures and helpers for the benchmark suite.
 
 Each ``bench_*`` file regenerates one of the paper's tables or figures
-(see the suite index in docs/benchmarks.md). Benchmarks run at reduced
-scale so the whole suite finishes in minutes; the full-scale artefacts
-for EXPERIMENTS.md come from ``python -m repro.bench.experiments all``
-or — with manifests and a regression gate — ``python -m repro bench
---reproduce-all``.
+or an ablation (see the suite index in docs/benchmarks.md). Benchmarks
+run at reduced scale so the whole suite finishes in minutes; the
+full-scale artefacts come from ``python -m repro bench
+--reproduce-all``, which records them with a manifest and gates their
+identity checks and quality totals, and ``python -m repro.bench.report
+<run-dir>`` writes that run up as EXPERIMENTS.md. Speed is measured by
+``perfbench/``, not here.
 
 Seeds and update streams are canonical: every benchmark draws them from
 :mod:`repro.bench.workloads` (directly or via the fixtures below), so

@@ -12,13 +12,11 @@ from repro.bench.harness import (
 from repro.bench.plotting import ascii_log_chart, sparkline
 from repro.bench.runner import (
     CellSpec,
-    GateThresholds,
     SuiteSpec,
     check,
     gate_run,
     load_run,
     quality,
-    ratio,
     run_suites,
     suite_names,
 )
@@ -41,8 +39,6 @@ __all__ = [
     "DEFAULT_CLIQUE_BUDGET",
     "CellSpec",
     "SuiteSpec",
-    "GateThresholds",
-    "ratio",
     "quality",
     "check",
     "run_suites",

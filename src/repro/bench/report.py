@@ -1,22 +1,21 @@
-"""EXPERIMENTS.md generator: paper-vs-measured for every artefact.
+"""EXPERIMENTS.md generator: paper-vs-measured for every artefact of a run.
 
-``python -m repro.bench.report [<path>]`` runs the full experiment
-suite (:func:`repro.bench.experiments.run_all`) and writes a markdown
-report pairing each regenerated table/figure with the paper's reported
-numbers and the expected qualitative shape, so a reader can audit the
-reproduction cell by cell.
+``python -m repro.bench.report RUN_DIR [OUT]`` reads a finished
+``repro bench`` run directory — its manifest and the artefacts its
+cells rendered — and writes a markdown report (default
+``EXPERIMENTS.md``) pairing each regenerated table/figure with the
+paper's reported numbers and the expected qualitative shape, so a
+reader can audit the reproduction cell by cell. It runs no experiment:
+``python -m repro bench --reproduce-all`` produces the run first.
 """
 
 from __future__ import annotations
 
-import platform
 import sys
-import time
 from pathlib import Path
 from typing import Sequence
 
-from repro.bench import experiments as exp
-from repro.bench.harness import BENCH_SCALE, DEFAULT_CLIQUE_BUDGET, DEFAULT_TIME_BUDGET
+from repro.bench.runner import load_run
 
 # What the paper reports for each artefact, and the shape we check here.
 PAPER_NOTES: dict[str, str] = {
@@ -105,48 +104,61 @@ PAPER_NOTES: dict[str, str] = {
 }
 
 
-def build_report() -> str:
-    """Run every experiment and render the full markdown report."""
-    start = time.time()
-    results = exp.run_all()
-    elapsed = time.time() - start
+def build_report(run_dir: str | Path) -> str:
+    """Render the markdown report of one run: a section per artefact."""
+    run = load_run(run_dir)
+    manifest = run.manifest
+    env = manifest.get("environment", {})
+    budgets = manifest.get("budgets", {})
+    stats = run.summary.get("stats", {})
     lines = [
         "# EXPERIMENTS — paper vs. measured",
         "",
-        "Regenerated by `python -m repro.bench.report` "
-        f"(total runtime {elapsed / 60:.1f} min).",
+        f"Rendered by `python -m repro.bench.report` from the "
+        f"{manifest.get('mode')} run `{manifest.get('run_id')}` "
+        f"(git `{manifest.get('git_sha')}`, {manifest.get('created')}): "
+        f"{stats.get('cells_ok', 0)} cells ok, "
+        f"{stats.get('cells_error', 0)} errored.",
         "",
-        f"* Python {platform.python_version()} on {platform.system()} "
-        f"{platform.machine()}; single process (the paper used C++ with "
-        "64 threads on a Xeon with 504GB RAM).",
-        f"* Budgets: {DEFAULT_TIME_BUDGET:.0f}s per cell (paper: 24h), "
-        f"{DEFAULT_CLIQUE_BUDGET} stored cliques (paper: 504GB), "
-        f"workload scale x{BENCH_SCALE}.",
+        f"* Python {env.get('python')} on {env.get('platform')}; single "
+        "process (the paper used C++ with 64 threads on a Xeon with 504GB "
+        "RAM).",
+        f"* Budgets: {budgets.get('time_budget_s')}s per cell (paper: 24h), "
+        f"{budgets.get('clique_budget')} stored cliques (paper: 504GB), "
+        f"workload scale x{budgets.get('bench_scale')}.",
         "* Datasets are seeded synthetic substitutes (docs/benchmarks.md, "
         "Datasets); absolute numbers differ from the paper by construction — the "
         "claims audited here are the *shapes*: who wins, how costs move "
         "with k and density, where OOT/OOM hits.",
         "",
     ]
-    for result in results:
-        lines.append(f"## {result.name}")
-        lines.append("")
-        note = PAPER_NOTES.get(result.name)
+    for record in run.records:
+        if record.get("status") != "ok":
+            lines += [f"* ERROR {record.get('suite')}/{record.get('cell')}: "
+                      f"{record.get('error')}", ""]
+    for record in run.records:
+        if not record.get("artefact"):
+            continue
+        suite, cell = str(record.get("suite")), str(record.get("cell"))
+        title = manifest.get("suites", {}).get(suite, {}).get("title", suite)
+        heading = suite if cell == suite else f"{suite}/{cell}"
+        lines += [f"## {heading}: {title}", ""]
+        note = PAPER_NOTES.get(suite)
         if note:
-            lines.append(note)
-            lines.append("")
-        lines.append("```text")
-        lines.append(result.text)
-        lines.append("```")
-        lines.append("")
+            lines += [note, ""]
+        text = (run.path / str(record["artefact"])).read_text(encoding="utf-8")
+        lines += ["```text", text.rstrip("\n"), "```", ""]
     return "\n".join(lines)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Write the report to the given path (default: EXPERIMENTS.md)."""
+    """Write the report of ``RUN_DIR`` to ``OUT`` (default: EXPERIMENTS.md)."""
     args = list(argv if argv is not None else sys.argv[1:])
-    out_path = Path(args[0]) if args else Path("EXPERIMENTS.md")
-    report = build_report()
+    if not 1 <= len(args) <= 2:
+        print("usage: python -m repro.bench.report RUN_DIR [OUT]", file=sys.stderr)
+        return 2
+    out_path = Path(args[1]) if len(args) == 2 else Path("EXPERIMENTS.md")
+    report = build_report(args[0])
     out_path.write_text(report, encoding="utf-8")
     print(f"wrote {out_path} ({len(report.splitlines())} lines)")
     return 0

@@ -1,9 +1,9 @@
 """Manifest-based benchmark runner behind ``python -m repro bench``.
 
-The unified experiment harness of the repository: a registry of every
-benchmark suite (the three standalone ``BENCH_*`` perf trajectories plus
-the fourteen paper table/figure/ablation suites under ``benchmarks/``),
-executed into per-run result directories with full provenance:
+The paper-reproduction harness of the repository: a registry of the
+paper table/figure suites and the ablations under ``benchmarks/``,
+executed into per-run result directories with full provenance (speed
+is measured by ``perfbench/``, not here):
 
 ``results/<run-id>/manifest.json``
     Suite specs and per-cell configs, canonical seeds
@@ -14,7 +14,7 @@ executed into per-run result directories with full provenance:
     a killed run keeps its partial results.
 ``results/<run-id>/summary.json``
     Per-suite rollups plus suite-level gate metrics aggregated from the
-    cells (``check`` = AND, ``ratio`` = min, ``quality`` = sum).
+    cells (``check`` = AND, ``quality`` = sum).
 ``results/<run-id>/artefacts/``
     Rendered paper tables/figures (text), one file per cell.
 ``results/index.json``
@@ -22,21 +22,17 @@ executed into per-run result directories with full provenance:
 
 Each ``benchmarks/bench_*.py`` exposes ``cells(smoke=False)`` returning
 :class:`CellSpec` objects; a cell function returns a plain dict whose
-``"gate"`` key (built with :func:`ratio` / :func:`quality` /
-:func:`check`) feeds the regression gate and whose ``"artefact"`` key
-(text) is written to the artefacts directory — everything else is
-recorded as metrics. Differential verification (batched-vs-per-edge
-convergence, served-vs-direct identity, GC==LP) runs in-band: a failed
-assertion errors the cell, and errored cells fail both the run and the
-gate.
+``"gate"`` key (built with :func:`quality` / :func:`check`) feeds the
+regression gate and whose ``"artefact"`` key (text) is written to the
+artefacts directory — everything else is recorded as metrics. Gate
+metrics are deterministic per mode; timings are plain metrics. A cell
+that raises, or whose ``check`` is False, is recorded as
+``status: "error"`` and fails the run.
 
-The gate (:func:`gate_run`) compares a fresh run against a baseline run
-directory. When both runs have the same mode (smoke vs full), ratio
-metrics must stay above ``baseline * (1 - max_speedup_loss)`` and
-quality metrics within ``max_quality_drift``; across modes (a smoke run
-gated against a migrated full-scale baseline) absolute timings are not
-comparable, so the gate checks coverage, cell success, identity checks
-and the absolute ``min_ratio`` floor instead.
+The gate (:func:`gate_run`) compares a fresh run against a baseline
+run directory of the same mode: every ``quality`` total must stay
+within :data:`QUALITY_DRIFT` of the baseline, every ``check`` must
+hold, and every baseline suite must be present with no errored cell.
 
 Layer: bench (70) — imports harness/workloads/experiments and below,
 and is imported only by the CLI.
@@ -72,32 +68,26 @@ BENCH_DIR = Path(
 #: Default cross-run results directory (``--results-dir`` overrides).
 DEFAULT_RESULTS_DIR = REPO_ROOT / "results"
 
+#: How far a ``quality`` total may drift (either direction) from the
+#: baseline, as a fraction of ``max(1, |baseline|)``.
+QUALITY_DRIFT = 0.05
+
 
 # ----------------------------------------------------------------------
 # Gate-metric constructors (used by the bench scripts' cells())
 # ----------------------------------------------------------------------
-def ratio(value: float) -> dict[str, Any]:
-    """A speedup-style gate metric: higher is better, min-aggregated.
-
-    Same-mode gating fails when the fresh value drops below
-    ``baseline * (1 - max_speedup_loss)``; cross-mode gating only
-    enforces the absolute ``min_ratio`` floor.
-    """
-    return {"kind": "ratio", "value": float(value)}
-
-
 def quality(value: float) -> dict[str, Any]:
     """A solution-quality gate metric: drift-bounded, sum-aggregated.
 
-    Same-mode gating fails when ``|fresh - baseline|`` exceeds
-    ``max_quality_drift * max(1, |baseline|)`` — deterministic seeds
-    mean quality should not move at all, in either direction.
+    The gate fails when ``|fresh - baseline|`` exceeds
+    ``QUALITY_DRIFT * max(1, |baseline|)`` — deterministic seeds mean
+    quality should not move at all, in either direction.
     """
     return {"kind": "quality", "value": float(value)}
 
 
 def check(value: bool) -> dict[str, Any]:
-    """An identity/shape gate metric: must be true, AND-aggregated."""
+    """An identity/shape gate metric: AND-aggregated; False errors its cell."""
     return {"kind": "check", "value": bool(value)}
 
 
@@ -130,7 +120,7 @@ class SuiteSpec:
 
 
 #: Every benchmark suite, in execution order: paper artefacts first,
-#: then the ablations, then the three standalone perf trajectories.
+#: then the ablations.
 SUITES: tuple[SuiteSpec, ...] = (
     SuiteSpec("table1", "bench_table1_stats", "paper",
               "Table I: dataset statistics and clique counts"),
@@ -160,12 +150,6 @@ SUITES: tuple[SuiteSpec, ...] = (
               "Ablation: score-driven pruning (L vs LP)"),
     SuiteSpec("ablation_kcore", "bench_ablation_kcore", "ablation",
               "Ablation: (k-1)-core pruning preprocessing"),
-    SuiteSpec("dynamic", "bench_dynamic", "perf",
-              "Per-edge vs batched dynamic maintenance"),
-    SuiteSpec("serve", "bench_serve", "perf",
-              "Serving layer: warm pool and worker scaling"),
-    SuiteSpec("anytime", "bench_anytime", "perf",
-              "Anytime curves and preemptive goodput"),
 )
 
 
@@ -303,7 +287,9 @@ def build_manifest(
 def run_cell_record(suite: SuiteSpec, cell: CellSpec) -> dict[str, Any]:
     """Execute one cell, capturing failures as ``status: "error"``.
 
-    The returned record still carries ``"artefact_text"`` (if any);
+    A cell fails when it raises or when any of its ``check`` gate
+    metrics is False; the error names the failed checks. The returned
+    record still carries ``"artefact_text"`` (if any);
     :func:`run_suites` writes it out and replaces it with the artefact's
     relative path before streaming the record.
     """
@@ -328,6 +314,14 @@ def run_cell_record(suite: SuiteSpec, cell: CellSpec) -> dict[str, Any]:
         if artefact is not None:
             record["artefact_text"] = str(artefact)
         record["metrics"] = payload
+        failed = [
+            metric
+            for metric, spec in sorted(record["gate"].items())
+            if spec.get("kind") == "check" and not spec.get("value")
+        ]
+        if failed:
+            record["status"] = "error"
+            record["error"] = f"check failed: {', '.join(failed)}"
     record["seconds"] = round(time.perf_counter() - start, 6)
     return record
 
@@ -342,8 +336,7 @@ def build_summary(
 
     Per suite: ok/error counts, total seconds and the errored cell
     names. Per gate metric: ``check`` values AND together (recording
-    the first failing cell), ``ratio`` values take the minimum
-    (recording the contributing cell), ``quality`` values sum.
+    the first failing cell), ``quality`` values sum.
 
     ``environment`` is the *manifest's* environment block — passed
     through (not re-read from the current process) so a summary rebuilt
@@ -406,11 +399,6 @@ def _fold_gate(
             if not value and agg["value"]:
                 agg["cell"] = str(record.get("cell"))
             agg["value"] = bool(agg["value"] and value)
-        elif kind == "ratio":
-            value = float(value)
-            if value < agg["value"]:
-                agg["value"] = value
-                agg["cell"] = str(record.get("cell"))
         elif kind == "quality":
             agg["value"] = float(agg["value"]) + float(value)
             agg["cell"] = "*"
@@ -608,41 +596,32 @@ def load_run(path: str | Path) -> RunData:
     return RunData(path=root, manifest=manifest, records=records, summary=summary)
 
 
-@dataclass(frozen=True)
-class GateThresholds:
-    """Configurable regression-gate thresholds.
+def require_mode(baseline: RunData, mode: str) -> None:
+    """Raise unless ``baseline`` was run in ``mode`` (smoke or full).
 
-    ``max_speedup_loss``
-        Same-mode only: a ratio metric may lose at most this fraction
-        of the baseline value (0.5 = half the recorded speedup).
-    ``max_quality_drift``
-        Same-mode only: a quality metric may drift (either direction)
-        by at most this fraction of ``max(1, |baseline|)``.
-    ``min_ratio``
-        Cross-mode: the absolute floor every ratio metric must clear
-        (0.0 keeps cross-mode gating to coverage + identity checks).
+    Quality totals are only comparable between runs of one mode, so a
+    gate across modes is a usage error, not a pass.
     """
+    base_mode = baseline.manifest.get("mode")
+    if base_mode != mode:
+        raise InvalidParameterError(
+            f"baseline {baseline.path} is a {base_mode!r} run; a {mode!r} "
+            "run can only be gated against a baseline of the same mode"
+        )
 
-    max_speedup_loss: float = 0.5
-    max_quality_drift: float = 0.05
-    min_ratio: float = 0.0
 
-
-def gate_run(
-    fresh: RunData,
-    baseline: RunData,
-    thresholds: GateThresholds | None = None,
-) -> list[str]:
-    """Compare a fresh run against a baseline; return failure messages.
+def gate_run(fresh: RunData, baseline: RunData) -> list[str]:
+    """Compare a fresh run against a same-mode baseline; return failures.
 
     Every suite with gate metrics in the baseline must be present in
     the fresh run with zero errored cells; every baseline gate metric
-    must be present and pass its kind-specific comparison (see
-    :class:`GateThresholds`). An empty list means the gate passed.
+    must be present, each ``check`` must hold and each ``quality``
+    total must stay within :data:`QUALITY_DRIFT`. An empty list means
+    the gate passed. A baseline of the other mode raises
+    :class:`~repro.errors.InvalidParameterError`.
     """
-    thresholds = thresholds or GateThresholds()
+    require_mode(baseline, str(fresh.manifest.get("mode")))
     failures: list[str] = []
-    same_mode = fresh.manifest.get("mode") == baseline.manifest.get("mode")
     fresh_suites = fresh.summary.get("suites", {})
     fresh_gate = fresh.summary.get("gate", {})
     for suite, base_metrics in sorted(baseline.summary.get("gate", {}).items()):
@@ -666,42 +645,22 @@ def gate_run(
                     f"suite '{suite}' metric '{metric}': missing from the fresh run"
                 )
                 continue
-            kind = base.get("kind")
             cell = spec.get("cell", "?")
-            if kind == "check":
+            if base.get("kind") == "check":
                 if not spec.get("value"):
                     failures.append(
                         f"suite '{suite}' cell '{cell}' metric '{metric}': "
                         "identity/shape check failed"
                     )
-            elif kind == "ratio":
-                value = float(spec.get("value", 0.0))
-                if same_mode:
-                    base_value = float(base.get("value", 0.0))
-                    floor = base_value * (1.0 - thresholds.max_speedup_loss)
-                    if value < floor:
-                        failures.append(
-                            f"suite '{suite}' cell '{cell}' metric '{metric}': "
-                            f"x{value:.2f} below the regression floor "
-                            f"x{floor:.2f} (baseline x{base_value:.2f}, "
-                            f"max speedup loss "
-                            f"{thresholds.max_speedup_loss:.0%})"
-                        )
-                elif value < thresholds.min_ratio:
-                    failures.append(
-                        f"suite '{suite}' cell '{cell}' metric '{metric}': "
-                        f"x{value:.2f} below the absolute floor "
-                        f"x{thresholds.min_ratio:.2f} (cross-mode gate)"
-                    )
-            elif kind == "quality" and same_mode:
-                base_value = float(base.get("value", 0.0))
-                drift = abs(float(spec.get("value", 0.0)) - base_value)
-                allowed = thresholds.max_quality_drift * max(1.0, abs(base_value))
-                if drift > allowed:
-                    failures.append(
-                        f"suite '{suite}' cell '{cell}' metric '{metric}': "
-                        f"quality drifted by {drift:g} from baseline "
-                        f"{base_value:g} (allowed {allowed:g}, max drift "
-                        f"{thresholds.max_quality_drift:.0%})"
-                    )
+                continue
+            base_value = float(base.get("value", 0.0))
+            drift = abs(float(spec.get("value", 0.0)) - base_value)
+            allowed = QUALITY_DRIFT * max(1.0, abs(base_value))
+            if drift > allowed:
+                failures.append(
+                    f"suite '{suite}' cell '{cell}' metric '{metric}': "
+                    f"quality drifted by {drift:g} from baseline "
+                    f"{base_value:g} (allowed {allowed:g}, max drift "
+                    f"{QUALITY_DRIFT:.0%})"
+                )
     return failures

@@ -1,8 +1,7 @@
 """Canonical benchmark seeds and shared workload construction.
 
-Every benchmark — the pytest-driven ``benchmarks/bench_*.py`` cells,
-the standalone BENCH scripts and the :mod:`repro.bench.experiments`
-runners — must measure the *same* streams, or cross-run comparisons
+Every benchmark — the pytest-driven ``benchmarks/bench_*.py`` cells
+and the :mod:`repro.bench.experiments` runners — must measure the *same* streams, or cross-run comparisons
 silently compare different workloads. This module is the single place
 those seeds live:
 
@@ -26,12 +25,12 @@ from repro.errors import InvalidParameterError
 from repro.graph.graph import Graph
 
 #: Every named random stream used by the benchmark suites. Grouped by
-#: consumer; keep values stable across PRs (they define the recorded
-#: perf trajectory).
+#: consumer; keep values stable (they define what every recorded run
+#: measured).
 SEEDS: dict[str, int] = {
     # Synthetic benchmark graphs (powerlaw_cluster / watts_strogatz).
     "synthetic_graph": 7,
-    # Fig 1 social graph and the serve/anytime tenant graphs.
+    # Fig 1 social graph.
     "social_graph": 9,
     # Deletion/insertion update streams (Section VI-E).
     "update_stream": 11,
@@ -70,8 +69,8 @@ def bench_workload(
 
     Same contract as :func:`repro.dynamic.workload.make_workload`, with
     the seed pinned by :func:`stream_seed` — the one entry point the
-    runner, the pytest benchmarks and the standalone BENCH scripts share
-    so they all time identical streams.
+    runner and the pytest benchmarks share so they time identical
+    streams.
     """
     return make_workload(graph, kind, count, seed=stream_seed(kind))
 

@@ -266,7 +266,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         max_sessions=args.pool_sessions,
         max_bytes=args.pool_bytes,
-        quantum=args.quantum if args.quantum > 0 else None,
+        quantum=args.quantum,
     )
     if not args.quiet:
         print(
@@ -327,6 +327,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if names is not None:
         for name in names:
             bench_runner.get_suite(name)  # fail fast on typos
+    baseline = None
+    if args.gate:  # fail fast on a missing or other-mode baseline
+        baseline = bench_runner.load_run(args.gate)
+        bench_runner.require_mode(baseline, "smoke" if args.smoke else "full")
 
     outcome = bench_runner.run_suites(
         names,
@@ -341,22 +345,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"  ERROR {line}", file=sys.stderr)
 
     exit_code = 1 if outcome.cells_error else 0
-    if args.gate:
-        thresholds = bench_runner.GateThresholds(
-            max_speedup_loss=args.max_speedup_loss,
-            max_quality_drift=args.max_quality_drift,
-            min_ratio=args.min_ratio,
+    if baseline is not None:
+        failures = bench_runner.gate_run(
+            bench_runner.load_run(outcome.run_dir), baseline
         )
-        fresh = bench_runner.load_run(outcome.run_dir)
-        baseline = bench_runner.load_run(args.gate)
-        failures = bench_runner.gate_run(fresh, baseline, thresholds)
         gate_payload = {
             "baseline": str(baseline.path),
-            "thresholds": {
-                "max_speedup_loss": thresholds.max_speedup_loss,
-                "max_quality_drift": thresholds.max_quality_drift,
-                "min_ratio": thresholds.min_ratio,
-            },
+            "quality_drift": bench_runner.QUALITY_DRIFT,
             "failures": failures,
             "passed": not failures,
         }
@@ -371,6 +366,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         else:
             print(f"gate passed vs {baseline.path}")
     return exit_code
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as a usage error
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive seconds, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max resident sessions in the pool")
     p.add_argument("--pool-bytes", type=int, default=None,
                    help="session-pool byte budget")
-    p.add_argument("--quantum", type=float, default=0.05,
+    p.add_argument("--quantum", type=_positive_seconds, default=0.05,
                    help="preemption timeslice in seconds for resumable "
-                        "solves (0 disables preemption)")
+                        "solves (must be > 0)")
     p.add_argument("--quiet", action="store_true",
                    help="suppress the startup banner on stderr")
     p.set_defaults(fn=cmd_serve)
@@ -475,21 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reproduce-all", action="store_true",
                    help="run every registered suite (ignores positional names)")
     p.add_argument("--gate", metavar="BASELINE", default=None,
-                   help="compare against a baseline run directory and fail "
-                        "on regressions")
+                   help="compare against a same-mode baseline run directory "
+                        "and fail on a drifted quality total or failed check")
     p.add_argument("--results-dir", type=Path, default=None,
                    help="results root (default: <repo>/results)")
     p.add_argument("--run-id", default=None,
                    help="explicit run directory name (default: timestamp)")
-    p.add_argument("--max-speedup-loss", type=float, default=0.5,
-                   help="same-mode gate: allowed fractional loss on ratio "
-                        "metrics (default 0.5)")
-    p.add_argument("--max-quality-drift", type=float, default=0.05,
-                   help="same-mode gate: allowed relative drift on quality "
-                        "metrics (default 0.05)")
-    p.add_argument("--min-ratio", type=float, default=0.0,
-                   help="cross-mode gate: absolute floor for ratio metrics "
-                        "(default 0.0)")
     p.set_defaults(fn=cmd_bench)
     return parser
 

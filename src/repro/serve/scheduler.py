@@ -46,10 +46,6 @@ run it one ``quantum`` at a time and, between slices,
   with a single worker, an interactive high-lane burst runs within one
   quantum even while a long normal-lane solve is in flight.
 
-``quantum=None`` disables timeslicing (runners are driven to completion
-in one go, reproducing the pre-preemption scheduler for comparison
-benchmarks).
-
 Worker counts: on multi-core machines ``workers=N`` overlaps the
 numpy-heavy substrate passes; on a single core mixed traffic still pays
 off twice — GIL timeslices across threads plus quantum timeslices
@@ -86,8 +82,8 @@ class Resumable:
     one runner:
 
     ``step(seconds)``
-        Run up to ``seconds`` of work (``None`` = to completion) and
-        return ``True`` when finished.
+        Run up to ``seconds`` of work and return ``True`` when
+        finished.
     ``result()``
         The final payload once ``step`` returned ``True``.
     ``partial()``
@@ -100,7 +96,7 @@ class Resumable:
 
     def __init__(
         self,
-        step: Callable[[float | None], bool],
+        step: Callable[[float], bool],
         result: Callable[[], object],
         partial: Callable[[], object] | None = None,
     ) -> None:
@@ -266,9 +262,7 @@ class Scheduler:
         is real work the server still owes.
     quantum:
         Timeslice length in seconds for :class:`Resumable` tickets
-        (default 50 ms). ``None`` disables preemption: runners are
-        driven to completion in one slice, reproducing the
-        shed-at-dequeue-only scheduler.
+        (default 50 ms; must be positive).
     clock:
         Monotonic time source (injectable for deterministic tests).
     """
@@ -278,7 +272,7 @@ class Scheduler:
         workers: int = 1,
         *,
         queue_limit: int = 64,
-        quantum: float | None = 0.05,
+        quantum: float = 0.05,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if workers < 1:
@@ -287,9 +281,9 @@ class Scheduler:
             raise InvalidParameterError(
                 f"queue_limit must be >= 1, got {queue_limit}"
             )
-        if quantum is not None and quantum <= 0:
+        if quantum is None or not quantum > 0:
             raise InvalidParameterError(
-                f"quantum must be positive seconds or None, got {quantum!r}"
+                f"quantum must be positive seconds, got {quantum!r}"
             )
         self.workers = workers
         self.queue_limit = queue_limit
@@ -532,22 +526,6 @@ class Scheduler:
                     self.stats["completed"] += 1
                 ticket.finished_at = self._clock()
                 ticket._finish(value, None)
-                return
-            if self.quantum is None:
-                # Preemption disabled: step(None) means run-to-completion,
-                # so a False return violates the Resumable contract. Fail
-                # fast instead of busy-looping a worker forever.
-                with self._cond:
-                    self.stats["failed"] += 1
-                ticket.finished_at = self._clock()
-                ticket._finish(
-                    None,
-                    InvalidParameterError(
-                        "Resumable.step(None) returned not-done; with "
-                        "preemption disabled step(None) must run to "
-                        "completion"
-                    ),
-                )
                 return
             remaining = ticket.remaining(self._clock())
             if remaining is not None and remaining <= 0:

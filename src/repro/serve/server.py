@@ -110,8 +110,8 @@ class Server:
     max_sessions / max_bytes:
         Session-pool budgets (see :class:`SessionPool`).
     quantum:
-        Scheduler timeslice for resumable solves in seconds; ``None``
-        disables preemption (see :class:`Scheduler`).
+        Scheduler timeslice for resumable solves in seconds (positive;
+        see :class:`Scheduler`).
     registry:
         Solver registry used for method lookup and new sessions.
     clock:
@@ -125,7 +125,7 @@ class Server:
         queue_limit: int = 64,
         max_sessions: int | None = None,
         max_bytes: int | None = None,
-        quantum: float | None = 0.05,
+        quantum: float = 0.05,
         registry: SolverRegistry = REGISTRY,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -351,15 +351,7 @@ class Server:
             )
         # An explicit time_budget keeps the cooperative blocking path:
         # the option bounds solver work, while tasks are step-bounded.
-        # With preemption disabled (quantum=None) the task path would
-        # drive to completion with no mid-run deadline checks, so the
-        # cooperative path is the only one that can enforce deadlines —
-        # fall back to it (PR 4 semantics).
-        resumable = (
-            method.resumable
-            and options.get("time_budget") is None
-            and self.scheduler.quantum is not None
-        )
+        resumable = method.resumable and options.get("time_budget") is None
         request_id = message.get("id")
 
         def run(remaining: float | None) -> dict | Resumable:
@@ -398,7 +390,7 @@ class Server:
 
                 task.on_progress(report)
 
-            def step(seconds: float | None) -> bool:
+            def step(seconds: float) -> bool:
                 return task.step(max_seconds=seconds).done
 
             def final() -> dict:

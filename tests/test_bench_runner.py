@@ -28,7 +28,7 @@ CALLS_FILE = {calls_file!r}
 
 
 def cells(smoke=False):
-    from repro.bench.runner import CellSpec, check, quality, ratio
+    from repro.bench.runner import CellSpec, check, quality
 
     def ok_cell():
         with open(CALLS_FILE, "a") as fh:
@@ -37,9 +37,8 @@ def cells(smoke=False):
             "solution_size": 7,
             "seconds_solve": 0.01,
             "gate": {{
-                "speedup": ratio(2.0),
                 "size_total": quality(7),
-                "identity": check(True),
+                "identity": check({identity}),
             }},
             "artefact": "| table |",
         }}
@@ -52,7 +51,7 @@ def cells(smoke=False):
     def after_cell():
         with open(CALLS_FILE, "a") as fh:
             fh.write("after_cell\\n")
-        return {{"gate": {{"speedup": ratio(3.0)}}}}
+        return {{"gate": {{"identity": check(True)}}}}
 
     specs = [CellSpec("alpha", ok_cell, {{"k": 3, "smoke": smoke}})]
     if {with_boom}:
@@ -74,9 +73,10 @@ def fake_suites(tmp_path, monkeypatch):
     calls_file = tmp_path / "calls.txt"
     monkeypatch.setattr(runner, "BENCH_DIR", suites_dir)
 
-    def write(with_boom=False):
+    def write(with_boom=False, identity=True):
         (suites_dir / "bench_table1_stats.py").write_text(
-            FAKE_TABLE1.format(calls_file=str(calls_file), with_boom=with_boom)
+            FAKE_TABLE1.format(calls_file=str(calls_file), with_boom=with_boom,
+                               identity=identity)
         )
         runner._MODULE_CACHE.pop("bench_table1_stats", None)
         sys.modules.pop("repro_bench_suites.bench_table1_stats", None)
@@ -199,6 +199,24 @@ class TestRunSuites:
         summary = json.loads((outcome.run_dir / "summary.json").read_text())
         assert summary["suites"]["table1"]["errors"] == ["boom"]
 
+    def test_false_check_errors_its_cell(self, fake_suites, tmp_path, capsys):
+        from repro.cli import main
+
+        fake_suites(identity=False)
+        outcome = runner.run_suites(
+            ["table1"], smoke=True, results_dir=tmp_path / "res", run_id="r1"
+        )
+        assert outcome.cells_ok == 1 and outcome.cells_error == 1
+        assert outcome.errors == ["table1/alpha: check failed: identity"]
+        summary = json.loads((outcome.run_dir / "summary.json").read_text())
+        assert summary["stats"]["cells_error"] == 1
+        assert summary["gate"]["table1"]["identity"] == {
+            "kind": "check", "value": False, "cell": "alpha",
+        }
+        assert main(["bench", "--smoke", "--results-dir", str(tmp_path / "res"),
+                     "--run-id", "cli", "table1"]) == 1
+        assert "check failed: identity" in capsys.readouterr().err
+
     def test_explicit_run_id_collision_raises(self, fake_suites, tmp_path):
         fake_suites()
         runner.run_suites(["table1"], smoke=True,
@@ -230,7 +248,7 @@ class TestLoadRun:
         (outcome.run_dir / "summary.json").unlink()
         data = runner.load_run(outcome.run_dir)
         assert data.summary["stats"]["cells_ok"] == 2
-        assert data.summary["gate"]["table1"]["speedup"]["value"] == 2.0
+        assert data.summary["gate"]["table1"]["size_total"]["value"] == 7.0
         # The rebuilt summary reports the manifest's recorded hash seed,
         # not whatever the rebuilding process happens to run under.
         recorded = data.manifest["environment"]["python_hash_seed"]
@@ -254,16 +272,6 @@ class TestGate:
         run = self._run(fake_suites, tmp_path, "base")
         assert runner.gate_run(run, run) == []
 
-    def test_same_mode_ratio_regression_fails(self, fake_suites, tmp_path):
-        fresh = self._run(fake_suites, tmp_path, "fresh")
-        baseline = self._run(fake_suites, tmp_path, "base")
-        self._doctor(baseline, speedup=100.0)
-        failures = runner.gate_run(fresh, baseline)
-        assert len(failures) == 1
-        assert "metric 'speedup'" in failures[0]
-        assert "regression floor" in failures[0]
-        assert "max speedup loss 50%" in failures[0]
-
     def test_same_mode_quality_drift_fails_both_directions(
         self, fake_suites, tmp_path
     ):
@@ -274,13 +282,18 @@ class TestGate:
             )
             self._doctor(baseline, size_total=doctored)
             failures = runner.gate_run(fresh, baseline)
-            assert len(failures) == 1 and "quality drifted" in failures[0]
+            assert failures == [
+                f"suite 'table1' cell 'alpha' metric 'size_total': quality "
+                f"drifted by {abs(7 - doctored):g} from baseline "
+                f"{doctored:g} (allowed {0.05 * doctored:g}, max drift 5%)"
+            ]
 
     def test_gate_within_thresholds_passes(self, fake_suites, tmp_path):
         fresh = self._run(fake_suites, tmp_path, "fresh")
         baseline = self._run(fake_suites, tmp_path, "base")
-        # 2.0 vs baseline 3.0 is a 33% loss: inside the 50% allowance.
-        self._doctor(baseline, speedup=3.0)
+        # 7 vs baseline 7.35 drifts by 0.35: inside 5 % of 7.35 (0.3675).
+        self._doctor(baseline, size_total=7.35)
+        assert runner.QUALITY_DRIFT == 0.05
         assert runner.gate_run(fresh, baseline) == []
 
     def test_failed_check_fails_the_gate(self, fake_suites, tmp_path):
@@ -294,7 +307,7 @@ class TestGate:
         fresh = self._run(fake_suites, tmp_path, "fresh")
         baseline = self._run(fake_suites, tmp_path, "base")
         baseline.summary["gate"]["extra_suite"] = {
-            "speedup": {"kind": "ratio", "value": 1.0, "cell": "c"},
+            "size_total": {"kind": "quality", "value": 1.0, "cell": "c"},
         }
         baseline.summary["suites"]["extra_suite"] = {
             "cells_ok": 1, "cells_error": 0, "seconds": 0.0, "errors": [],
@@ -315,60 +328,51 @@ class TestGate:
         failures = runner.gate_run(fresh, baseline)
         assert any("errored" in f and "boom" in f for f in failures)
 
-    def test_cross_mode_skips_ratio_comparison(self, fake_suites, tmp_path):
+    def test_mode_mismatch_raises(self, fake_suites, tmp_path):
+        from repro.cli import main
+
         fresh = self._run(fake_suites, tmp_path, "fresh")
         baseline = self._run(fake_suites, tmp_path, "base")
-        baseline.manifest["mode"] = "full"
-        baseline.summary["mode"] = "full"
-        # A huge baseline ratio would fail same-mode, but cross-mode
-        # only enforces the absolute min_ratio floor.
-        self._doctor(baseline, speedup=1000.0)
-        assert runner.gate_run(fresh, baseline) == []
-        thresholds = runner.GateThresholds(min_ratio=5.0)
-        failures = runner.gate_run(fresh, baseline, thresholds)
-        assert len(failures) == 1 and "absolute floor" in failures[0]
-
-    def test_custom_thresholds_tighten_the_gate(self, fake_suites, tmp_path):
-        fresh = self._run(fake_suites, tmp_path, "fresh")
-        baseline = self._run(fake_suites, tmp_path, "base")
-        self._doctor(baseline, speedup=2.2)  # 9% loss
-        assert runner.gate_run(fresh, baseline) == []
-        tight = runner.GateThresholds(max_speedup_loss=0.05)
-        assert len(runner.gate_run(fresh, baseline, tight)) == 1
+        for name in ("manifest.json", "summary.json"):
+            path = baseline.path / name
+            path.write_text(path.read_text().replace('"smoke"', '"full"'))
+        baseline = runner.load_run(baseline.path)
+        with pytest.raises(InvalidParameterError, match="same mode"):
+            runner.gate_run(fresh, baseline)
+        # The CLI refuses before running a single cell.
+        calls = tmp_path / "calls.txt"
+        before = calls.read_text()
+        with pytest.raises(InvalidParameterError, match="same mode"):
+            main(["bench", "--smoke", "--results-dir", str(tmp_path / "res"),
+                  "--gate", str(baseline.path), "table1"])
+        assert calls.read_text() == before
 
 
-class TestMigratedBaseline:
-    """The checked-in legacy baseline must stay loadable and gateable."""
+class TestSmokeBaseline:
+    """The committed smoke baseline CI gates every push against."""
 
-    BASELINE = REPO_ROOT / "results" / "baseline-legacy"
+    BASELINE = REPO_ROOT / "results" / "baseline-smoke"
 
-    def test_baseline_loads(self):
+    def test_baseline_loads_in_smoke_mode(self):
         data = runner.load_run(self.BASELINE)
-        assert data.manifest["mode"] == "full"
-        assert sorted(data.summary["gate"]) == [
-            "anytime", "dynamic", "serve",
-        ]
+        assert data.manifest["mode"] == "smoke"
+        assert data.summary["mode"] == "smoke"
+
+    def test_baseline_covers_every_suite_without_errors(self):
+        data = runner.load_run(self.BASELINE)
+        assert sorted(data.manifest["suites"]) == sorted(runner.suite_names())
+        assert sorted(data.summary["suites"]) == sorted(runner.suite_names())
         assert data.summary["stats"]["cells_error"] == 0
+        assert all(r["status"] == "ok" for r in data.records)
 
-    def test_baseline_gate_metric_names_match_cells(self):
-        """Synthesized gate metrics must match what cells() emit today."""
-        expected = {
-            "dynamic": {"modes_converge", "mixed_speedup"},
-            "serve": {"warm_vs_cold", "served_matches_direct",
-                      "worker_scaling"},
-            "anytime": {"monotone_and_pinned", "final_size_lp",
-                        "preempt_vs_shed"},
-        }
+    def test_baseline_gates_only_checks_and_qualities(self):
         data = runner.load_run(self.BASELINE)
-        for suite, metrics in expected.items():
-            assert set(data.summary["gate"][suite]) == metrics
-
-    def test_root_shims_resolve_into_the_baseline(self):
-        for name in ("anytime", "dynamic", "serve"):
-            shim = REPO_ROOT / f"BENCH_{name}.json"
-            assert shim.exists(), shim
-            payload = json.loads(shim.read_text())
-            assert payload["bench"]
+        kinds = [spec["kind"] for metrics in data.summary["gate"].values()
+                 for spec in metrics.values()]
+        assert kinds and set(kinds) <= {"check", "quality"}
+        assert all(spec["value"] is True
+                   for metrics in data.summary["gate"].values()
+                   for spec in metrics.values() if spec["kind"] == "check")
 
 
 class TestCli:

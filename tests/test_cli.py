@@ -134,3 +134,10 @@ class TestOtherCommands:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_serve_rejects_non_positive_quantum(self, capsys):
+        for quantum in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["serve", "--quantum", quantum])
+            assert exc.value.code == 2
+            assert "--quantum: must be positive seconds" in capsys.readouterr().err

@@ -31,9 +31,6 @@ class StepCounter:
         def step(seconds):
             if self.gate is not None:
                 self.gate.wait(5)
-            if seconds is None:
-                self.steps = self.total
-                return True
             self.steps += 1
             return self.steps >= self.total
 
@@ -51,13 +48,6 @@ class TestSchedulerResumable:
             ticket = sched.submit(lambda remaining: work.runner())
             assert ticket.result(10) == {"steps": 5, "done": True}
         assert sched.stats["completed"] == 1
-
-    def test_quantum_none_drives_in_one_slice(self):
-        with Scheduler(workers=1, quantum=None) as sched:
-            work = StepCounter(1000)
-            ticket = sched.submit(lambda remaining: work.runner())
-            assert ticket.result(10)["steps"] == 1000
-            assert ticket.preemptions == 0
 
     def test_deadline_expiry_harvests_partial(self):
         with Scheduler(workers=1, quantum=0.01) as sched:
@@ -140,8 +130,9 @@ class TestSchedulerResumable:
             assert cancelled
 
     def test_invalid_quantum_rejected(self):
-        with pytest.raises(InvalidParameterError, match="quantum"):
-            Scheduler(workers=1, quantum=0)
+        for quantum in (0, -0.5, None):
+            with pytest.raises(InvalidParameterError, match="quantum"):
+                Scheduler(workers=1, quantum=quantum)
 
 
 @pytest.fixture()
@@ -195,22 +186,6 @@ class TestServerAnytime:
                          include_cliques=False)
         # Cooperative OOT now also carries the incumbent payload.
         assert err.value.partial is None or err.value.partial["partial"]
-
-    def test_quantum_none_deadline_keeps_cooperative_enforcement(self):
-        # With preemption disabled the task path cannot check deadlines
-        # mid-run, so the server must fall back to PR 4's cooperative
-        # time_budget forwarding — the deadline still interrupts opt-bb.
-        from repro.errors import OutOfTimeError
-
-        server = Server(workers=1, quantum=None)
-        try:
-            client = Client(server)
-            client.register_graph("hard", watts_strogatz(300, 10, 0.1, seed=1))
-            with pytest.raises(OutOfTimeError):
-                client.solve("hard", 3, "opt-bb", deadline=0.1,
-                             include_cliques=False)
-        finally:
-            server.close()
 
     def test_solve_results_identical_to_direct_session(self, served):
         _, client = served

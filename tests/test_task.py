@@ -70,12 +70,15 @@ class TestStepBoundaryValidity:
         session = Session(g)
         k = 3 if method == "opt-bb" else 4
         task = session.task(k, method)
+        previous = 0
         while not task.done:
             snapshot = task.step(max_work=5)
             best = task.best()
             verify_solution(g, k, best.cliques)
             assert snapshot.size == best.size
             assert snapshot.bound >= snapshot.size
+            assert snapshot.size >= previous  # the anytime |S| never drops
+            previous = snapshot.size
         assert is_maximal(g, k, task.best().cliques)
 
     def test_greedy_final_bound_equals_size(self):

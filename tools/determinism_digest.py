@@ -29,8 +29,9 @@ Two modes::
 
     python tools/determinism_digest.py run <results/run-dir>
         Digest of a bench run directory's order-bearing content: per
-        record the suite/cell/status and gate entries (never timings)
-        from ``metrics.jsonl``, plus the recorded seed manifest.
+        record the suite/cell/status and gate entries (``check`` and
+        ``quality`` values, never timings) from ``metrics.jsonl``, plus
+        the recorded seed manifest.
 
 Exit status is always 0 on success; the *comparison* happens in CI by
 diffing the two outputs (uploaded as artifacts on mismatch).
@@ -175,20 +176,12 @@ def run_digests(run_dir: Path) -> dict[str, str]:
         if not line.strip():
             continue
         record = json.loads(line)
-        gate = {}
-        for name, entry in (record.get("gate") or {}).items():
-            # "ratio" gates are wall-clock speedups — noise across runs.
-            # Keep name+kind (coverage is order-bearing) but drop the
-            # measured value; "check"/"quality" values are pinned.
-            if entry.get("kind") == "ratio":
-                entry = {"kind": "ratio"}
-            gate[name] = entry
         records.append(
             {
                 "suite": record.get("suite"),
                 "cell": record.get("cell"),
                 "status": record.get("status"),
-                "gate": gate,
+                "gate": record.get("gate") or {},
             }
         )
     out = {"records": _digest(records)}
