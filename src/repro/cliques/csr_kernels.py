@@ -270,7 +270,10 @@ def local_oriented_csr(
     rows_arr = rows_full[keep]
     cols_arr = loc[keep]
     if len(cols_arr):
-        cols_arr = cols_arr[np.lexsort((cols_arr, rows_arr))]
+        # The gather lists rows in order, so one sort of the row-major
+        # keys sorts each row's columns in place (two ascending runs per
+        # row, which the stable sort merges).
+        cols_arr = np.sort(rows_arr * nloc + cols_arr, kind="stable") % nloc
     indptr = np.zeros(nloc + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows_arr, minlength=nloc), out=indptr[1:])
     return OrientedCSR(indptr, cols_arr, np.arange(nloc, dtype=np.int64)), pool_arr

@@ -101,29 +101,29 @@ class UpdateBatch:
         contribute nothing. Operations on distinct edges commute, so any
         permutation of such a stream plans to the same batch.
 
-        ``graph`` is anything exposing ``n`` and ``has_edge`` (it is
-        only read). Raises :class:`~repro.errors.InvalidParameterError`
-        for unknown ops and :class:`~repro.errors.GraphError` for
-        self-loops or endpoints outside ``[0, n)`` — before any caller
-        mutation, so a rejected batch has no partial effect.
+        ``graph`` is anything exposing ``n`` and ``neighbors`` (it is
+        only read). Each update is checked exactly once, by
+        :func:`validate_update`, so the planned edges are plain-int
+        ``(min, max)`` pairs that need no second check when applied.
+        Raises :class:`~repro.errors.InvalidParameterError` for unknown
+        ops and :class:`~repro.errors.GraphError` for non-integer
+        endpoints, self-loops or endpoints outside ``[0, n)``, at the
+        first offending update — before any caller mutation, so a
+        rejected batch has no partial effect.
         """
         desired: dict[Edge, bool] = {}
-        order: list[Edge] = []
         total = 0
         n = graph.n
         for op, u, v in updates:
             total += 1
             want, u, v = validate_update(op, u, v, n)
-            edge = (u, v) if u < v else (v, u)
-            if edge not in desired:
-                order.append(edge)
-            desired[edge] = want
+            # Last op wins; a dict keeps each edge where it was first
+            # touched.
+            desired[(u, v) if u < v else (v, u)] = want
         inserts: list[Edge] = []
         deletes: list[Edge] = []
-        for edge in order:
-            present = graph.has_edge(*edge)
-            if desired[edge] and not present:
-                inserts.append(edge)
-            elif not desired[edge] and present:
-                deletes.append(edge)
+        neighbors = graph.neighbors
+        for (u, v), want in desired.items():
+            if want != (v in neighbors(u)):
+                (inserts if want else deletes).append((u, v))
         return cls(tuple(inserts), tuple(deletes), total - len(inserts) - len(deletes))

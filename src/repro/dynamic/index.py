@@ -13,9 +13,10 @@ Algorithm 5: for each owner clique ``C``, enumerate k-cliques inside
 ``C`` itself. That per-owner enumeration
 (:meth:`~CandidateIndex.discover_owner_candidates`) runs only there.
 Incremental maintenance goes through :meth:`~CandidateIndex.refresh_nodes`
-(status changes), :meth:`~CandidateIndex.discover_through_edges` (fresh
-edges) and :meth:`~CandidateIndex.remove_candidates_with_edge`
-(structural edge deletions). Owners that enter ``S`` later get their
+(status changes, plus the edges a batch inserted),
+:meth:`~CandidateIndex.discover_through_edge` (one fresh edge) and
+:meth:`~CandidateIndex.remove_candidates_with_edge` (structural edge
+deletions). Owners that enter ``S`` later get their
 candidates by reclassifying cliques already found, with
 :meth:`~CandidateIndex.classify`: an owner absorbed after an update
 from the update's all-free cliques, a swap's replacement owners from
@@ -25,22 +26,22 @@ and :func:`repro.dynamic.swap.try_swap`). Both rest on ``S`` being
 maximal before the change, so each region is enumerated once.
 
 Re-enumeration has two engines, and each wins on some inputs: the
-per-node set recursion of :mod:`repro.dynamic.local`, and the CSR
-frontier engine run once over a relabelled patch of the whole region
-(:func:`repro.cliques.csr_kernels.iter_cliques_within_csr`), whose rows
-are gathered from the graph's CSR mirror
+per-node and per-edge set recursions of :mod:`repro.dynamic.local`, and
+the CSR frontier engine run once over a relabelled patch of the whole
+region (:func:`repro.cliques.csr_kernels.iter_cliques_within_csr`),
+whose rows are gathered from the graph's CSR mirror
 (:meth:`repro.graph.dynamic.DynamicGraph.csr`). One rule picks between
-them, from the region alone: a freed-node refresh or a batched insert
-discovery takes the patch when its region holds at least
-:data:`AUTO_DIRTY_THRESHOLD` nodes or edges and the patch spans at
-least :data:`PATCH_EDGE_THRESHOLD` edges. Every other pass takes the
-set recursion. Both engines give the same reports.
+them, from the region alone: a refresh takes the patch when its dirty
+nodes and fresh edges number at least :data:`AUTO_DIRTY_THRESHOLD`
+together and the patch spans at least :data:`PATCH_EDGE_THRESHOLD`
+edges. Every other pass takes the set recursion. Both engines give the
+same reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -266,17 +267,30 @@ class CandidateIndex:
                 self._classify_into(cand, report)
         return report
 
-    def refresh_nodes(self, dirty: Iterable[int]) -> RefreshReport:
-        """Re-derive all candidates touching ``dirty`` nodes.
+    def refresh_nodes(
+        self, dirty: Iterable[int], edges: Iterable[tuple[int, int]] = ()
+    ) -> RefreshReport:
+        """Re-derive all candidates touching ``dirty`` nodes or fresh ``edges``.
 
         Call after the free status of ``dirty`` changed (solution cliques
-        added/removed) or after local structure changed around them. Any
-        candidate whose validity could have changed contains a dirty
-        node, so removing those and re-discovering cliques through each
-        dirty node restores exactness. The region is re-enumerated by
+        added/removed) or after local structure changed around them.
+        ``edges`` are edges inserted since the index was last exact,
+        each with a free endpoint: an edge between two covered nodes
+        lies in no candidate or all-free clique, and any other new
+        clique runs through a fresh edge. Any candidate whose validity
+        could have changed contains a dirty node, so removing those and
+        classifying every clique through a dirty node or a fresh edge
+        restores exactness. The whole region is enumerated once, by
         either engine (see the module docstring); the report is the
         same.
+
+        Cliques through a dirty node are classified first, then the
+        rest, each in sorted order. Discovery order differs between the
+        two engines, and it leaks into the owner queue (dict insertion
+        order), hence into downstream swap trajectories; the canonical
+        order makes the pass engine-invariant.
         """
+        dirty = set(dirty)
         report = RefreshReport()
         doomed: set[Clique] = set()
         for node in dirty:
@@ -285,12 +299,12 @@ class CandidateIndex:
             self.remove_candidate(cand)
         report.removed = doomed
 
-        # Canonical processing order: discovery order differs between
-        # the two engines, and it leaks into the owner queue (dict
-        # insertion order) hence into downstream swap trajectories.
-        # Sorting makes refresh engine-invariant.
-        discovered = sorted(self._cliques_through_dirty(set(dirty)), key=sorted)
-        for clique in discovered:
+        # Distinct cliques have distinct sorted node lists, so the key is
+        # tie-free and the order hash-independent.
+        for clique in sorted(
+            self._region_cliques(dirty, list(edges)),
+            key=lambda c: (dirty.isdisjoint(c), sorted(c)),
+        ):
             kind, owner = self.classify(clique)
             if kind == "candidate":
                 if self.add_candidate(clique, owner) and clique not in doomed:
@@ -299,36 +313,52 @@ class CandidateIndex:
                 report.all_free.add(clique)
         return report
 
-    def _cliques_through_dirty(self, dirty: set[int]) -> Iterator[Clique]:
-        """Every *classifiable* k-clique touching a dirty node, once each.
+    def _region_cliques(
+        self, dirty: set[int], edges: list[tuple[int, int]]
+    ) -> Iterable[Clique]:
+        """Every *classifiable* k-clique through a dirty node or a fresh edge.
 
-        The set recursion unions per-node enumerations (dedup via a
-        ``seen`` set) and leaves discarding owner-mixing cliques to
-        ``classify``. The CSR patch enumerates the subgraph induced on
-        ``dirty ∪ N(dirty)`` in one frontier pass — any clique through a
-        dirty node lies inside that node's closed neighbourhood, hence
-        inside the patch — restricted to cliques through a dirty node
-        (``require``) whose covered members share one owner (``labels``,
-        pruned inside the frontier). The engines may therefore yield
-        different *invalid* cliques, but classification maps both to the
-        same refresh report.
+        The set recursion unions per-node and per-edge enumerations and
+        leaves discarding owner-mixing cliques to ``classify``. The CSR
+        patch enumerates the region in one frontier pass: the dirty
+        nodes with their neighbours (a clique through a dirty node lies
+        in its closed neighbourhood) and, for each fresh edge ``(u, v)``
+        with at least ``k - 2`` common neighbours, ``{u, v} ∪ (N(u) ∩
+        N(v))`` (every clique through the edge lies there). It keeps the
+        cliques through a dirty node or such an endpoint (``require``)
+        whose covered members share one owner (``labels``, pruned inside
+        the frontier). The patch may also surface cliques through an
+        endpoint but through no dirty node or fresh edge. Those existed,
+        with the same free status, when the index was last exact, so
+        classifying them changes nothing: the index holds the candidates
+        among them, and none is all-free because ``S`` was maximal.
         """
-        if len(dirty) >= AUTO_DIRTY_THRESHOLD:
-            csr = self.graph.csr()
-            seeds = np.array(sorted(dirty), dtype=np.int64)
-            _, around = concat_rows(csr.indptr, csr.cols, seeds)
-            pool = sorted_unique(np.concatenate((seeds, around)))
-            if _wide_patch(self.graph, pool):
-                yield from csr_kernels.iter_cliques_within_csr(
-                    self.graph, pool, self.k, require=seeds, labels=self.owner_of
+        graph, k = self.graph, self.k
+        if len(dirty) + len(edges) >= AUTO_DIRTY_THRESHOLD:
+            touch = set(dirty)
+            around: set[int] = set()
+            for u, v in edges:
+                common = graph.neighbors(u) & graph.neighbors(v)
+                if len(common) >= k - 2:
+                    touch.add(u)
+                    touch.add(v)
+                    around |= common
+            csr = graph.csr()
+            seeds = np.fromiter(dirty, dtype=np.int64, count=len(dirty))
+            _, nbrs = concat_rows(csr.indptr, csr.cols, seeds)
+            pool = sorted_unique(
+                np.concatenate((np.fromiter(touch | around, dtype=np.int64), nbrs))
+            )
+            if touch and _wide_patch(graph, pool):
+                return csr_kernels.iter_cliques_within_csr(
+                    graph, pool, k, require=touch, labels=self.owner_of
                 )
-                return
-        seen: set[Clique] = set()
+        cliques: set[Clique] = set()
         for node in dirty:
-            for clique in cliques_through_node(self.graph, node, self.k):
-                if clique not in seen:
-                    seen.add(clique)
-                    yield clique
+            cliques.update(cliques_through_node(graph, node, k))
+        for u, v in edges:
+            cliques.update(cliques_through_edge(graph, u, v, k))
+        return cliques
 
     def discover_through_edge(self, u: int, v: int) -> RefreshReport:
         """Classify every k-clique through edge ``(u, v)`` (fresh insert).
@@ -338,57 +368,6 @@ class CandidateIndex:
         """
         report = RefreshReport()
         for clique in cliques_through_edge(self.graph, u, v, self.k):
-            self._classify_into(clique, report)
-        return report
-
-    def discover_through_edges(self, edges: Iterable[tuple[int, int]]) -> RefreshReport:
-        """Batched :meth:`discover_through_edge` over many fresh edges.
-
-        The set recursion runs per edge; the CSR patch is one relabelled
-        patch over the union of the edges' closed common neighbourhoods
-        (every clique through edge ``(u, v)`` lies in
-        ``{u, v} ∪ (N(u) ∩ N(v))``) and runs a single frontier
-        enumeration restricted to cliques touching an endpoint. The
-        patch may surface cliques through an endpoint but not through
-        any new edge; those are exactly the cliques the index already
-        holds (or, when they touch freed nodes, ones a refresh already
-        reported), so candidate dedup keeps the merged report identical
-        to per-edge discovery up to set union.
-        """
-        report = RefreshReport()
-        edges = list(edges)
-        if self.k >= 3 and len(edges) >= AUTO_DIRTY_THRESHOLD:
-            patch: set[int] = set()
-            touch: set[int] = set()
-            for u, v in edges:
-                common = self.graph.neighbors(u) & self.graph.neighbors(v)
-                if len(common) >= self.k - 2:
-                    patch.add(u)
-                    patch.add(v)
-                    patch |= common
-                    touch.add(u)
-                    touch.add(v)
-            patch_arr = np.fromiter(patch, dtype=np.int64)
-            if touch and _wide_patch(self.graph, patch_arr):
-                for clique in sorted(
-                    csr_kernels.iter_cliques_within_csr(
-                        self.graph, patch_arr, self.k,
-                        require=touch, labels=self.owner_of,
-                    ),
-                    key=sorted,
-                ):
-                    self._classify_into(clique, report)
-                return report
-        # Canonical order here too: without it the set recursion would
-        # classify in raw edge/enumeration order and diverge from the
-        # CSR patch's trajectory (same clique set, different owner
-        # queue order downstream).
-        seen: set[Clique] = set()
-        for u, v in edges:
-            seen.update(cliques_through_edge(self.graph, u, v, self.k))
-        # Distinct cliques have distinct sorted node lists, so the key
-        # is tie-free and the sort is a total (hash-independent) order.
-        for clique in sorted(seen, key=sorted):  # repro-lint: ignore=iterorder
             self._classify_into(clique, report)
         return report
 

@@ -28,7 +28,7 @@ from repro.graph.graph import Graph
 from repro.core.api import find_disjoint_cliques
 from repro.core.result import CliqueSetResult, is_maximal, verify_solution
 from repro.dynamic.batch import UpdateBatch
-from repro.dynamic.index import CandidateIndex, Clique, RefreshReport
+from repro.dynamic.index import CandidateIndex, Clique
 from repro.dynamic.swap import select_disjoint, try_swap
 
 
@@ -271,18 +271,23 @@ class DynamicDisjointCliques:
         1. purge candidates containing a deleted edge (inverted index);
         2. drop solution cliques broken by deletions, freeing their
            nodes;
-        3. one candidate-index refresh over the union of freed nodes
-           (their status changed) plus one clique discovery per net
-           inserted edge with a free endpoint (only cliques through a
-           new edge can be new); each picks its engine by region size
-           (see :mod:`repro.dynamic.index`);
+        3. one candidate-index pass over the batch's whole dirty region
+           (:meth:`CandidateIndex.refresh_nodes`): the freed nodes, whose
+           status changed, and each net inserted edge with a free
+           endpoint (only cliques through a new edge can be new). The
+           region is enumerated once, by the engine its size picks (see
+           :mod:`repro.dynamic.index`), and cliques through a freed node
+           are classified before the rest;
         4. one absorb pass over discovered all-free cliques and one swap
-           cascade (the maximality sweep) over every owner whose
-           candidate set changed and still holds >= 2 candidates.
+           cascade over the owners that gained candidates, then the
+           maximality sweep over every owner whose candidate set changed
+           and still holds >= 2 candidates.
 
         All Section V invariants (validity, maximality, exact index)
         hold on return, exactly as after a per-edge stream. Returns the
         planned batch (net inserts/deletes and coalesced-op count).
+        Planning checks every update once; the net edges then land
+        without a second check.
 
         Correctness of the single repair pass: every clique whose index
         status can change either contains a deleted edge (purged in
@@ -304,9 +309,9 @@ class DynamicDisjointCliques:
             self._sweep_touched_owners()
             return batch
 
-        # 1. Structural changes, all up front (nets touch distinct edges).
-        self.graph.delete_edges(batch.deletes)
-        self.graph.insert_edges(batch.inserts)
+        # 1. Structural changes, all up front (nets touch distinct edges,
+        # already checked by the plan).
+        self.graph._apply_net(batch.deletes, batch.inserts)
         self.stats["insertions"] += len(batch.inserts)
         self.stats["deletions"] += len(batch.deletes)
 
@@ -322,22 +327,14 @@ class DynamicDisjointCliques:
             freed |= self.index.remove_solution_clique(owner)
             self.stats["destroyed_cliques"] += 1
 
-        # 3. One deferred repair over the union of dirty regions: a
-        # node-granular refresh where free status changed, and an
-        # edge-granular discovery for each effective insertion.
-        report = RefreshReport()
-        if freed:
-            report = self.index.refresh_nodes(freed)
+        # 3. One deferred repair over the batch's dirty region: the
+        # freed nodes and every effective insertion with a free endpoint.
         eligible = [
             (u, v)
             for u, v in batch.inserts
             if self.index.is_free(u) or self.index.is_free(v)
         ]
-        if eligible:
-            ins_report = self.index.discover_through_edges(eligible)
-            for owner, cands in ins_report.new_by_owner.items():
-                report.new_by_owner.setdefault(owner, set()).update(cands)
-            report.all_free |= ins_report.all_free
+        report = self.index.refresh_nodes(freed, eligible)
 
         # 4. One absorb pass and one swap cascade. The explicit queue
         # (owners that gained candidates, in canonical report order,

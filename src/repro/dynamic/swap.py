@@ -11,30 +11,36 @@ scores are computed *locally* over the candidate set under inspection
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterable
+from collections import Counter, deque
+from itertools import chain
+from typing import Collection
 
 from repro.dynamic.index import CandidateIndex, Clique
 
 
-def select_disjoint(cliques: Iterable[Clique], k: int) -> list[Clique]:
+def select_disjoint(cliques: Collection[Clique], k: int) -> list[Clique]:
     """Greedy maximal disjoint subset in ascending local-score order.
 
     ``s_n`` is recomputed inside the candidate pool (how many pool
     cliques contain each node); the greedy key is the package-wide
-    ``(score, sorted nodes)`` order, so selection is deterministic.
+    ``(score, sorted nodes)`` order, so selection is deterministic. The
+    pool is read several times and never copied. When the least-key
+    clique meets every other clique, the greedy pass would take it and
+    nothing else, so it is returned without sorting the pool.
     """
-    pool = [frozenset(c) for c in cliques]
-    counts: dict[int, int] = {}
-    for clique in pool:
-        for u in clique:
-            counts[u] = counts.get(u, 0) + 1
-    keyed = sorted(
-        pool, key=lambda c: (sum(counts[u] for u in c), tuple(sorted(c)))
-    )
+    if not cliques:
+        return []
+    counts = Counter(chain.from_iterable(cliques))
+
+    def key(clique: Clique) -> tuple[int, list[int]]:
+        return sum(map(counts.__getitem__, clique)), sorted(clique)
+
+    least = min(cliques, key=key)
+    if all(not least.isdisjoint(clique) for clique in cliques):
+        return [least]
     used: set[int] = set()
     chosen: list[Clique] = []
-    for clique in keyed:
+    for clique in sorted(cliques, key=key):
         if used.isdisjoint(clique):
             chosen.append(clique)
             used |= clique
@@ -77,7 +83,10 @@ def try_swap(
             continue
         stats["pops"] += 1
         candidates = index.candidates_of(owner)
-        if len(candidates) < 2:
+        # Candidates that all share a node overlap pairwise, so the
+        # greedy would keep one of them: no swap, and no scoring needed.
+        # (An intersection does not depend on its operands' order.)
+        if len(candidates) < 2 or frozenset.intersection(*candidates):  # repro-lint: ignore=iterorder
             continue
         replacement = select_disjoint(candidates, index.k)
         if len(replacement) <= 1:

@@ -20,7 +20,7 @@ toggled back to its first-touch state within one window costs nothing.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,6 +89,30 @@ class DynamicGraph:
     def delete_edges(self, edges: Iterable[Edge]) -> int:
         """Bulk delete; returns how many edges were actually removed."""
         return sum(1 for u, v in edges if self.delete_edge(u, v))
+
+    def _apply_net(self, deletes: Sequence[Edge], inserts: Sequence[Edge]) -> None:
+        """Delete present edges and insert absent ones, without checks.
+
+        For a planned batch (:meth:`repro.dynamic.batch.UpdateBatch.plan`):
+        its edges are distinct ``(min, max)`` pairs that already passed
+        :func:`~repro.graph.graph.check_edge`, each delete is present and
+        each insert absent. Anything else corrupts the graph.
+        """
+        adj = self._adj
+        for u, v in deletes:
+            adj[u].discard(v)
+            adj[v].discard(u)
+        for u, v in inserts:
+            adj[u].add(v)
+            adj[v].add(u)
+        self._m += len(inserts) - len(deletes)
+        if self._keys is not None:
+            self._csr = None
+            touched = self._touched
+            for edge in deletes:
+                touched.setdefault(edge, True)
+            for edge in inserts:
+                touched.setdefault(edge, False)
 
     def add_node(self) -> int:
         """Append an isolated node and return its id."""

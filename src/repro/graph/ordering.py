@@ -18,7 +18,12 @@ Provided orderings:
     bucket queue for the thin residual) that also yields the core
     numbers (:mod:`repro.graph.kcore`). Ties follow sorted rows, so the
     order is a function of the graph alone, whatever the order of its
-    edge list. Gives the tightest out-degree bound for clique listing.
+    edge list. The peel bounds each node's neighbours removed *after*
+    it by its core number; :meth:`~repro.graph.dag.OrientedCSR.from_rank`
+    points arcs at smaller rank, i.e. at nodes removed *before*, so
+    under this order the degeneracy bounds in-degree, not out-degree
+    (a hub removed late keeps most of its neighbours as out-arcs). The
+    reversed order would bound out-degree by the degeneracy.
 ``by_score``
     Ascending node score (k-clique counts, Definition 5), ties by id —
     the ordering Algorithm 3 requires.
@@ -184,7 +189,12 @@ def _bucket_queue(
 
 
 def by_degeneracy(graph: Graph) -> np.ndarray:
-    """Smallest-last (degeneracy) ordering: the removal order of :func:`peel`."""
+    """Smallest-last (degeneracy) ordering: the removal order of :func:`peel`.
+
+    Oriented toward smaller rank, as the package orients, this bounds
+    in-degree by the degeneracy, not out-degree (see the module
+    docstring).
+    """
     return rank_from_sequence(peel(graph)[0])
 
 

@@ -42,9 +42,10 @@ def lock_order_watchdog():
 def force_dynamic_engine(monkeypatch):
     """``force(engine)`` pins dynamic repair to one engine for the test.
 
-    ``"csr"`` sends every batched refresh and insert discovery to the
-    CSR patch, ``"sets"`` sends them all to the set recursion; the two
-    region thresholds of :mod:`repro.dynamic.index` are patched.
+    ``"csr"`` sends every refresh pass (a batch's region, a swap's or a
+    deletion's freed nodes) to the CSR patch, ``"sets"`` sends them all
+    to the set recursion; the two region thresholds of
+    :mod:`repro.dynamic.index` are patched.
     """
     from repro.dynamic import index
 

@@ -2,6 +2,8 @@
 
 from collections import deque
 
+from hypothesis import given, settings, strategies as st
+
 from repro.dynamic.index import CandidateIndex
 from repro.dynamic.swap import select_disjoint, try_swap
 from repro.graph.dynamic import DynamicGraph
@@ -33,6 +35,56 @@ class TestSelectDisjoint:
         used = set().union(*chosen)
         for c in cliques:
             assert c in chosen or (c & used)
+
+
+def reference_select_disjoint(cliques, k):
+    """The former selection: copy the pool, count, sort, then greedy."""
+    pool = [frozenset(c) for c in cliques]
+    counts: dict[int, int] = {}
+    for clique in pool:
+        for u in clique:
+            counts[u] = counts.get(u, 0) + 1
+    keyed = sorted(pool, key=lambda c: (sum(counts[u] for u in c), tuple(sorted(c))))
+    used: set[int] = set()
+    chosen = []
+    for clique in keyed:
+        if used.isdisjoint(clique):
+            chosen.append(clique)
+            used |= clique
+    return chosen
+
+
+@st.composite
+def pools(draw):
+    """``k`` and distinct k-node cliques over few nodes: overlaps and
+    equal local scores are the rule, not the exception."""
+    k = draw(st.integers(2, 5))
+    nodes = st.frozensets(st.integers(0, k + draw(st.integers(0, 6))), min_size=k, max_size=k)
+    return k, draw(st.lists(nodes, unique=True, max_size=12))
+
+
+class TestSelectDisjointReference:
+    @settings(max_examples=300, deadline=None)
+    @given(case=pools())
+    def test_matches_the_sorting_greedy(self, case):
+        k, cliques = case
+        want = reference_select_disjoint(cliques, k)
+        assert select_disjoint(cliques, k) == want
+        assert select_disjoint(set(cliques), k) == want
+
+    def test_score_ties_break_by_sorted_nodes(self):
+        # Every clique has local score 4; the least sorted node list wins,
+        # then the greedy continues in that order.
+        cliques = [frozenset({2, 3}), frozenset({0, 3}), frozenset({1, 2}), frozenset({0, 1})]
+        assert select_disjoint(cliques, 2) == [frozenset({0, 1}), frozenset({2, 3})]
+        assert reference_select_disjoint(cliques, 2) == [frozenset({0, 1}), frozenset({2, 3})]
+
+    def test_least_clique_is_alone_only_when_it_meets_every_other(self):
+        cliques = [frozenset({0, 1, 2}), frozenset({0, 3, 4}), frozenset({1, 5, 6})]
+        assert select_disjoint(cliques, 3) == reference_select_disjoint(cliques, 3)
+        assert select_disjoint(cliques, 3) == [frozenset({0, 3, 4}), frozenset({1, 5, 6})]
+        star = [frozenset({0, 1, 2}), frozenset({0, 3, 4}), frozenset({0, 5, 6})]
+        assert select_disjoint(star, 3) == [frozenset({0, 1, 2})]
 
 
 class TestTrySwapFig5:

@@ -1,10 +1,12 @@
 """Property tests for the batched-update planner (UpdateBatch) and
 the stream chunker (iter_batches)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dynamic import DynamicDisjointCliques, UpdateBatch, iter_batches
+from repro.dynamic.batch import validate_update
 from repro.errors import GraphError, InvalidParameterError
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.generators import erdos_renyi_gnm
@@ -159,6 +161,120 @@ class TestValidation:
         assert set(dyn.graph.edges()) == edges_before
         assert dyn.size == size_before
         dyn.check_invariants()
+
+
+def reference_plan(updates, graph) -> UpdateBatch:
+    """The former planner: per-update validation, a first-touched edge
+    list beside the desired states, and ``has_edge`` per edge."""
+    desired: dict = {}
+    order: list = []
+    total = 0
+    n = graph.n
+    for op, u, v in updates:
+        total += 1
+        want, u, v = validate_update(op, u, v, n)
+        edge = (u, v) if u < v else (v, u)
+        if edge not in desired:
+            order.append(edge)
+        desired[edge] = want
+    inserts, deletes = [], []
+    for edge in order:
+        present = graph.has_edge(*edge)
+        if desired[edge] and not present:
+            inserts.append(edge)
+        elif not desired[edge] and present:
+            deletes.append(edge)
+    return UpdateBatch(tuple(inserts), tuple(deletes), total - len(inserts) - len(deletes))
+
+
+def outcome(plan, updates, graph):
+    """``("ok", batch)`` or ``("error", type, message, updates read)``."""
+    read = []
+
+    def stream():
+        for update in updates:
+            read.append(update)
+            yield update
+
+    try:
+        batch = plan(stream(), graph)
+    except Exception as exc:  # the error itself is what gets compared
+        return ("error", type(exc), str(exc), len(read))
+    return ("ok", batch, [tuple(map(type, edge)) for edge in batch.inserts + batch.deletes])
+
+
+#: Endpoints of every kind the endpoint rule sees: in range, out of
+#: range (negative, n, huge), numpy integers and bools (accepted), and
+#: floats and strings (rejected).
+endpoints = st.one_of(
+    node,
+    st.integers(-3, N + 2),
+    st.sampled_from([2**40, -(2**70)]),
+    node.map(np.int64),
+    node.map(np.uint8),
+    st.booleans(),
+    st.floats(0, N - 1),
+    node.map(str),
+)
+ops = st.sampled_from(["insert", "delete", "insert", "delete", "frobnicate", "INSERT"])
+
+
+class TestPlanAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(g=graphs, updates=streams)
+    def test_valid_streams_plan_to_the_same_batch(self, g, updates):
+        dyn = DynamicGraph.from_graph(g)
+        assert outcome(UpdateBatch.plan, updates, dyn) == outcome(reference_plan, updates, dyn)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        g=graphs,
+        valid=streams,
+        bad=st.lists(st.tuples(ops, endpoints, endpoints), min_size=1, max_size=4),
+        at=st.integers(0, 30),
+    )
+    def test_malformed_streams_fail_at_the_same_update(self, g, valid, bad, at):
+        dyn = DynamicGraph.from_graph(g)
+        updates = valid[:at] + bad + valid[at:]
+        assert outcome(UpdateBatch.plan, updates, dyn) == outcome(reference_plan, updates, dyn)
+
+    @pytest.mark.parametrize(
+        "updates, error, message, read",
+        [
+            ([("insert", 0, 1), ("bogus", 1, 2), ("insert", 3, 3)], InvalidParameterError, "unknown update op 'bogus'", 2),
+            ([("insert", 0, 1), ("insert", 3, 3), ("bogus", 1, 2)], GraphError, "self-loop on node 3", 2),
+            ([("delete", 1.0, 2), ("bogus", 1, 2)], GraphError, "non-integer endpoint", 1),
+            ([("insert", 0, "2")], GraphError, "non-integer endpoint", 1),
+            ([("insert", 0, N)], GraphError, f"outside node range [0, {N})", 1),
+            ([("insert", -1, 2)], GraphError, f"outside node range [0, {N})", 1),
+            ([("bogus", 0, N), ("insert", 0, N)], InvalidParameterError, "unknown update op", 1),
+        ],
+    )
+    def test_first_offending_update_names_the_error(self, updates, error, message, read):
+        dyn = DynamicGraph(N)
+        got = outcome(UpdateBatch.plan, updates, dyn)
+        assert got == outcome(reference_plan, updates, dyn)
+        assert got[0] == "error" and got[1] is error and got[3] == read
+        assert message in got[2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=graphs, updates=streams, seeded=st.booleans())
+    def test_planned_edges_land_like_the_checked_updates(self, g, updates, seeded):
+        """The unchecked apply of a plan leaves the same graph and CSR
+        mirror as the public, checked edge updates."""
+        fast, slow = DynamicGraph.from_graph(g), DynamicGraph.from_graph(g)
+        if not seeded:
+            fast, slow = DynamicGraph(g.n, g.edges()), DynamicGraph(g.n, g.edges())
+        batch = UpdateBatch.plan(updates, fast)
+        fast._apply_net(batch.deletes, batch.inserts)
+        slow.delete_edges(batch.deletes)
+        slow.insert_edges(batch.inserts)
+        assert fast.m == slow.m
+        assert sorted(fast.edges()) == sorted(slow.edges())
+        assert [fast.neighbors(u) for u in fast.nodes()] == [slow.neighbors(u) for u in slow.nodes()]
+        for got, want in ((fast.csr(), slow.csr()), (fast.csr(), fast.snapshot().csr())):
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+            np.testing.assert_array_equal(got.cols, want.cols)
 
 
 class TestIterBatches:

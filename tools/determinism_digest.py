@@ -21,7 +21,12 @@ Two modes::
         ``dynamic_solution``, ``dynamic_stats`` and ``dynamic_index``,
         digest dynamic repair: a pinned mixed update stream applied in
         16-update batches and per edge at k = 3 and 4, recorded after
-        every batch and at the end of the per-edge run. Two more,
+        every batch and at the end of the per-edge run. Three more,
+        ``dynamic_rule_solution``, ``dynamic_rule_stats`` and
+        ``dynamic_rule_index``, digest the same states after every batch
+        of a stream whose batches fall on every side of the dynamic
+        engine rule (freed nodes plus eligible inserted edges against
+        ``AUTO_DIRTY_THRESHOLD``, and the patch-width gate). Two more,
         ``lp_hub_solution`` and ``lp_hub_stats``, digest ``lp`` at
         k = 3-5 and ``l`` at k = 4 on a graph with a hub joined to every
         node, whose row is longer than ``ROW_CAP`` (the list walk and its
@@ -43,10 +48,14 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
+
+if TYPE_CHECKING:  # imported for annotations only
+    from repro.dynamic import DynamicDisjointCliques
 
 
 def _digest(payload: object) -> str:
@@ -134,6 +143,17 @@ def hub_digests() -> dict[str, str]:
     return {"lp_hub_solution": _digest(solutions), "lp_hub_stats": _digest(stats)}
 
 
+def _maintainer_state(dyn: "DynamicDisjointCliques") -> tuple[list, list, list]:
+    """A maintainer's solution (owner ids included), stats and
+    candidate index, each canonically ordered."""
+    index = dyn.index
+    return (
+        sorted((o, sorted(c)) for o, c in index.solution.items()),
+        sorted(dyn.stats.items()),
+        sorted((sorted(c), o) for c, o in index.owner_of_cand.items()),
+    )
+
+
 def dynamic_digests() -> dict[str, str]:
     """Digests of dynamic repair over a pinned mixed update stream:
     the solution (owner ids included), the stats and the candidate
@@ -147,12 +167,8 @@ def dynamic_digests() -> dict[str, str]:
     states: dict[str, list] = {"solution": [], "stats": [], "index": []}
 
     def record(dyn: DynamicDisjointCliques) -> None:
-        index = dyn.index
-        states["solution"].append(sorted((o, sorted(c)) for o, c in index.solution.items()))
-        states["stats"].append(sorted(dyn.stats.items()))
-        states["index"].append(
-            sorted((sorted(c), o) for c, o in index.owner_of_cand.items())
-        )
+        for part, value in zip(("solution", "stats", "index"), _maintainer_state(dyn)):
+            states[part].append(value)
 
     for k in (3, 4):
         batched = DynamicDisjointCliques(start, k)
@@ -164,6 +180,40 @@ def dynamic_digests() -> dict[str, str]:
         per_edge.apply(updates)
         record(per_edge)
     return {f"dynamic_{part}": _digest(seq) for part, seq in states.items()}
+
+
+def rule_digests() -> dict[str, str]:
+    """Digests of dynamic repair over batches on every side of the
+    engine rule: the same three states after every batch of a pinned
+    mixed stream cut into chunks of 20, 36, 12, 72 and 100 updates, at
+    k = 3 and 4. Among its batches, the freed nodes and eligible
+    inserted edges are each below ``AUTO_DIRTY_THRESHOLD`` but reach it
+    together (on a wide and on a narrow patch), only one of them reaches
+    it (on a wide and on a narrow patch), both reach it, and neither
+    does."""
+    from repro.dynamic import DynamicDisjointCliques, make_workload
+    from repro.graph.generators import powerlaw_cluster
+
+    start, updates = make_workload(
+        powerlaw_cluster(400, 4, 0.9, seed=5), "mixed", 300, seed=9
+    )
+    sizes = (20, 36, 12, 72, 100)
+    chunks, at = [], 0
+    while at < len(updates):
+        size = sizes[len(chunks) % len(sizes)]
+        chunks.append(updates[at : at + size])
+        at += size
+    states: list[tuple[list, list, list]] = []
+    for k in (3, 4):
+        dyn = DynamicDisjointCliques(start, k)
+        states.append(_maintainer_state(dyn))
+        for chunk in chunks:
+            dyn.apply_batch(chunk)
+            states.append(_maintainer_state(dyn))
+    return {
+        f"dynamic_rule_{part}": _digest([state[i] for state in states])
+        for i, part in enumerate(("solution", "stats", "index"))
+    }
 
 
 def run_digests(run_dir: Path) -> dict[str, str]:
@@ -195,7 +245,9 @@ def run_digests(run_dir: Path) -> dict[str, str]:
 
 def main(argv: list[str]) -> int:
     if len(argv) >= 1 and argv[0] == "solve":
-        digests = {**solve_digests(), **hub_digests(), **dynamic_digests()}
+        digests = {
+            **solve_digests(), **hub_digests(), **dynamic_digests(), **rule_digests()
+        }
     elif len(argv) >= 2 and argv[0] == "run":
         digests = run_digests(Path(argv[1]))
     else:
