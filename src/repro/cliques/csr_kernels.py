@@ -40,7 +40,6 @@ never materialised during candidate-index refreshes).
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -99,7 +98,7 @@ def iter_cliques_csr(
     maintainer uses this to regenerate only the cliques touching a
     dirty node inside a relabelled patch (dirty ids first).
     """
-    for members in _clique_matrices_csr(ocsr, k, require_below=require_below):
+    for members in clique_matrices_csr(ocsr, k, require_below=require_below):
         for row in members.tolist():
             yield tuple(row)
 
@@ -136,7 +135,7 @@ def _mask_candidates(level: _Level, keep: np.ndarray) -> _Level:
     return indptr2, cand_vals[keep], ctx_node, ctx_parent
 
 
-def _clique_matrices_csr(
+def clique_matrices_csr(
     ocsr: OrientedCSR,
     k: int,
     require_below: int | None = None,
@@ -154,7 +153,7 @@ def _clique_matrices_csr(
     -the-fact filter, incompatible branches are pruned *inside* the
     frontier — the candidate-clique index uses this with solution-owner
     labels, where most of a dense region's cliques mix two owners and
-    are never even expanded.
+    are never even expanded, in its full build over the whole graph too.
     """
     indptr, cols = ocsr.indptr, ocsr.cols
     n = len(indptr) - 1
@@ -291,7 +290,7 @@ def iter_cliques_within_csr(
     nodes: Iterable[int] | np.ndarray,
     k: int,
     require: Iterable[int] | np.ndarray | None = None,
-    labels: "dict[int, int] | None" = None,
+    labels: np.ndarray | None = None,
 ) -> Iterator[frozenset[int]]:
     """CSR twin of :func:`repro.dynamic.local.iter_cliques_within`.
 
@@ -307,10 +306,11 @@ def iter_cliques_within_csr(
     first, so the restriction rides the engine's ``require_below``
     prune instead of a posteriori filtering.
 
-    ``labels`` (global node id → group id) keeps only cliques whose
-    labelled members all share one group; nodes absent from the mapping
-    are wildcards. Incompatible branches are pruned inside the frontier
-    (see :func:`_clique_matrices_csr`).
+    ``labels`` (an int64 group id per global node id, ``-1`` for a
+    wildcard, such as the candidate index's owner array) keeps only
+    cliques whose labelled members all share one group. Incompatible
+    branches are pruned inside the frontier (see
+    :func:`clique_matrices_csr`).
     """
     if k < 1:
         return
@@ -326,13 +326,8 @@ def iter_cliques_within_csr(
         pool = np.concatenate((required, pool[~in_sorted(required, pool)]))
         below = len(required)
     ocsr, pool_arr = local_oriented_csr(graph, pool)
-    label_arr = None
-    if labels is not None:
-        label_arr = np.fromiter(
-            map(labels.get, pool.tolist(), repeat(-1)), dtype=np.int64, count=len(pool)
-        )
-    for members in _clique_matrices_csr(
-        ocsr, k, require_below=below, labels=label_arr
+    for members in clique_matrices_csr(
+        ocsr, k, require_below=below, labels=None if labels is None else labels[pool]
     ):
         for row in pool_arr[members].tolist():
             yield frozenset(row)

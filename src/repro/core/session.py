@@ -594,7 +594,8 @@ class Session:
         :meth:`task` seeded with the still-valid cliques, so after a
         burst of graph updates a new maintainer starts from the old
         answer instead of from scratch. Requires a method that supports
-        warm starts (``hg``/``l``/``lp``/``opt-bb``).
+        warm starts (``hg``/``l``/``lp``/``opt-bb``). A result that is
+        not a valid, maximal start raises :class:`~repro.errors.SolutionError`.
 
         Returns
         -------
@@ -607,12 +608,7 @@ class Session:
             result = self.task(k, method, warm_start=warm_start, **options).run()
         else:
             result = self.solve(k, method, **options)
-        # The solve just came from this session's own registry method;
-        # re-validating it (free-subgraph maximality enumeration) would
-        # duplicate work the caller is here to avoid.
-        return DynamicDisjointCliques(
-            self.graph, k, initial=result, validate_initial=False
-        )
+        return DynamicDisjointCliques(self.graph, k, initial=result)
 
     def method(self, tag: str) -> Method:
         """Look up a :class:`Method` (metadata) from this session's registry."""

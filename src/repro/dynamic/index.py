@@ -8,12 +8,12 @@ exactly the set of all candidate cliques of the current graph, grouped by
 owner, with a per-node inverted index for O(1)-amortised invalidation.
 
 The full-build entry point (:meth:`CandidateIndex.build`) is the paper's
-Algorithm 5: for each owner clique ``C``, enumerate k-cliques inside
-``C ∪ N_F(C)`` (its nodes plus their free neighbours) and keep all but
-``C`` itself. That per-owner enumeration
-(:meth:`~CandidateIndex.discover_owner_candidates`) runs only there.
-Incremental maintenance goes through :meth:`~CandidateIndex.refresh_nodes`
-(status changes, plus the edges a batch inserted),
+Algorithm 5, which enumerates k-cliques inside ``C ∪ N_F(C)`` (an owner
+clique's nodes plus their free neighbours) for each owner ``C``, run as
+one frontier pass over the whole graph with owner labels; it doubles as
+the maximality check of the initial solution. Incremental maintenance
+goes through :meth:`~CandidateIndex.refresh_nodes` (status changes,
+plus the edges a batch inserted),
 :meth:`~CandidateIndex.discover_through_edge` (one fresh edge) and
 :meth:`~CandidateIndex.remove_candidates_with_edge` (structural edge
 deletions). Owners that enter ``S`` later get their
@@ -48,6 +48,8 @@ import numpy as np
 from repro.errors import SolutionError
 from repro.cliques import csr_kernels
 from repro.graph.csr import concat_rows, sorted_unique
+from repro.graph.dag import OrientedCSR
+from repro.graph.ordering import by_degeneracy
 from repro.dynamic.local import (
     cliques_through_edge,
     cliques_through_node,
@@ -88,13 +90,10 @@ class RefreshReport:
         k-cliques discovered whose nodes are *all* free. These are not
         candidates; the maintainer must absorb them into ``S`` to keep it
         maximal.
-    removed:
-        Candidates dropped by the pass.
     """
 
     new_by_owner: dict[int, set[Clique]] = field(default_factory=dict)
     all_free: set[Clique] = field(default_factory=set)
-    removed: set[Clique] = field(default_factory=set)
 
 
 class CandidateIndex:
@@ -114,6 +113,9 @@ class CandidateIndex:
         self.k = k
         self.solution: dict[int, Clique] = {}
         self.owner_of: dict[int, int] = {}
+        #: ``owner_of`` as an array over node ids, ``-1`` for a free node:
+        #: the owner labels of the CSR frontier passes.
+        self.labels = np.full(graph.n, -1, dtype=np.int64)
         self.cands_by_owner: dict[int, set[Clique]] = {}
         self.cands_by_node: dict[int, set[Clique]] = {}
         self.owner_of_cand: dict[Clique, int] = {}
@@ -145,6 +147,7 @@ class CandidateIndex:
         self.solution[owner] = clique
         for u in clique:
             self.owner_of[u] = owner
+            self.labels[u] = owner
         self.cands_by_owner[owner] = set()
         return owner
 
@@ -157,12 +160,17 @@ class CandidateIndex:
         clique = self.solution.pop(owner)
         for u in clique:
             del self.owner_of[u]
+            self.labels[u] = -1
         for cand in list(self.cands_by_owner.pop(owner, ())):
             self._detach(cand)
         # Keep the sweep frontier bounded by live owners: a departed
         # owner can never be swept again (ids are never reused).
         self.touched_owners.discard(owner)
         return clique
+
+    def add_free_node(self) -> None:
+        """Label the node just appended to the graph as free."""
+        self.labels = np.append(self.labels, -1)
 
     # ------------------------------------------------------------------
     # Candidate bookkeeping
@@ -230,42 +238,34 @@ class CandidateIndex:
     def build(self) -> None:
         """Algorithm 5: construct all candidates from scratch.
 
-        For each owner ``C``, enumerate the k-cliques of the subgraph
-        induced on ``B = C ∪ N_F(C)`` and register every one except ``C``
-        itself. Assumes ``S`` is maximal (no all-free clique exists);
-        violations raise :class:`SolutionError` because they indicate the
-        static solver handed over a non-maximal solution.
+        One frontier pass over the whole graph, oriented by degeneracy
+        rank as the static passes orient, with :attr:`labels` pruning
+        every branch that mixes two owners. It yields each owner's own
+        clique, every candidate (the cliques of each ``C ∪ N_F(C)`` but
+        ``C``) and every all-free clique. Candidates are registered in
+        sorted order, as :meth:`refresh_nodes` registers. An all-free
+        clique means ``S`` is not maximal and raises
+        :class:`SolutionError`.
         """
-        for owner in self.solution:
-            report = self.discover_owner_candidates(owner)
-            if report.all_free:
+        graph, k, labels = self.graph, self.k, self.labels
+        ocsr = OrientedCSR.from_rank(graph, by_degeneracy(graph))
+        found: list[np.ndarray] = []
+        for members in csr_kernels.clique_matrices_csr(ocsr, k, labels=labels):
+            free = (labels[members] == -1).sum(axis=1)
+            if (free == k).any():
                 raise SolutionError(
                     "solution is not maximal: free k-clique "
-                    f"{sorted(map(sorted, report.all_free))[0]}"
+                    f"{sorted(members[free == k][0].tolist())}"
                 )
-
-    def discover_owner_candidates(self, owner: int) -> RefreshReport:
-        """Register one owner's candidates from its Algorithm-5 patch.
-
-        Enumerates the k-cliques of ``C ∪ N_F(C)`` (the owner's nodes
-        plus their *free* neighbours — the only pool that can hold a
-        candidate of ``C``) with the set recursion, and folds every
-        clique except ``C`` itself into a report: newly registered
-        candidates under ``new_by_owner[owner]``, and any all-free
-        clique under ``all_free`` (which :meth:`build` treats as a
-        maximality violation).
-        """
-        clique = self.solution[owner]
-        pool = set(clique)
-        for u in clique:
-            for v in self.graph.neighbors(u):
-                if v not in self.owner_of:
-                    pool.add(v)
-        report = RefreshReport()
-        for cand in iter_cliques_within(self.graph, pool, self.k):
-            if cand != clique:
-                self._classify_into(cand, report)
-        return report
+            # Rows without a free member are the owners' own cliques.
+            found.append(members[free > 0])
+        if not found:
+            return
+        rows = np.sort(np.concatenate(found), axis=1, kind="stable")
+        cands = rows[np.lexsort(rows.T[::-1])]  # sorted(cliques, key=sorted)
+        owners = labels[cands].max(axis=1)
+        for cand, owner in zip(cands.tolist(), owners.tolist()):
+            self.add_candidate(frozenset(cand), owner)
 
     def refresh_nodes(
         self, dirty: Iterable[int], edges: Iterable[tuple[int, int]] = ()
@@ -297,7 +297,6 @@ class CandidateIndex:
             doomed |= self.cands_by_node.get(node, set())
         for cand in doomed:
             self.remove_candidate(cand)
-        report.removed = doomed
 
         # Distinct cliques have distinct sorted node lists, so the key is
         # tie-free and the order hash-independent.
@@ -351,7 +350,7 @@ class CandidateIndex:
             )
             if touch and _wide_patch(graph, pool):
                 return csr_kernels.iter_cliques_within_csr(
-                    graph, pool, k, require=touch, labels=self.owner_of
+                    graph, pool, k, require=touch, labels=self.labels
                 )
         cliques: set[Clique] = set()
         for node in dirty:
@@ -396,9 +395,13 @@ class CandidateIndex:
             for u in clique:
                 if self.owner_of.get(u) != owner:
                     raise SolutionError(f"owner map wrong for node {u}")
+        labels = np.full(self.graph.n, -1, dtype=np.int64)
         for u, owner in self.owner_of.items():
             if u not in self.solution[owner]:
                 raise SolutionError(f"node {u} mapped to wrong owner {owner}")
+            labels[u] = owner
+        if not np.array_equal(self.labels, labels):
+            raise SolutionError("owner labels differ from the owner map")
 
         expected: dict[Clique, int] = {}
         for owner, clique in self.solution.items():

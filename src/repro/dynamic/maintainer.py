@@ -22,11 +22,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from repro.errors import InvalidParameterError, SolutionError
+from repro.errors import InvalidParameterError
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.graph import Graph
 from repro.core.api import find_disjoint_cliques
-from repro.core.result import CliqueSetResult, is_maximal, verify_solution
+from repro.core.result import CliqueSetResult, verify_solution
 from repro.dynamic.batch import UpdateBatch
 from repro.dynamic.index import CandidateIndex, Clique
 from repro.dynamic.swap import select_disjoint, try_swap
@@ -48,12 +48,11 @@ class DynamicDisjointCliques:
         disjoint k-clique set of ``graph``); when given, ``method`` is
         not consulted and no static solve is run. This is how
         :meth:`repro.core.session.Session.dynamic` shares a session's
-        cached preprocessing with the maintainer.
-    validate_initial:
-        Verify a supplied ``initial`` (validity and maximality) before
-        building the index. Maximality checking enumerates the free
-        subgraph; benchmarks constructing many maintainers from one
-        already-validated solve can pass ``False``.
+        cached preprocessing with the maintainer. A supplied solution is
+        verified (:func:`repro.core.result.verify_solution`); the index
+        build checks every start for maximality (see
+        :meth:`repro.dynamic.index.CandidateIndex.build`). Either failure
+        raises :class:`~repro.errors.SolutionError`.
 
     Examples
     --------
@@ -76,7 +75,6 @@ class DynamicDisjointCliques:
         k: int,
         method: str = "lp",
         initial: CliqueSetResult | None = None,
-        validate_initial: bool = True,
     ) -> None:
         if k < 2:
             raise InvalidParameterError(f"k must be >= 2, got {k}")
@@ -104,18 +102,12 @@ class DynamicDisjointCliques:
         }
         if initial is None:
             initial = find_disjoint_cliques(static, k, method=method)
+        elif initial.k != k:
+            raise InvalidParameterError(
+                f"initial solution was solved for k={initial.k}, expected {k}"
+            )
         else:
-            if initial.k != k:
-                raise InvalidParameterError(
-                    f"initial solution was solved for k={initial.k}, expected {k}"
-                )
-            if validate_initial:
-                verify_solution(static, k, initial.cliques)
-                if not is_maximal(static, k, initial.cliques):
-                    raise SolutionError(
-                        "initial solution is not maximal; the dynamic index "
-                        "requires a maximal starting point (Theorem 3)"
-                    )
+            verify_solution(static, k, initial.cliques)
         self.index = CandidateIndex(self.graph, k)
         for clique in initial.cliques:
             self.index.add_solution_clique(clique)
@@ -216,6 +208,7 @@ class DynamicDisjointCliques:
         and index stay exact.
         """
         node = self.graph.add_node()
+        self.index.add_free_node()
         for v in neighbors:
             self.insert_edge(node, v)
         return node

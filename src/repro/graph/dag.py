@@ -11,13 +11,16 @@ makes each clique enumerable exactly once.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.concurrency import make_lock
 from repro.graph.graph import Graph
 from repro.graph import ordering as _ordering
+
+if TYPE_CHECKING:  # imported for annotations only
+    from repro.graph.dynamic import DynamicGraph
 
 
 class OrientedCSR:
@@ -38,7 +41,9 @@ class OrientedCSR:
         self.rank = rank
 
     @classmethod
-    def from_rank(cls, graph: Graph, rank: Sequence[int] | np.ndarray) -> "OrientedCSR":
+    def from_rank(
+        cls, graph: Graph | DynamicGraph, rank: Sequence[int] | np.ndarray
+    ) -> OrientedCSR:
         """Orient ``graph`` by a rank array, fully vectorised.
 
         Filters the graph's (cached) undirected CSR with one boolean

@@ -31,13 +31,16 @@ Provided orderings:
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.graph.csr import CSRAdjacency, concat_rows, sorted_unique
 from repro.graph.graph import Graph
+
+if TYPE_CHECKING:  # imported for annotations only
+    from repro.graph.dynamic import DynamicGraph
 
 OrderingFn = Callable[[Graph], np.ndarray]
 
@@ -80,7 +83,7 @@ ROUND_MIN = 32
 FREE_ROUNDS = 8
 
 
-def peel(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+def peel(graph: Graph | DynamicGraph) -> tuple[np.ndarray, np.ndarray]:
     """Min-degree peel over the CSR: ``(removal order, core numbers)``.
 
     ``order[i]`` is the ``i``-th node removed and ``core[u]`` the core
@@ -99,7 +102,7 @@ def peel(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     n = graph.n
     csr = graph.csr()
     indptr, cols = csr.indptr, csr.cols
-    deg = graph.degrees.copy()
+    deg = csr.degrees()
     alive = np.ones(n, dtype=bool)
     rest = np.arange(n, dtype=np.int64)
     bucket = rest[:0]
@@ -188,7 +191,7 @@ def _bucket_queue(
     return np.fromiter(order, dtype=np.int64, count=len(order)), np.maximum.accumulate(core)
 
 
-def by_degeneracy(graph: Graph) -> np.ndarray:
+def by_degeneracy(graph: Graph | DynamicGraph) -> np.ndarray:
     """Smallest-last (degeneracy) ordering: the removal order of :func:`peel`.
 
     Oriented toward smaller rank, as the package orients, this bounds

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 import sys
+from typing import Iterator
 
 import pytest
 
 from repro import Graph
+from repro.dynamic.index import CandidateIndex, RefreshReport
+from repro.dynamic.local import iter_cliques_within
 from repro.graph.generators import erdos_renyi_gnp
 
 
@@ -145,6 +148,36 @@ def brute_force_max_disjoint(graph: Graph, k: int) -> int:
 
     extend(0, frozenset(), 0)
     return best
+
+
+def owner_pool_cliques(index: CandidateIndex, owner: int) -> Iterator[frozenset[int]]:
+    """Algorithm 5 for one owner ``C``, as the paper states it: every
+    k-clique of ``C ∪ N_F(C)`` (``C``'s nodes plus their free
+    neighbours) except ``C`` itself, by the set recursion."""
+    clique = index.solution[owner]
+    pool = set(clique)
+    for u in clique:
+        for v in index.graph.neighbors(u):
+            if v not in index.owner_of:
+                pool.add(v)
+    for cand in iter_cliques_within(index.graph, pool, index.k):
+        if cand != clique:
+            yield cand
+
+
+def reference_owner_candidates(index: CandidateIndex, owner: int) -> RefreshReport:
+    """Register one owner's candidates from its Algorithm-5 pool, in the
+    set recursion's order; returns the report of what it found (newly
+    registered candidates by owner, and any all-free clique)."""
+    report = RefreshReport()
+    for cand in owner_pool_cliques(index, owner):
+        kind, cand_owner = index.classify(cand)
+        if kind == "candidate":
+            if index.add_candidate(cand, cand_owner):
+                report.new_by_owner.setdefault(cand_owner, set()).add(cand)
+        elif kind == "all_free":
+            report.all_free.add(cand)
+    return report
 
 
 @pytest.fixture

@@ -265,8 +265,9 @@ class TestLocalPatchEnumeration:
             groups = {labels[u] for u in clique if u in labels}
             return len(groups) <= 1
         expected = [c for c in iter_cliques_within(g, pool, k) if ok(c)]
+        label_arr = np.array([labels.get(u, -1) for u in range(26)], dtype=np.int64)
         assert self.canonical(
-            iter_cliques_within_csr(g, pool, k, labels=labels)
+            iter_cliques_within_csr(g, pool, k, labels=label_arr)
         ) == self.canonical(expected)
 
     def test_require_and_labels_compose(self):
@@ -280,8 +281,9 @@ class TestLocalPatchEnumeration:
             groups = {labels[u] for u in clique if u in labels}
             return len(groups) <= 1 and bool(clique & require)
         expected = [c for c in iter_cliques_within(g, pool, 3) if ok(c)]
+        label_arr = np.array([labels.get(u, -1) for u in range(24)], dtype=np.int64)
         assert self.canonical(
-            iter_cliques_within_csr(g, pool, 3, require=require, labels=labels)
+            iter_cliques_within_csr(g, pool, 3, require=require, labels=label_arr)
         ) == self.canonical(expected)
 
     def test_local_oriented_csr_roundtrip(self):

@@ -8,11 +8,15 @@ from repro.errors import SolutionError
 from repro.graph.dynamic import DynamicGraph
 
 
-def make_index(graph: Graph, k: int, solution) -> CandidateIndex:
+def make_index(graph: Graph, k: int, solution, build: bool = True) -> CandidateIndex:
+    """An index over ``solution``; ``build=False`` only registers the
+    owners, for a ``solution`` that is not maximal (``build`` rejects
+    those)."""
     index = CandidateIndex(DynamicGraph.from_graph(graph), k)
     for clique in solution:
         index.add_solution_clique(frozenset(clique))
-    index.build()
+    if build:
+        index.build()
     return index
 
 
@@ -38,11 +42,11 @@ class TestPaperFig5:
 
 class TestClassify:
     def test_all_free(self, triangle_pair):
-        index = make_index(triangle_pair, 3, [{0, 1, 2}])
+        index = make_index(triangle_pair, 3, [{0, 1, 2}], build=False)
         assert index.classify(frozenset({3, 4, 5})) == ("all_free", None)
 
     def test_candidate(self, paper_graph):
-        index = make_index(paper_graph, 3, [{0, 2, 5}])  # C1
+        index = make_index(paper_graph, 3, [{0, 2, 5}], build=False)  # C1
         kind, owner = index.classify(frozenset({2, 4, 5}))  # C2 shares v3, v6
         assert kind == "candidate" and owner in index.solution
 

@@ -1,7 +1,10 @@
 """Tests for node-level dynamic updates (bundled edge updates)."""
 
+import pytest
+
 from repro import Graph
-from repro.dynamic import DynamicDisjointCliques
+from repro.dynamic import DynamicDisjointCliques, make_workload
+from repro.graph.generators import erdos_renyi_gnp
 
 
 class TestRemoveNode:
@@ -65,3 +68,28 @@ class TestAddNode:
         dyn.remove_node(node)
         assert dyn.size == 2
         dyn.check_invariants()
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_added_nodes_on_the_csr_patch_match_the_sets(self, force_dynamic_engine, k):
+        """Nodes added after construction are labelled free in the
+        index's owner array, so a batch through them runs on the CSR
+        patch and ends in the set engine's state."""
+        start, updates = make_workload(erdos_renyi_gnp(30, 0.4, seed=3), "mixed", 40, seed=5)
+        states = []
+        for engine in ("sets", "csr"):
+            force_dynamic_engine(engine)
+            dyn = DynamicDisjointCliques(start, k)
+            a = dyn.add_node(neighbors=range(0, 30, 2))
+            b = dyn.add_node()
+            dyn.apply_batch(
+                updates
+                + [("insert", b, v) for v in (a, *range(0, 30, 3))]
+                + [("delete", a, v) for v in range(0, 12, 2)]
+            )
+            dyn.check_invariants()
+            index = dyn.index
+            assert index.labels.tolist() == [index.owner_of.get(u, -1) for u in range(32)]
+            states.append(
+                (sorted(index.solution.items()), dyn.stats, index.owner_of_cand)
+            )
+        assert states[0] == states[1]

@@ -53,7 +53,6 @@ class ReferenceIndex(CandidateIndex):
             doomed |= self.cands_by_node.get(node, set())
         for cand in doomed:
             self.remove_candidate(cand)
-        report.removed = doomed
         for clique in sorted(self._cliques_through_dirty(set(dirty)), key=sorted):
             kind, owner = self.classify(clique)
             if kind == "candidate":
@@ -71,7 +70,7 @@ class ReferenceIndex(CandidateIndex):
             pool = sorted_unique(np.concatenate((seeds, around)))
             if _wide_patch(self.graph, pool):
                 yield from csr_kernels.iter_cliques_within_csr(
-                    self.graph, pool, self.k, require=seeds, labels=self.owner_of
+                    self.graph, pool, self.k, require=seeds, labels=self.labels
                 )
                 return
         seen: set[Clique] = set()
@@ -98,7 +97,7 @@ class ReferenceIndex(CandidateIndex):
             if touch and _wide_patch(self.graph, patch_arr):
                 for clique in sorted(
                     csr_kernels.iter_cliques_within_csr(
-                        self.graph, patch_arr, self.k, require=touch, labels=self.owner_of
+                        self.graph, patch_arr, self.k, require=touch, labels=self.labels
                     ),
                     key=sorted,
                 ):

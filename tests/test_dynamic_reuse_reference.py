@@ -28,6 +28,7 @@ from repro.dynamic import DynamicDisjointCliques, iter_batches, make_workload, s
 from repro.dynamic.index import CandidateIndex
 from repro.dynamic.swap import select_disjoint, try_swap
 from repro.graph.generators import erdos_renyi_gnp
+from tests.conftest import reference_owner_candidates
 
 MAINTAINER = sys.modules[DynamicDisjointCliques.__module__]
 
@@ -66,7 +67,7 @@ def reference_try_swap(index: CandidateIndex, queue: deque, stats: dict) -> list
             assert not report.all_free
             gained.extend(report.new_by_owner)
         for new_id in new_ids:
-            report = index.discover_owner_candidates(new_id)
+            report = reference_owner_candidates(index, new_id)
             assert not report.all_free
             gained.extend(report.new_by_owner)
         for gained_owner in gained:
@@ -121,7 +122,7 @@ class ReferenceMaintainer(DynamicDisjointCliques):
             for cand in doomed:
                 self.index.remove_candidate(cand)
             for owner in added:
-                pending |= self.index.discover_owner_candidates(owner).all_free
+                pending |= reference_owner_candidates(self.index, owner).all_free
             new_owners.extend(added)
         return new_owners
 

@@ -126,8 +126,9 @@ class TestTrySwapFig5:
     def test_popped_owner_no_longer_in_solution(self, fig5_g1):
         graph = DynamicGraph.from_graph(fig5_g1)
         index = CandidateIndex(graph, 3)
+        # {v3, v4, v5} alone is not maximal, so no build: the test needs
+        # only the owner registered.
         owner_c = index.add_solution_clique(frozenset({2, 3, 4}))
-        index.build()
         index.remove_solution_clique(owner_c)
         stats: dict[str, float] = {}
         try_swap(index, deque([owner_c]), stats)

@@ -27,6 +27,12 @@ Two modes::
         of a stream whose batches fall on every side of the dynamic
         engine rule (freed nodes plus eligible inserted edges against
         ``AUTO_DIRTY_THRESHOLD``, and the patch-width gate). Two more,
+        ``dynamic_build_solution`` and ``dynamic_build_index``, digest
+        the candidate-index build: the solution (owner ids included)
+        with the stats, and the index, right after construction and
+        after the first ``apply_batch([])`` sweep, at k = 2-5 from
+        ``lp`` and ``hg`` starts on the start graphs of the two dynamic
+        streams. Two more,
         ``lp_hub_solution`` and ``lp_hub_stats``, digest ``lp`` at
         k = 3-5 and ``l`` at k = 4 on a graph with a hub joined to every
         node, whose row is longer than ``ROW_CAP`` (the list walk and its
@@ -216,6 +222,32 @@ def rule_digests() -> dict[str, str]:
     }
 
 
+def build_digests() -> dict[str, str]:
+    """Digests of the candidate-index build: each maintainer's state
+    right after construction and after its first ``apply_batch([])``
+    sweep, at k = 2-5 from ``lp`` and ``hg`` starts, on the start
+    graphs of :func:`dynamic_digests` and :func:`rule_digests`."""
+    from repro.dynamic import DynamicDisjointCliques, make_workload
+    from repro.graph.generators import powerlaw_cluster
+
+    starts = [
+        make_workload(powerlaw_cluster(300, 6, 0.8, seed=5), "mixed", 120, seed=9)[0],
+        make_workload(powerlaw_cluster(400, 4, 0.9, seed=5), "mixed", 300, seed=9)[0],
+    ]
+    states: list[tuple[list, list, list]] = []
+    for start in starts:
+        for k in (2, 3, 4, 5):
+            for method in ("lp", "hg"):
+                dyn = DynamicDisjointCliques(start, k, method=method)
+                states.append(_maintainer_state(dyn))
+                dyn.apply_batch([])
+                states.append(_maintainer_state(dyn))
+    return {
+        "dynamic_build_solution": _digest([state[:2] for state in states]),
+        "dynamic_build_index": _digest([state[2] for state in states]),
+    }
+
+
 def run_digests(run_dir: Path) -> dict[str, str]:
     """Digest of a bench run directory's order-bearing records."""
     metrics_path = run_dir / "metrics.jsonl"
@@ -246,7 +278,11 @@ def run_digests(run_dir: Path) -> dict[str, str]:
 def main(argv: list[str]) -> int:
     if len(argv) >= 1 and argv[0] == "solve":
         digests = {
-            **solve_digests(), **hub_digests(), **dynamic_digests(), **rule_digests()
+            **solve_digests(),
+            **hub_digests(),
+            **dynamic_digests(),
+            **rule_digests(),
+            **build_digests(),
         }
     elif len(argv) >= 2 and argv[0] == "run":
         digests = run_digests(Path(argv[1]))
