@@ -8,21 +8,21 @@ scores do **not** walk the kClist recursion root by root; they run it
 recursion depth is held as flat numpy arrays (a ragged candidate-set
 matrix in CSR form) and expanded to the next depth with a constant
 number of vectorised operations — one bulk row gather
-(:func:`repro.graph.csr.concat_rows`) plus one bulk sorted-membership
-test (:func:`~repro.graph.csr.in_sorted`) against a *biased-key* view
-of all candidate sets at once (candidate ``w`` of context ``c`` is
-encoded as ``c * n + w``, which keeps the flattened candidate array
-globally sorted). A per-root Python recursion pays numpy call overhead
-on every tiny candidate set; the frontier formulation pays it once per
-level.
+(:func:`repro.graph.csr.concat_rows`) plus one bulk membership test
+against a *biased-key* view of all candidate sets at once (candidate
+``w`` of context ``c`` is encoded as ``c * n + w``, which keeps the
+flattened candidate array globally sorted). A per-root Python recursion
+pays numpy call overhead on every tiny candidate set; the frontier
+formulation pays it once per level.
 
-Peak memory is proportional to the widest frontier; to bound it, roots
-are processed in batches sized by an out-degree heuristic
-(:data:`ROOT_BATCH_BUDGET`). Results are integer sums, so batching
-never changes them. Enumeration order is the engine's own (canonicalise
-with ``sorted``); the set recursion of
-:func:`repro.dynamic.local.iter_cliques_within` is the test reference
-for its cliques, counts and scores.
+Scratch is bounded by two fixed budgets, not by ``n``: roots (at every
+``k >= 3``) are processed in batches sized by an out-degree heuristic
+(:data:`ROOT_BATCH_BUDGET`), and the membership test reuses one bit
+table of :data:`MEMBER_WINDOW_BITS` bits, a window of whole contexts at
+a time. Results are integer sums, so batching never changes them.
+Enumeration order is the engine's own (canonicalise with ``sorted``);
+the set recursion of :func:`repro.dynamic.local.iter_cliques_within`
+is the test reference for its cliques, counts and scores.
 
 The same frontier engine also serves the dynamic maintainer's batched
 repair path through *local patches*: :func:`local_oriented_csr`
@@ -57,9 +57,13 @@ _Level = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 #: out-degrees (an estimate of the first frontier's width) exceeds this.
 ROOT_BATCH_BUDGET = 1 << 19
 
-#: Bulk membership switches from a bit-packed table to binary search
-#: when the table would exceed this many bytes (the key domain / 8).
-BITMAP_BYTES_MAX = 1 << 25
+#: Bits per window of the bulk membership table (1 MB). Over the 239
+#: membership calls of one seed-1 ``cold_solve`` round (score passes,
+#: HeapInit and arc masks; n = 1k-20k, k = 3-5), windows of 2^20 / 2^22
+#: / 2^23 / 2^24 / 2^26 bits took 168-204 / 113-134 / 88-119 / 106-127 /
+#: 116-135 ms, best of 3 in four sweeps; one table over the whole key
+#: domain took 124-132 ms, and binary search alone 342-362 ms.
+MEMBER_WINDOW_BITS = 1 << 23
 
 
 def resolve_backend(*_: object) -> str:
@@ -205,22 +209,19 @@ def clique_matrices_csr(
             if not len(nxt[1]):
                 break
         else:
-            cand_vals = levels[-1][1]
             pos, w, ok, owner = _level_hits(levels[-1], ocsr, n)
             if require_below is not None:
                 ok &= w < require_below
             if labels is not None:
-                pair_label = _merge_labels(last_label[owner], labels[cand_vals])
+                pair_label = _merge_labels(last_label[owner], labels[levels[-1][1]])
                 ok &= _compatible(pair_label[pos], labels[w])
-            if not len(ok):
+            pos, w = pos[ok], w[ok]  # only the hits outlive this batch
+            if not len(pos):
                 continue
-            hit = pos[ok]
-            if not len(hit):
-                continue
-            members = np.empty((len(hit), k), dtype=np.int64)
-            members[:, k - 2] = cand_vals[hit]
-            members[:, k - 1] = w[ok]
-            ctx = owner[hit]
+            members = np.empty((len(pos), k), dtype=np.int64)
+            members[:, k - 2] = levels[-1][1][pos]
+            members[:, k - 1] = w
+            ctx = owner[pos]
             for depth in range(len(levels) - 1, 0, -1):
                 members[:, depth] = levels[depth][2][ctx]
                 ctx = levels[depth][3][ctx]
@@ -382,26 +383,56 @@ def _prune_level(
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-def _member(biased: np.ndarray, keys: np.ndarray, domain: int) -> np.ndarray:
-    """Bulk membership of ``keys`` in the sorted unique array ``biased``.
+def _member(
+    biased: np.ndarray, owner: np.ndarray, pos: np.ndarray, w: np.ndarray, n: int, nctx: int
+) -> np.ndarray:
+    """Bulk membership of the keys ``owner[pos] * n + w`` in the sorted
+    unique array ``biased``.
 
-    When the key domain is small enough, ``biased`` is scattered into a
-    bit-packed table (duplicate byte slots are OR-merged with one
-    ``reduceat``, exploiting that ``biased`` is sorted) and ``keys``
-    are answered with two gathers and a shift — O(1) per key instead of
-    a binary search. Larger domains fall back to
-    :func:`repro.graph.csr.in_sorted`.
+    Both hold biased keys ``c * n + w`` of contexts ``c < nctx``, and
+    the keys are grouped by ascending context (in any order within
+    one), so a window of whole contexts, about
+    :data:`MEMBER_WINDOW_BITS` bits, is one ``searchsorted`` range of
+    each. Per window, ``biased`` is scattered into one reused bit table
+    (shared bytes OR-merged by a ``reduceat``), the keys are answered
+    with a gather and a shift — O(1) per key instead of a binary search
+    — and the set bytes are cleared.
     """
-    if not len(biased) or not len(keys):
-        return np.zeros(len(keys), dtype=bool)
-    if (domain >> 3) > BITMAP_BYTES_MAX:
-        return in_sorted(biased, keys)
-    table = np.zeros((domain >> 3) + 1, dtype=np.uint8)
-    byte_idx = biased >> 3
-    bits = np.uint8(1) << (biased & 7).astype(np.uint8)
-    starts = np.flatnonzero(np.r_[True, np.diff(byte_idx) != 0])
-    table[byte_idx[starts]] = np.bitwise_or.reduceat(bits, starts)
-    return ((table[keys >> 3] >> (keys & 7).astype(np.uint8)) & 1).astype(bool)
+    if not len(biased) or not len(pos):
+        return np.zeros(len(pos), dtype=bool)
+    keys = owner[pos]
+    keys *= n
+    keys += w
+    span = max(1, MEMBER_WINDOW_BITS // n)
+    bounds = np.arange(0, nctx + span, span, dtype=np.int64) * n
+    got = np.zeros(len(keys), dtype=np.uint8)
+    b_at = np.searchsorted(biased, bounds).tolist()
+    k_at = np.searchsorted(keys, bounds).tolist()
+    table = np.zeros((min(span, nctx) * n >> 3) + 1, dtype=np.uint8)
+    for i, base in enumerate(bounds[:-1].tolist()):
+        b0, b1, k0, k1 = b_at[i], b_at[i + 1], k_at[i], k_at[i + 1]
+        if b0 == b1 or k0 == k1:
+            continue
+        off = biased[b0:b1] - base
+        byte_idx = off >> 3
+        first = np.flatnonzero(np.r_[True, byte_idx[1:] != byte_idx[:-1]])
+        table[byte_idx[first]] = np.bitwise_or.reduceat(
+            np.uint8(1) << (off & 7).astype(np.uint8), first
+        )
+        # In place from here: the window's keys become byte offsets and
+        # the table bytes land in the output itself (``clip`` takes them
+        # unbuffered; every offset is in range).
+        off = keys[k0:k1]
+        off -= base
+        shift = off.astype(np.uint8)
+        shift &= 7
+        off >>= 3
+        win = got[k0:k1]
+        np.take(table, off, out=win, mode="clip")
+        win >>= shift
+        win &= 1
+        table[byte_idx] = 0
+    return got.view(bool)
 
 
 def _root_batches(
@@ -489,42 +520,22 @@ def _level_hits(
     owner = np.repeat(np.arange(nctx, dtype=np.int64), np.diff(cand_indptr))
     biased = cand_vals + n * owner
     pos, w = concat_rows(ocsr.indptr, ocsr.cols, cand_vals)
-    ok = _member(biased, owner[pos] * n + w, nctx * n)
-    return pos, w, ok, owner
-
-
-def _edge_pairs(
-    ocsr: OrientedCSR, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All (edge, out-neighbour) wedges of the whole graph at once.
-
-    For k = 3 the root-level candidate sets *are* the adjacency rows,
-    so no frontier needs building: for every oriented edge ``(u, v)``
-    and every ``w`` in ``out(v)``, test ``w ∈ out(u)`` against the
-    global biased edge keys ``u * n + w`` (already sorted by
-    construction). Returns ``(rows, pos, w, ok)`` where ``rows`` maps
-    column positions to their owning node.
-    """
-    rows = np.repeat(np.arange(n, dtype=np.int64), ocsr.out_degrees())
-    pos, w = concat_rows(ocsr.indptr, ocsr.cols, ocsr.cols)
-    ok = _member(ocsr.cols + n * rows, rows[pos] * n + w, n * n)
-    return rows, pos, w, ok
+    return pos, w, _member(biased, owner, pos, w, n, nctx), owner
 
 
 def count_cliques_csr(ocsr: OrientedCSR, k: int) -> int:
     """Total k-clique count from an oriented CSR, without storing cliques.
 
-    Runs the frontier engine down to depth 2, where the surviving
-    contexts' internal edges are counted with one bulk membership test;
-    ``k = 3`` short-circuits to one whole-graph wedge test.
+    Runs the frontier engine one root batch at a time down to depth 2,
+    where the surviving contexts' internal edges are counted with one
+    bulk membership test (at ``k = 3`` the roots' out-rows are those
+    contexts).
     """
     n = ocsr.n
     if k == 1:
         return n
     if k == 2:
         return len(ocsr.cols)
-    if k == 3:
-        return int(_edge_pairs(ocsr, n)[3].sum())
     total = 0
     for roots in _root_batches(ocsr, k):
         level = _root_level(ocsr, roots)
@@ -546,17 +557,9 @@ def node_scores_csr(ocsr: OrientedCSR, k: int, scores: np.ndarray) -> np.ndarray
     credited with scatter-adds at the base, and each context's
     completion count is propagated back up the parent chain so every
     prefix node (and finally the root) receives one credit per clique
-    below it. ``k = 3`` short-circuits to one whole-graph wedge test.
+    below it.
     """
     n = ocsr.n
-    if k == 3:
-        rows, pos, w, ok = _edge_pairs(ocsr, n)
-        if len(ok):
-            hit = pos[ok]
-            np.add.at(scores, rows[hit], 1)
-            np.add.at(scores, ocsr.cols[hit], 1)
-            np.add.at(scores, w[ok], 1)
-        return scores
     for roots in _root_batches(ocsr, k):
         levels = [_root_level(ocsr, roots)]
         for need_after in range(k - 2, 1, -1):
@@ -564,16 +567,14 @@ def node_scores_csr(ocsr: OrientedCSR, k: int, scores: np.ndarray) -> np.ndarray
             if not len(levels[-1][1]):
                 break
         else:
-            cand_vals = levels[-1][1]
             pos, w, ok, owner = _level_hits(levels[-1], ocsr, n)
-            if not len(ok) or not ok.any():
+            pos, w = pos[ok], w[ok]  # only the hits outlive this batch
+            if not len(pos):
                 continue
-            np.add.at(scores, cand_vals[pos[ok]], 1)
-            np.add.at(scores, w[ok], 1)
+            np.add.at(scores, levels[-1][1][pos], 1)
+            np.add.at(scores, w, 1)
             # Completions per deepest context, then up the parent chain.
-            per_ctx = np.bincount(
-                owner[pos[ok]], minlength=len(levels[-1][0]) - 1
-            )
+            per_ctx = np.bincount(owner[pos], minlength=len(levels[-1][0]) - 1)
             for depth in range(len(levels) - 1, 0, -1):
                 _, _, ctx_node, ctx_parent = levels[depth]
                 np.add.at(scores, ctx_node, per_ctx)

@@ -24,6 +24,7 @@ experimentation without touching the default set.
 from __future__ import annotations
 
 import difflib
+import sys
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -78,9 +79,10 @@ def _check_budget(name: str, value: object, *, integral: bool) -> None:
         raise InvalidParameterError(
             f"{name} must be an int or None, got {value!r}"
         )
-    if value <= 0:
+    # NaN fails every comparison; seconds must also fit a float.
+    if not (value > 0 and (integral or value <= sys.float_info.max)):
         raise InvalidParameterError(
-            f"{name} must be positive, got {value!r}"
+            f"{name} must be positive and finite, got {value!r}"
         )
 
 

@@ -28,6 +28,7 @@ ignores updates it already pushed.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -59,13 +60,16 @@ class FlushPolicy:
     max_age: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_updates < 1:
+        # An int, not a bool: a NaN or inf count never triggers a flush,
+        # and any float fails as a buffer slice bound. NaN also passes a
+        # bare ``max_age <= 0``.
+        if type(self.max_updates) is not int or self.max_updates < 1:
             raise InvalidParameterError(
-                f"max_updates must be >= 1, got {self.max_updates}"
+                f"max_updates must be an int >= 1, got {self.max_updates!r}"
             )
-        if self.max_age is not None and self.max_age <= 0:
+        if self.max_age is not None and not 0 < self.max_age <= sys.float_info.max:
             raise InvalidParameterError(
-                f"max_age must be positive seconds or None, got {self.max_age}"
+                f"max_age must be positive, finite seconds or None, got {self.max_age!r}"
             )
 
 

@@ -150,14 +150,14 @@ def encode(message: Mapping) -> str:
 def decode_request(line: str) -> dict:
     """Parse one NDJSON request line into a validated request dict.
 
-    Raises :class:`~repro.errors.ProtocolError` on malformed JSON, a
-    non-object payload, a missing/unknown ``op``, or a non-scalar
-    ``id``. Field-level validation beyond that is per-operation and
-    happens in the server's handlers.
+    Raises :class:`~repro.errors.ProtocolError` on malformed JSON (also
+    an over-long integer or over-deep nesting), a non-object payload, a
+    missing/unknown ``op``, or a non-scalar ``id``. Field-level
+    validation beyond that is per-operation and happens in the handlers.
     """
     try:
         message = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise errors.ProtocolError(f"request is not valid JSON: {exc}") from None
     if not isinstance(message, dict):
         raise errors.ProtocolError(

@@ -56,6 +56,7 @@ goodput.
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 import time
 from collections import deque
@@ -328,15 +329,17 @@ class Scheduler:
         ``fn`` is called as ``fn(remaining)`` on a worker thread, where
         ``remaining`` is the seconds left until the ticket's deadline at
         start time (``None`` without a deadline). ``deadline`` is
-        relative seconds from now; non-positive deadlines are rejected.
+        relative seconds from now; deadlines that are not positive and
+        finite as a float (``NaN``, infinities and huge ints included)
+        are rejected.
         """
         if priority not in PRIORITIES:
             raise InvalidParameterError(
                 f"priority must be one of {PRIORITIES}, got {priority!r}"
             )
-        if deadline is not None and deadline <= 0:
+        if deadline is not None and not 0 < deadline <= sys.float_info.max:
             raise InvalidParameterError(
-                f"deadline must be positive seconds, got {deadline!r}"
+                f"deadline must be positive, finite seconds, got {deadline!r}"
             )
         now = self._clock()
         deadline_at = None if deadline is None else now + deadline

@@ -338,7 +338,10 @@ class Server:
         graph, fingerprint = self._resolve_graph(message)
         k = protocol.require(message, "k", int, "an integer clique size")
         method = self.registry.get(message.get("method", "lp"))
-        options = dict(message.get("options") or {})
+        options = message.get("options")
+        if options is not None and not isinstance(options, dict):
+            raise ProtocolError("'options' must be a JSON object of method options")
+        options = dict(options or {})
         method.parse_options(options)  # validate at admission, not on a worker
         include_cliques = bool(message.get("include_cliques", True))
         want_progress = bool(message.get("progress", False))

@@ -108,6 +108,10 @@ class TestOptionParsing:
             REGISTRY.get("gc").parse_options({"max_cliques": 0})
         with pytest.raises(InvalidParameterError, match="max_cliques"):
             REGISTRY.get("gc").parse_options({"max_cliques": 2.5})
+        # NaN once passed ``value <= 0`` and solved with no budget.
+        for budget in (float("nan"), float("inf"), 10**400):
+            with pytest.raises(InvalidParameterError, match="time_budget must be positive and finite"):
+                REGISTRY.get("opt").parse_options({"time_budget": budget})
 
     def test_describe_lists_defaults(self):
         assert "order='degree'" in HGOptions.describe()

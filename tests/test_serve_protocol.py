@@ -161,6 +161,23 @@ class TestCompute:
             with pytest.raises(InvalidParameterError, match="unknown option 'backend'"):
                 client.solve("social", 3, method, options={"backend": "csr"})
 
+    @pytest.mark.parametrize("options", [[1], [["time_budget", 5]], "lp", 0, False])
+    def test_solve_options_must_be_an_object(self, served, social, options):
+        """A list of pairs is not converted, a falsy non-object is not
+        taken for "no options", and neither surfaces as ``INTERNAL``."""
+        _, client = served
+        client.register_graph("social", social)
+        with pytest.raises(ProtocolError, match="'options' must be a JSON object"):
+            client.solve("social", 3, options=options)
+
+    def test_solve_null_options_mean_no_options(self, served, social):
+        server, client = served
+        client.register_graph("social", social)
+        line = '{"id":1,"op":"solve","graph":"social","k":3,"options":null}'
+        envelope = server.handle_request(decode_request(line))
+        assert envelope["ok"]
+        assert envelope["result"] == client.solve("social", 3)
+
     def test_include_cliques_false_trims_payload(self, served, social):
         _, client = served
         client.register_graph("social", social)
@@ -211,6 +228,14 @@ class TestCompute:
         client.register_graph("social", social)
         with pytest.raises(InvalidParameterError):
             client.solve("social", 3, priority="urgent")
+        # One code for every deadline that is not positive, finite
+        # seconds. ``json`` reads ``NaN`` and ``Infinity``: NaN and +inf
+        # once ran as if no deadline were given, and an int past the
+        # float range answered INTERNAL.
+        for deadline in (float("nan"), float("inf"), float("-inf"), 10**400, -1, 0):
+            for op in ("solve", "count"):
+                with pytest.raises(InvalidParameterError, match="positive, finite seconds"):
+                    client.call(op, graph="social", k=3, deadline=deadline)
 
     def test_overload_surfaces_as_typed_error(self, social):
         server = Server(workers=1, queue_limit=1)
@@ -298,8 +323,16 @@ class TestFeeds:
     def test_invalid_flush_policy_rejected_at_open(self, served, social):
         _, client = served
         client.register_graph("social", social)
-        with pytest.raises(InvalidParameterError):
-            client.feed_open("social", k=3, policy={"max_updates": 0})
+        # A NaN max_updates once opened a feed that never flushed by
+        # count and put a bare NaN into every later stats line; 2.5
+        # failed as a slice bound (INTERNAL) on the push that reached it.
+        nan, inf = float("nan"), float("inf")
+        for policy in (
+            {"max_updates": 0}, {"max_updates": nan}, {"max_updates": inf},
+            {"max_updates": 2.5}, {"max_updates": True}, {"max_age": nan}, {"max_age": inf},
+        ):
+            with pytest.raises(InvalidParameterError):
+                client.feed_open("social", k=3, policy=policy)
         with pytest.raises(ProtocolError):
             client.feed_open("social", k=3, policy={"flush_every": 5})
         assert client.call("stats")["feeds"] == {}
@@ -367,6 +400,12 @@ class TestProtocolModule:
             decode_request('{"op": "frobnicate"}')
         with pytest.raises(ProtocolError):
             decode_request('{"op": "ping", "id": [1]}')
+        # json raises ValueError and RecursionError here, not
+        # JSONDecodeError; either one used to stop ``repro serve``.
+        with pytest.raises(ProtocolError):
+            decode_request('{"op": "ping", "x": 1' + "0" * 5000 + "}")
+        with pytest.raises(ProtocolError):
+            decode_request('{"op": "ping", "x": ' + "[" * 100000 + "]" * 100000 + "}")
 
     def test_encode_decode_roundtrip(self):
         message = {"op": "solve", "id": 7, "graph": "g", "k": 3}

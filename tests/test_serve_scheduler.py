@@ -65,6 +65,10 @@ class TestBasics:
                 sched.submit(lambda r: None, priority="urgent")
             with pytest.raises(InvalidParameterError):
                 sched.submit(lambda r: None, deadline=0)
+            for deadline in (float("nan"), float("inf"), float("-inf"), 10**400):
+                with pytest.raises(InvalidParameterError, match="finite"):
+                    sched.submit(lambda r: None, deadline=deadline)
+            assert sched.info()["submitted"] == 0
 
     def test_submit_after_shutdown_rejected(self):
         sched = Scheduler()
