@@ -30,7 +30,6 @@ from repro.core.session import Session
 from repro.dynamic.maintainer import DynamicDisjointCliques
 from repro.dynamic.workload import (
     deletion_workload,
-    insertion_workload,
     mixed_workload,
 )
 from repro.bench.harness import (
@@ -626,11 +625,6 @@ def run_ablation_pruning(
 # Memoized sweeps (shared across benchmark-runner cells)
 # ----------------------------------------------------------------------
 _SWEEP_CACHE: dict[tuple[Any, ...], Any] = {}
-
-
-def clear_sweep_cache() -> None:
-    """Drop every memoized sweep (tests use this to force re-runs)."""
-    _SWEEP_CACHE.clear()
 
 
 def _cached(key: tuple[Any, ...], build: Any) -> Any:

@@ -7,7 +7,8 @@ space:
 2. Orient the graph by ascending node score (ties by id).
 3. HeapInit: for each DAG root ``u``, find the *minimum-key* k-clique
    inside its out-neighbourhood (procedure ``FindMin``) and push it
-   into a heap.
+   into a heap. FindMin's domain is the *scored subgraph*: a node of
+   score 0 lies in no k-clique, so no arc touches one.
 4. Repeatedly pop the globally minimal clique. If all its nodes are
    still valid it joins the solution and its nodes are removed; if it is
    stale but its root survives, the root's local minimum is recomputed
@@ -34,9 +35,11 @@ masks; that keeps them within ``O(n + m)`` space. A longer row (a
 hub's) is walked as an id-sorted candidate list, and each of its
 candidates re-bases the walk into its own, shorter row.
 Either way candidates are visited in ascending id with the same prune
-points as a walk over live out-neighbour sets, so the solution *and*
-the ``findmin_calls``/``branches_pruned`` counters are those of the set
-walk (kept as the reference in ``tests/test_findmin_reference.py``).
+points as a walk over the scored subgraph's live out-neighbour sets, so
+the solution *and* the counters are those of that set walk (kept as the
+reference in ``tests/test_findmin_reference.py``): ``findmin_calls``
+counts searches (HeapInit roots with ``k - 1`` or more out-neighbours,
+drain re-searches), ``branches_pruned`` the ``lp`` walk's cut candidates.
 Neither the score pass nor FindMin reads the per-node sets of
 :attr:`OrientedGraph.out <repro.graph.dag.OrientedGraph.out>`, which
 are built lazily, so only ``hg`` pays for them.
@@ -46,10 +49,10 @@ data-parallel. :class:`ScoreOrientedCSR` runs it once per ``k`` for
 every root at once, as a level-synchronous numpy pass over the
 score-oriented CSR (:func:`_bulk_batch`, in root batches). The pass
 also replays the walk's prune points, so its ``findmin_calls`` and
-``branches_pruned`` are those of one FindMin per root. A root with more
-than :data:`WEDGE_CAP` first-level wedges is walked with FindMin
-instead, since the pass lists whole search trees and the walk skips
-pruned subtrees. Its first-level wedge hits are the arc masks' bits,
+``branches_pruned`` are those of one FindMin per searched root. A root
+with more than :data:`WEDGE_CAP` first-level wedges is walked with
+FindMin instead, since the pass lists whole search trees and the walk
+skips pruned subtrees. Its first-level wedge hits are the arc masks' bits,
 so the masks are packed from them (:class:`_ArcMasks`). The engine's
 ``"init"`` phase is then one tick that copies the cached entries; after
 a warm start or a restored mid-init checkpoint it reruns the pass over
@@ -378,11 +381,13 @@ def _entry_bytes(entry: _Entry) -> int:
 class ScoreOrientedCSR:
     """FindMin's shared substrate for one ``k`` (read-only once built).
 
-    The ascending-score orientation (ties by id) as flat Python lists:
-    arc ``a`` of root ``r`` runs from ``indptr[r]`` to ``indptr[r + 1]``
-    and ends at ``cols[a]``, ids ascending, and bit ``j`` of every mask
-    of root ``r`` stands for arc ``indptr[r] + j``. A row is *short* if
-    it holds at most ``row_cap`` nodes; only short rows have masks.
+    The ascending-score orientation (ties by id) of the scored subgraph
+    (no arc touches a node of score 0, which is in no k-clique) as flat
+    Python lists: arc ``a`` of root ``r`` runs from ``indptr[r]`` to
+    ``indptr[r + 1]`` and ends at ``cols[a]``, ids ascending, and bit
+    ``j`` of every mask of root ``r`` stands for arc ``indptr[r] + j``.
+    A row is *short* if it holds at most ``row_cap`` nodes; only short
+    rows have masks.
 
     The build also runs HeapInit on the whole graph, for every root at
     once (see :func:`_bulk_batch`): roots with more than
@@ -402,7 +407,7 @@ class ScoreOrientedCSR:
         The longest short row: :data:`ROW_CAP` when the substrate was
         built.
     indptr, cols:
-        The oriented CSR rows.
+        The oriented CSR rows of the scored subgraph.
     scores:
         The node scores.
     masks:
@@ -431,8 +436,11 @@ class ScoreOrientedCSR:
 
     def __init__(self, graph: Graph, scores: np.ndarray, k: int) -> None:
         row_cap = ROW_CAP
-        ocsr = OrientedCSR.from_rank(graph, by_score(graph, scores))
         scores = np.asarray(scores, dtype=np.int64)
+        # by_score ranks the z nodes of score 0 lowest: floored at z, the
+        # orientation keeps only the scored subgraph.
+        zero = int(np.count_nonzero(scores <= 0))
+        ocsr = OrientedCSR.from_rank(graph, by_score(graph, scores), zero)
         n = graph.n
         deg = ocsr.out_degrees()
         tails = np.repeat(np.arange(n, dtype=np.int64), deg)
@@ -475,10 +483,9 @@ class ScoreOrientedCSR:
         ``(FindMin calls but the walks', roots for the bulk pass, roots
         to walk)``."""
         called = np.flatnonzero(ocsr.out_degrees()[start:] >= self.k - 1) + start
-        searched = called[self._scores[called] > 0]
-        walk = self._walked[searched]
-        walked = searched[walk]
-        return len(called) - len(walked), searched[~walk], walked
+        walk = self._walked[called]
+        walked = called[walk]
+        return len(called) - len(walked), called[~walk], walked
 
     def residual_init(
         self, valid: np.ndarray, start: int, finder: "_FindMin"
@@ -570,12 +577,13 @@ class _FindMin:
             valid[w] = False
 
     def search(self, root: int, k: int) -> tuple[CliqueKey, tuple[int, ...]] | None:
-        """Minimum-key k-clique rooted at ``root``, or ``None``."""
+        """Minimum-key k-clique rooted at ``root`` in the scored
+        subgraph, or ``None``; counts one ``findmin_calls``, and each
+        candidate the ``lp`` walk cuts as one ``branches_pruned``."""
         self.stats["findmin_calls"] += 1
         sub, valid = self.sub, self.valid
-        # A zero-score root is in no k-clique, an invalid one in none of
-        # the residual graph's.
-        if not (sub.scores[root] and valid[root]):
+        # An invalid root is in no clique of the residual graph.
+        if not valid[root]:
             return None
         lo, hi = sub.indptr[root], sub.indptr[root + 1]
         row = sub.cols[lo:hi]
@@ -1012,9 +1020,9 @@ def lightweight(
     scores:
         Precomputed node scores for ``k`` (e.g. from a session cache);
         skips the counting pass and makes ``listing_order`` irrelevant.
-        They must be the exact per-node k-clique counts: FindMin never
-        searches from a node of score 0 (one in no k-clique), so a 0 on
-        a node of some k-clique loses maximality.
+        They must be the exact per-node k-clique counts: FindMin's
+        domain leaves out every node of score 0 (one in no k-clique),
+        so a 0 on a node of some k-clique loses maximality.
     oriented:
         The FindMin substrate of ``graph`` under the same ``scores`` and
         ``k`` (e.g. from

@@ -148,12 +148,14 @@ class Preprocessing:
         """FindMin's score-oriented CSR, arc masks and HeapInit for ``k``
         (cached per k).
 
-        Algorithm 3's FindMin phase walks the graph oriented by node
-        score (Definition 5), an orientation that depends on ``k`` but
-        not on the solver options — so repeated ``l``/``lp`` solves and
-        tasks over one session share one
-        :class:`~repro.core.lightweight.ScoreOrientedCSR` instead of
-        rebuilding it per call. The substrate also holds the cold
+        Algorithm 3's FindMin phase walks the scored subgraph (no node
+        of score 0, which is in no k-clique) oriented by node score
+        (Definition 5), which depends on ``k`` but not on the solver
+        options — so repeated ``l``/``lp`` solves and tasks over one
+        session share one :class:`~repro.core.lightweight.ScoreOrientedCSR`
+        instead of rebuilding it per call; ``findmin_calls`` and
+        ``branches_pruned`` count its searches and ``lp`` cuts there.
+        The substrate also holds the cold
         HeapInit (each root's minimum-key clique and the FindMin counts,
         from one data-parallel pass), so every ``l``/``lp`` solve or
         task without a warm start begins at the drain; a warm start

@@ -42,19 +42,25 @@ class OrientedCSR:
 
     @classmethod
     def from_rank(
-        cls, graph: Graph | DynamicGraph, rank: Sequence[int] | np.ndarray
+        cls, graph: Graph | DynamicGraph, rank: Sequence[int] | np.ndarray, floor: int = 0
     ) -> OrientedCSR:
         """Orient ``graph`` by a rank array, fully vectorised.
 
         Filters the graph's (cached) undirected CSR with one boolean
         mask ``rank[v] < rank[u]`` — no per-node Python loop, and no
-        intermediate ``set`` materialisation.
+        intermediate ``set`` materialisation. A positive ``floor`` also
+        drops every arc at a node ranked below it: the orientation of
+        the subgraph on the nodes ranked ``>= floor``.
         """
         csr = graph.csr()
         n = graph.n
         rank = np.asarray(rank, dtype=np.int64)
         rows = np.repeat(np.arange(n, dtype=np.int64), csr.degrees())
-        keep = rank[csr.cols] < rank[rows]
+        heads = rank[csr.cols]
+        keep = heads < rank[rows]
+        if floor:
+            keep &= heads >= floor
+        del heads
         cols = csr.cols[keep]
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])

@@ -24,16 +24,6 @@ from repro.graph.graph import Graph
 from repro.mis.reductions import reduce_mis
 
 
-def _bit_indices(mask: int) -> list[int]:
-    """Indices of set bits, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 class _MaxCliqueSolver:
     """Tomita-style branch and bound with greedy colouring bound."""
 

@@ -52,13 +52,12 @@ from __future__ import annotations
 import itertools
 import time
 from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import Callable, TextIO
 
 from repro.analysis.bounds import optimum_upper_bounds
 from repro.concurrency import make_lock, make_rlock
 from repro.core.registry import REGISTRY, SolverRegistry
 from repro.core.result import CliqueSetResult
-from repro.core.session import Session
 from repro.errors import (
     InvalidParameterError,
     ProtocolError,
@@ -191,10 +190,6 @@ class Server:
                 f"graph {name!r} is not registered; send register_graph first"
             )
         return entry
-
-    def _session_for(self, message: dict) -> Session:
-        graph, fingerprint = self._resolve_graph(message)
-        return self.pool.get(graph, fingerprint=fingerprint)
 
     def _resolve_feed(self, message: dict) -> tuple[str, DynamicFeed]:
         feed_id = protocol.require(message, "feed", str, "an open feed id")

@@ -4,12 +4,18 @@
 reference: it recurses over live out-neighbour *sets* of the
 ascending-score orientation, visiting candidates in ``sorted()`` order.
 :func:`reference_tick` is the former engine tick, which ran HeapInit
-one root per tick through that walk. The production engine — FindMin
+one root per tick through that walk. FindMin's domain is the scored
+subgraph (:func:`scored_subgraph`: no node of score 0, which lies in no
+k-clique), and the production engine — FindMin
 (:class:`repro.core.lightweight._FindMin`) plus the bulk HeapInit of
-:class:`~repro.core.lightweight.ScoreOrientedCSR` — must reproduce it
-exactly: the solution and every engine stat, for any graph, ``k``,
-pruning mode, warm start and mid-run checkpoint, because the
-determinism digests and Theorem 4 tests pin both. Tests that patch
+:class:`~repro.core.lightweight.ScoreOrientedCSR` — must reproduce the
+set walk over that domain exactly: the solution and every engine stat,
+for any graph, ``k``, pruning mode, warm start and mid-run checkpoint,
+because the determinism digests and Theorem 4 tests pin both. The set
+walk over the whole graph stays as the reference for what the domain
+must not move: the solution and the heap stats are its own, and only
+``findmin_calls`` and ``branches_pruned`` count the smaller domain's
+work. Tests that patch
 ``ROW_CAP`` to a few nodes run the long-row path on small graphs; those
 that patch ``WEDGE_CAP`` small walk HeapInit roots with FindMin, and a
 small ``ROOT_BATCH_BUDGET`` splits the bulk pass into many batches.
@@ -54,14 +60,11 @@ from repro.graph.ordering import by_score
 LIGHTWEIGHT = sys.modules[ScoreOrientedCSR.__module__]
 BATCH_BUDGET = csr_kernels.ROOT_BATCH_BUDGET
 
-STATS = (
-    "findmin_calls",
-    "branches_pruned",
-    "heap_pushes",
-    "heap_pops",
-    "stale_pops",
-    "cliques_taken",
-)
+#: FindMin's work, counted over its domain.
+FINDMIN_STATS = ("findmin_calls", "branches_pruned")
+#: The heap's counts, which FindMin's domain does not move.
+HEAP_STATS = ("heap_pushes", "heap_pops", "stale_pops", "cliques_taken")
+STATS = FINDMIN_STATS + HEAP_STATS
 
 
 class SetFindMin:
@@ -148,18 +151,27 @@ class SetFindMin:
                 best_score = self.best_key[0]
 
 
-def set_finder(graph, k, prune, stats):
-    """A :class:`SetFindMin` over ``graph``'s ascending-score orientation."""
+def scored_subgraph(graph, scores):
+    """FindMin's domain: ``graph`` without the edges of its nodes of
+    score 0."""
+    scored = np.asarray(scores) > 0
+    return Graph(graph.n, [(u, v) for u, v in graph.edges() if scored[u] and scored[v]])
+
+
+def set_finder(graph, k, prune, stats, scored=True):
+    """A :class:`SetFindMin` over the ascending-score orientation of
+    ``graph``'s scored subgraph or, unless ``scored``, of all of it."""
     scores = node_scores(graph, k)
-    out = OrientedGraph(graph, by_score(graph, scores)).out
+    domain = scored_subgraph(graph, scores) if scored else graph
+    out = OrientedGraph(domain, by_score(graph, scores)).out
     return SetFindMin([set(s) for s in out], scores, prune, stats, graph)
 
 
-def reference_engine(graph, k, prune, warm_start=None):
+def reference_engine(graph, k, prune, warm_start=None, scored=True):
     """An engine whose FindMin is the set walk (warm seed replayed);
     drive it with :func:`reference_tick`."""
     engine = LightweightEngine(graph, k, prune=prune, warm_start=warm_start)
-    engine.finder = set_finder(graph, k, prune, engine.stats)
+    engine.finder = set_finder(graph, k, prune, engine.stats, scored)
     for clique in engine.solution:
         engine.finder.invalidate(clique)
     return engine
@@ -268,7 +280,7 @@ def masked_rows(graph, k, row_cap=ROW_CAP, wedge_cap=WEDGE_CAP):
     a target of out-degree ``>= 2``; none is at ``k = 2``.
     """
     scores = node_scores(graph, k)
-    ocsr = OrientedCSR.from_rank(graph, by_score(graph, scores))
+    ocsr = OrientedCSR.from_rank(scored_subgraph(graph, scores), by_score(graph, scores))
     n = graph.n
     deg = ocsr.out_degrees()
     tails = np.repeat(np.arange(n, dtype=np.int64), deg)
@@ -278,7 +290,7 @@ def masked_rows(graph, k, row_cap=ROW_CAP, wedge_cap=WEDGE_CAP):
     entries, _, _ = reference_heap_init(set_finder(graph, k, True, stats), k, n)
     entry = np.zeros(n, dtype=bool)
     entry[[root for _, root, _ in entries]] = True
-    walked = (wedges > wedge_cap) & (np.asarray(scores) > 0) & (deg >= k - 1) & (k > 2)
+    walked = (wedges > wedge_cap) & (deg >= k - 1) & (k > 2)
     searched = entry | walked
     targets = np.zeros(n, dtype=bool)
     if k > 3:
@@ -379,6 +391,15 @@ def with_hub(base):
     return Graph(hub + 1, [*base.edges(), *((hub, v) for v in base.nodes())])
 
 
+def with_clique_cover(base, size):
+    """``base`` with each run of ``size`` consecutive ids joined into a
+    clique, so that every node lies in a ``size``-clique (``size``
+    divides ``base.n``)."""
+    blocks = [range(start, start + size) for start in range(0, base.n, size)]
+    cover = {(u, v) for block in blocks for u in block for v in block if u < v}
+    return Graph(base.n, sorted(cover.union(base.edges())))
+
+
 WEDGE_CAPS = st.sampled_from((WEDGE_CAP, 0, 5, 50))
 BUDGETS = st.sampled_from((BATCH_BUDGET, 8))
 
@@ -416,6 +437,57 @@ def test_walk_equals_set_walk_reference_deep(
     graph, k, prune, warm, pause_after, row_cap, wedge_cap, budget
 ):
     check_walk(graph, k, prune, warm, pause_after, row_cap, wedge_cap, budget)
+
+
+def counts(stats, keys):
+    return [stats[key] for key in keys]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=graphs(),
+    k=st.integers(2, 6),
+    prune=st.booleans(),
+    warm=st.booleans(),
+    pause_after=st.integers(0, 120),
+)
+def test_scored_domain_moves_only_the_findmin_counts(graph, k, prune, warm, pause_after):
+    """Against the set walk over the whole graph, the engine ends with
+    its solution and heap stats, and with the scored walk's
+    ``findmin_calls`` and ``branches_pruned``, run through or restored
+    from its own mid-run state. Restored from the whole-graph walk's
+    mid-run state, as a checkpoint written before nodes of score 0 left
+    FindMin's domain would be, it ends with the same solution and heap
+    stats."""
+    warm_start = basic_framework(graph, k).sorted_cliques()[::2] if warm else None
+    whole, scored = (
+        outcome(
+            drain(reference_engine(graph, k, prune, warm_start, scored=flag), tick=reference_tick)
+        )
+        for flag in (False, True)
+    )
+
+    def engine(warm_start=warm_start):
+        return LightweightEngine(graph, k, prune=prune, warm_start=warm_start)
+
+    def restored(state):
+        task = engine(warm_start=None)
+        task.load_state(json.loads(json.dumps(state.state_dict())))
+        return outcome(drain(task))
+
+    own = [outcome(drain(engine())), restored(drain(engine(), pause_after))]
+    for solution, stats in own:
+        assert solution == whole[0]
+        assert counts(stats, HEAP_STATS) == counts(whole[1], HEAP_STATS)
+        assert counts(stats, FINDMIN_STATS) == counts(scored[1], FINDMIN_STATS)
+    old = drain(
+        reference_engine(graph, k, prune, warm_start, scored=False),
+        pause_after,
+        tick=reference_tick,
+    )
+    solution, stats = restored(old)
+    assert solution == whole[0]
+    assert counts(stats, HEAP_STATS) == counts(whole[1], HEAP_STATS)
 
 
 MASK_CASES = dict(
@@ -606,7 +678,8 @@ class TestMultiWordMasks:
 
     @pytest.fixture(scope="class")
     def graph(self):
-        return powerlaw_cluster(250, 8, 0.8, seed=3)
+        # No node scores 0 at k <= 5, so the longest rows stay over 64.
+        return with_clique_cover(powerlaw_cluster(250, 8, 0.8, seed=3), 5)
 
     @pytest.mark.parametrize("row_cap", [ROW_CAP, 40])
     @pytest.mark.parametrize("k", [3, 4, 5])
@@ -614,7 +687,7 @@ class TestMultiWordMasks:
         scores = node_scores(graph, k)
         sub = substrate_with_cap(graph, k, row_cap)
         assert sub.row_cap == row_cap
-        out = OrientedGraph(graph, by_score(graph, scores)).out
+        out = OrientedGraph(scored_subgraph(graph, scores), by_score(graph, scores)).out
         rows = [sub.cols[sub.indptr[r] : sub.indptr[r + 1]] for r in graph.nodes()]
         assert max(len(row) for row in rows) > 64
         short = [len(row) <= row_cap for row in rows]
@@ -627,8 +700,7 @@ class TestMultiWordMasks:
         searched = {root for _, root, _ in entries} | {
             r
             for r, row in enumerate(rows)
-            if scores[r] > 0
-            and len(row) >= k - 1
+            if len(row) >= k - 1
             and k > 2
             and sum(len(rows[u]) for u in row) > WEDGE_CAP
         }
@@ -663,8 +735,8 @@ def wheel_with_spokes(d):
 
 
 class TestLongRows:
-    """A hub's score-oriented row is its whole neighbourhood: masks over
-    it would take space quadratic in its length, so rows over
+    """A hub's score-oriented row is its whole scored neighbourhood:
+    masks over it would take space quadratic in its length, so rows over
     ``ROW_CAP`` are walked as candidate lists instead."""
 
     def test_hub_masks_stay_linear_and_are_counted(self):
@@ -702,7 +774,9 @@ class TestLongRows:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     @pytest.mark.parametrize("prune", [True, False])
     def test_hub_graph_matches_reference(self, k, prune):
-        base = powerlaw_cluster(1100, 4, 0.7, seed=5)
+        # With the hub, every node lies in a 5-clique: none scores 0 at
+        # k <= 5, so the hub's row stays over ROW_CAP.
+        base = with_clique_cover(powerlaw_cluster(1100, 4, 0.7, seed=5), 4)
         hub = base.n
         graph = with_hub(base)
         sub = ScoreOrientedCSR(graph, node_scores(graph, k), k)
@@ -710,15 +784,43 @@ class TestLongRows:
         assert_matches_reference(graph, k, prune, pause_after=300)
 
 
-def test_zero_score_root_counts_its_call_and_returns():
+def test_zero_score_root_has_no_arcs_and_no_call():
     # Triangle 3-4-5 plus a star 2-{0, 1} hanging off node 3: at k=3,
-    # node 2 has score 0 but two lower-ranked out-neighbours.
+    # node 2 has score 0 and two lower-ranked neighbours, which
+    # FindMin's domain leaves out.
     graph = Graph(6, [(3, 4), (3, 5), (4, 5), (2, 3), (2, 0), (2, 1)])
     engine = LightweightEngine(graph, 3)
-    assert engine.oriented.scores[2] == 0 and engine.finder.live_out_degree(2) == 2
-    assert engine.finder.search(2, 3) is None
-    assert engine.stats["findmin_calls"] == 1
+    sub = engine.oriented
+    assert sub.scores[2] == 0 and sub.indptr[2] == sub.indptr[3]
+    assert engine.finder.live_out_degree(2) == 0
+    # HeapInit calls FindMin for the triangle's root alone.
+    drain(engine, 1)
+    assert sub.init_calls == engine.stats["findmin_calls"] == 1
     assert_matches_reference(graph, 3, prune=True)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_clique_free_component_leaves_the_substrate_unchanged(k):
+    """A path and a star hold no triangle, so their nodes score 0 at
+    every ``k >= 3``. Laid over isolated nodes, they add no arc, mask,
+    HeapInit call or byte to the substrate and leave the solution as it
+    was."""
+    base = powerlaw_cluster(200, 5, 0.7, seed=11)
+    n, hub = base.n, base.n + 299
+    path = [(v, v + 1) for v in range(n, n + 199)]
+    star = [(v, hub) for v in range(n + 200, hub)]
+    plain, extended = (
+        Graph(n + 300, [*base.edges(), *extra]) for extra in ((), path + star)
+    )
+    subs = [ScoreOrientedCSR(g, node_scores(g, k), k) for g in (plain, extended)]
+    assert len(subs[1].cols) == len(subs[0].cols)
+    assert subs[1].masks == subs[0].masks
+    assert subs[1].init_calls == subs[0].init_calls
+    assert subs[1].estimated_bytes() == subs[0].estimated_bytes()
+    engines = [
+        LightweightEngine(g, k, oriented=sub) for g, sub in zip((plain, extended), subs)
+    ]
+    assert outcome(drain(engines[1]))[0] == outcome(drain(engines[0]))[0]
 
 
 def test_substrate_for_another_k_or_graph_is_rejected():
