@@ -296,10 +296,9 @@ def cmd_methods(_args: argparse.Namespace) -> int:
         resumable = "yes" if method.resumable else "no"
         budget = "yes" if method.supports_time_budget else "no"
         deadline = "yes" if method.can_meet_deadline else "no"
-        warm = "yes" if method.supports_warm_start else "no"
         print(
             f"{method.tag:<8} {kind:<10} {resumable:<10} {budget:<12} "
-            f"{deadline:<9} {warm:<11} {method.options_cls.describe()}"
+            f"{deadline:<9} {resumable:<11} {method.options_cls.describe()}"
         )
         print(f"{'':<8} {method.summary}")
     return 0

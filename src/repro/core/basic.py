@@ -198,10 +198,7 @@ class BasicEngine:
 
 
 def basic_framework(
-    graph: Graph,
-    k: int,
-    order: OrderSpec = "degree",
-    oriented: OrientedGraph | None = None,
+    graph: Graph, k: int, order: OrderSpec = "degree"
 ) -> CliqueSetResult:
     """Compute a maximal disjoint k-clique set with Algorithm 1.
 
@@ -216,20 +213,18 @@ def basic_framework(
         Total node ordering — name, rank array or callable (see
         :func:`repro.graph.ordering.resolve`). Default: ascending degree,
         the ordering the paper's ``HG`` competitor uses.
-    oriented:
-        An already-oriented ``graph`` (e.g. from a session cache); when
-        given, ``order`` is ignored. The orientation is only read, never
-        mutated.
 
     Returns
     -------
     CliqueSetResult
         Maximal disjoint k-clique set; ``stats`` records scan counters.
         This is the drive-to-completion wrapper over
-        :class:`BasicEngine`; for anytime/interruptible execution use
-        :meth:`repro.core.session.Session.task`.
+        :class:`BasicEngine`; the ``hg`` method of
+        :meth:`repro.core.session.Session.solve` /
+        :meth:`~repro.core.session.Session.task` runs the same engine
+        over the session's cached orientation.
     """
-    engine = BasicEngine(graph, k, order=order, oriented=oriented)
+    engine = BasicEngine(graph, k, order=order)
     while not engine.finished:
         engine.tick()
     return engine.result()

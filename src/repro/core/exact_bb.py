@@ -22,18 +22,19 @@ search can be suspended at any branch boundary with the incumbent (a
 valid disjoint k-clique set) and a live anytime upper bound, and the
 whole stack serialises through JSON for cross-process checkpoint /
 restore. :func:`exact_optimum_bb` is the drive-to-completion wrapper
-with the same results, stats and ``OutOfTimeError`` cadence as the
-pre-engine recursive implementation.
+with the same results and stats as the pre-engine recursive
+implementation; the ``opt-bb`` method runs the engine as a
+:class:`repro.core.task.SolveTask`, whose step bound enforces its
+``time_budget``.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.errors import InvalidParameterError, OutOfMemoryError, OutOfTimeError
+from repro.errors import InvalidParameterError, OutOfMemoryError
 from repro.graph.graph import Graph
 from repro.cliques.counting import node_scores
 from repro.cliques.listing import iter_cliques
@@ -319,36 +320,19 @@ class ExactBBEngine:
 
 
 def exact_optimum_bb(
-    graph: Graph,
-    k: int,
-    time_budget: float | None = None,
-    max_cliques: int | None = None,
-    scores: np.ndarray | None = None,
-    cliques: Sequence[tuple[int, ...]] | None = None,
+    graph: Graph, k: int, max_cliques: int | None = None
 ) -> CliqueSetResult:
     """A maximum disjoint k-clique set by direct branch-and-bound.
 
-    Parameters mirror :func:`repro.core.exact.exact_optimum`; budget
-    violations raise :class:`OutOfTimeError` / :class:`OutOfMemoryError`.
-    ``scores`` / ``cliques`` accept precomputed substrates (e.g. from a
-    session cache) and skip the corresponding enumeration passes.
-
-    This is the drive-to-completion wrapper over :class:`ExactBBEngine`;
-    a raised :class:`OutOfTimeError` carries the incumbent found so far
-    on its ``partial`` attribute, so deadline-bound callers keep the
-    completed work. For step-wise anytime execution use
-    :meth:`repro.core.session.Session.task`.
+    ``max_cliques`` mirrors :func:`repro.core.exact.exact_optimum`: a
+    listing past it raises :class:`OutOfMemoryError`. This is the
+    drive-to-completion wrapper over :class:`ExactBBEngine`; a
+    ``time_budget``, step-wise anytime execution and the session's
+    cached substrates come with the ``opt-bb`` method of
+    :meth:`repro.core.session.Session.solve` /
+    :meth:`~repro.core.session.Session.task`.
     """
-    engine = ExactBBEngine(
-        graph, k, max_cliques=max_cliques, scores=scores, cliques=cliques
-    )
-    deadline = None if time_budget is None else time.monotonic() + time_budget
+    engine = ExactBBEngine(graph, k, max_cliques=max_cliques)
     while not engine.finished:
         engine.tick()
-        if deadline is not None and not engine.ticks % 512:
-            if time.monotonic() > deadline:
-                raise OutOfTimeError(
-                    "exact B&B exceeded its time budget",
-                    partial=engine.snapshot_result(),
-                )
     return engine.result()

@@ -1,20 +1,25 @@
 """Solver registry: first-class methods with typed, validated options.
 
 Each solver method (the paper's competitor tags ``hg``/``gc``/``l``/
-``lp``/``opt``/``opt-bb``) is registered as a :class:`Method` object
-carrying capability metadata — exact vs. heuristic, whether it honours a
-``time_budget``, whether it can warm-start from a previous solution —
-plus a frozen options dataclass that validates keyword arguments *up
-front* instead of silently forwarding them into a solver. A typo like
+``lp``/``opt``/``opt-bb``) is registered as a :class:`Method` object:
+its tag, a summary, whether it is exact, a frozen options dataclass
+that validates keyword arguments *up front* instead of silently
+forwarding them into a solver, and one callable. A typo like
 ``time_budgt=`` therefore fails immediately with the valid option names
 for that method (and a did-you-mean suggestion) rather than raising a
 confusing ``TypeError`` deep inside a solver, or worse, being swallowed.
 
-Registered solve functions take ``(prep, k, options)`` where ``prep`` is
-a :class:`repro.core.session.Preprocessing` cache, so every method pulls
-its shared substrates (node scores, clique listings, oriented DAGs) from
-the owning :class:`~repro.core.session.Session` instead of recomputing
-them per call.
+The callable is a resumable *engine factory* ``(prep, k, options,
+warm_start=None)`` for the step-engine methods (``hg``/``l``/``lp``/
+``opt-bb``), which every solve drives as a
+:class:`repro.core.task.SolveTask`, or a blocking *run function*
+``(prep, k, options)`` for the monolithic ``gc`` and ``opt``. ``prep``
+is a :class:`repro.core.session.Preprocessing` cache, so every method
+pulls its shared substrates (node scores, clique listings, oriented
+DAGs) from the owning :class:`~repro.core.session.Session` instead of
+recomputing them per call. Capabilities are derived, never declared:
+see :attr:`Method.resumable`, :attr:`Method.supports_time_budget` and
+:attr:`Method.can_meet_deadline`.
 
 The module-level :data:`REGISTRY` holds the six paper methods; custom
 methods can be added to a private :class:`SolverRegistry` instance for
@@ -29,10 +34,10 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.errors import InvalidParameterError
-from repro.core.basic import BasicEngine, basic_framework
+from repro.core.basic import BasicEngine
 from repro.core.exact import exact_optimum
-from repro.core.exact_bb import ExactBBEngine, exact_optimum_bb
-from repro.core.lightweight import LightweightEngine, lightweight
+from repro.core.exact_bb import ExactBBEngine
+from repro.core.lightweight import LightweightEngine
 from repro.core.result import CliqueSetResult
 from repro.core.store_all import store_all_cliques
 
@@ -132,7 +137,7 @@ class ExactOptions(SolveOptions):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Method:
-    """A registered solver method with capability metadata.
+    """A registered solver method; its capabilities derive from the rest.
 
     Attributes
     ----------
@@ -145,60 +150,62 @@ class Method:
     options_cls:
         The :class:`SolveOptions` subclass validating this method's
         keyword arguments.
-    run:
-        ``(prep, k, options) -> CliqueSetResult`` using the session's
-        :class:`~repro.core.session.Preprocessing` cache.
-    supports_time_budget:
-        Whether the solver cooperatively honours ``time_budget``.
-    supports_warm_start:
-        Whether the solver can be seeded from a previous solution (the
-        engine filters the seed to cliques still valid in the graph);
-        :meth:`repro.core.session.Session.task` exposes this as
-        ``warm_start=`` and :meth:`~repro.core.session.Session.dynamic`
-        uses it to warm-restart after updates.
-    deadline_safe:
-        Whether the solver's running time is predictably bounded
-        (near-linear heuristics) so a serving deadline is meaningful
-        even without a cooperative ``time_budget`` hook. The scheduler
-        in :mod:`repro.serve` only accepts per-request deadlines for
-        methods where :attr:`can_meet_deadline` holds; others would
-        occupy a worker long past their deadline with no way to stop.
     engine:
         Factory ``(prep, k, options, warm_start=None) -> engine`` for
-        the method's resumable step machine, or ``None`` for methods
-        that only run monolithically. When present the method is
-        :attr:`resumable`: it can be opened as a
-        :class:`repro.core.task.SolveTask`, the serving scheduler can
-        preempt/timeslice it, and deadline expiry yields its partial
-        solution instead of discarding the work.
+        the method's resumable step machine, or ``None`` for the
+        monolithic methods. When present the method is
+        :attr:`resumable`: every solve, blocking or anytime, runs as a
+        :class:`repro.core.task.SolveTask` over this engine, the serving
+        scheduler can preempt/timeslice it, and deadline expiry yields
+        its partial solution instead of discarding the work.
+    run:
+        ``(prep, k, options) -> CliqueSetResult`` for a monolithic
+        method (``None`` when :attr:`engine` is set), using the
+        session's :class:`~repro.core.session.Preprocessing` cache.
     """
 
     tag: str
     summary: str
     exact: bool
     options_cls: type[SolveOptions]
-    run: Callable[..., CliqueSetResult] = field(repr=False, compare=False)
-    supports_time_budget: bool = False
-    supports_warm_start: bool = False
-    deadline_safe: bool = False
     engine: Callable | None = field(default=None, repr=False, compare=False)
+    run: Callable[..., CliqueSetResult] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def resumable(self) -> bool:
-        """Whether the method exposes a resumable engine (anytime-capable)."""
+        """Whether the method exposes a resumable engine (anytime-capable).
+
+        Resumable methods are also the warm-startable ones: the engine
+        factory takes the seed (and filters it to cliques still valid in
+        the graph), :meth:`repro.core.session.Session.task` exposes it as
+        ``warm_start=`` and :meth:`~repro.core.session.Session.dynamic`
+        uses it to warm-restart after updates.
+        """
         return self.engine is not None
+
+    @property
+    def supports_time_budget(self) -> bool:
+        """Whether the options class has a ``time_budget`` option.
+
+        A resumable method's task bounds the seconds it spends stepping
+        by it; a monolithic one honours it cooperatively.
+        """
+        return "time_budget" in self.options_cls.option_names()
 
     @property
     def can_meet_deadline(self) -> bool:
         """Whether a per-request deadline is enforceable for this method.
 
         True when the method is :attr:`resumable` (the scheduler
-        timeslices it and harvests ``best()`` at expiry), honours a
-        cooperative ``time_budget`` (the scheduler forwards the
-        remaining deadline), or is declared ``deadline_safe``
-        (bounded-work heuristics that finish promptly on their own).
+        timeslices it and harvests ``best()`` at expiry) or honours a
+        ``time_budget`` (the scheduler forwards the remaining deadline).
+        The serving scheduler only accepts per-request deadlines for
+        such methods; others would occupy a worker long past their
+        deadline with no way to stop.
         """
-        return self.resumable or self.deadline_safe or self.supports_time_budget
+        return self.resumable or self.supports_time_budget
 
     def parse_options(self, kwargs: dict) -> SolveOptions:
         """Validate raw keyword arguments into a typed options object.
@@ -232,7 +239,7 @@ class Method:
 
 
 class SolverRegistry:
-    """Tag -> :class:`Method` mapping with decorator-based registration."""
+    """Tag -> :class:`Method` mapping; see :meth:`register`."""
 
     def __init__(self) -> None:
         self._methods: dict[str, Method] = {}
@@ -244,19 +251,19 @@ class SolverRegistry:
         summary: str,
         exact: bool,
         options: type[SolveOptions] = SolveOptions,
-        supports_time_budget: bool = False,
-        supports_warm_start: bool = False,
-        deadline_safe: bool = False,
         engine: Callable | None = None,
     ) -> Callable:
-        """Decorator registering a ``(prep, k, options)`` solve function.
+        """Register a method by its one callable.
 
-        ``engine`` optionally attaches a resumable engine factory
-        ``(prep, k, options, warm_start=None) -> engine`` making the
-        method anytime-capable (see :attr:`Method.engine`).
+        A resumable method passes its engine factory ``(prep, k,
+        options, warm_start=None) -> engine`` as ``engine``; it is
+        registered at once and the factory is returned (see
+        :attr:`Method.engine`). Without ``engine`` this returns a
+        decorator that registers the ``(prep, k, options)`` run
+        function of a monolithic method and returns it unchanged.
         """
 
-        def decorator(fn: Callable[..., CliqueSetResult]) -> Callable:
+        def add(fn: Callable) -> Callable:
             key = tag.lower()
             if key in self._methods:
                 raise InvalidParameterError(f"method {tag!r} is already registered")
@@ -265,15 +272,12 @@ class SolverRegistry:
                 summary=summary,
                 exact=exact,
                 options_cls=options,
-                run=fn,
-                supports_time_budget=supports_time_budget,
-                supports_warm_start=supports_warm_start,
-                deadline_safe=deadline_safe,
                 engine=engine,
+                run=None if engine is not None else fn,
             )
             return fn
 
-        return decorator
+        return add(engine) if engine is not None else add
 
     def get(self, tag: str) -> Method:
         """Resolve a (case-insensitive) tag; raise on unknown methods."""
@@ -313,9 +317,8 @@ REGISTRY = SolverRegistry()
 
 
 # ----------------------------------------------------------------------
-# Resumable engine factories (Method.engine): same substrates as the
-# blocking run functions, so a task driven to completion reproduces the
-# blocking solve bit-for-bit.
+# The paper's methods: engine factories for the resumable ones, run
+# functions for the monolithic gc and opt.
 # ----------------------------------------------------------------------
 def _engine_hg(
     prep: Preprocessing,
@@ -357,29 +360,26 @@ def _engine_opt_bb(
     opts: ExactOptions,
     warm_start: Iterable[Iterable[int]] | None = None,
 ) -> ExactBBEngine:
+    # Listing first: the scores then accumulate from the cached listing
+    # instead of costing a second enumeration.
+    cliques = prep.cliques(k, max_cliques=opts.max_cliques)
     return ExactBBEngine(
         prep.graph,
         k,
         max_cliques=opts.max_cliques,
         scores=prep.scores(k),
-        cliques=prep.cliques(k, max_cliques=opts.max_cliques),
+        cliques=cliques,
         warm_start=warm_start,
     )
 
 
-@REGISTRY.register(
+REGISTRY.register(
     "hg",
     summary="Algorithm 1, basic greedy framework (maximal, k-approximate)",
     exact=False,
     options=HGOptions,
-    deadline_safe=True,
-    supports_warm_start=True,
     engine=_engine_hg,
 )
-def _run_hg(prep: Preprocessing, k: int, opts: HGOptions) -> CliqueSetResult:
-    return basic_framework(
-        prep.graph, k, order=opts.order, oriented=prep.oriented(opts.order)
-    )
 
 
 @REGISTRY.register(
@@ -399,40 +399,18 @@ def _run_gc(prep: Preprocessing, k: int, opts: GCOptions) -> CliqueSetResult:
     )
 
 
-@REGISTRY.register(
+REGISTRY.register(
     "l",
     summary="Algorithm 3 without score pruning (O(n+m) space)",
     exact=False,
-    deadline_safe=True,
-    supports_warm_start=True,
     engine=_engine_lightweight(prune=False),
 )
-def _run_l(prep: Preprocessing, k: int, opts: SolveOptions) -> CliqueSetResult:
-    return lightweight(
-        prep.graph,
-        k,
-        prune=False,
-        scores=prep.scores(k),
-        oriented=prep.score_oriented(k),
-    )
-
-
-@REGISTRY.register(
+REGISTRY.register(
     "lp",
     summary="Algorithm 3 with score pruning (the paper's headline method)",
     exact=False,
-    deadline_safe=True,
-    supports_warm_start=True,
     engine=_engine_lightweight(prune=True),
 )
-def _run_lp(prep: Preprocessing, k: int, opts: SolveOptions) -> CliqueSetResult:
-    return lightweight(
-        prep.graph,
-        k,
-        prune=True,
-        scores=prep.scores(k),
-        oriented=prep.score_oriented(k),
-    )
 
 
 @REGISTRY.register(
@@ -440,7 +418,6 @@ def _run_lp(prep: Preprocessing, k: int, opts: SolveOptions) -> CliqueSetResult:
     summary="exact: clique graph + exact MIS (blossom matching for k=2)",
     exact=True,
     options=ExactOptions,
-    supports_time_budget=True,
 )
 def _run_opt(prep: Preprocessing, k: int, opts: ExactOptions) -> CliqueSetResult:
     if k == 2:
@@ -457,22 +434,10 @@ def _run_opt(prep: Preprocessing, k: int, opts: ExactOptions) -> CliqueSetResult
     )
 
 
-@REGISTRY.register(
+REGISTRY.register(
     "opt-bb",
     summary="exact: direct branch-and-bound over cliques (cross-check)",
     exact=True,
     options=ExactOptions,
-    supports_time_budget=True,
-    supports_warm_start=True,
     engine=_engine_opt_bb,
 )
-def _run_opt_bb(prep: Preprocessing, k: int, opts: ExactOptions) -> CliqueSetResult:
-    cliques = prep.cliques(k, max_cliques=opts.max_cliques)
-    return exact_optimum_bb(
-        prep.graph,
-        k,
-        time_budget=opts.time_budget,
-        max_cliques=opts.max_cliques,
-        scores=prep.scores(k),
-        cliques=cliques,
-    )

@@ -55,12 +55,12 @@ from repro.graph.dag import OrientedGraph
 from repro.cliques import counting
 from repro.cliques import listing
 from repro.core.lightweight import ScoreOrientedCSR
-from repro.core.registry import REGISTRY, Method, SolverRegistry
+from repro.core.registry import REGISTRY, Method, SolveOptions, SolverRegistry
 from repro.core.result import CliqueSetResult
+from repro.core.task import SolveTask, normalize_warm_start
 
-if TYPE_CHECKING:  # deferred at runtime: task/maintainer sit above core
+if TYPE_CHECKING:  # deferred at runtime: the maintainer sits above core
     from repro.graph.dag import OrientedCSR
-    from repro.core.task import SolveTask
     from repro.dynamic.maintainer import DynamicDisjointCliques
 
 
@@ -121,10 +121,6 @@ class Preprocessing:
             else:
                 self.stats["cache_hits"] += 1
             return cached
-
-    def degeneracy_order(self) -> np.ndarray:
-        """The degeneracy (smallest-last) rank array."""
-        return self.rank("degeneracy")
 
     def oriented(self, order: object = "degeneracy") -> OrientedGraph:
         """DAG orientation under ``order`` (cached for named orderings).
@@ -429,12 +425,18 @@ class Session:
         ``method`` is a registry tag (default: the session's
         ``default_method``); ``options`` are validated against that
         method's typed options class — unknown names raise
-        :class:`InvalidParameterError` listing the valid ones.
+        :class:`InvalidParameterError` listing the valid ones. A
+        resumable method runs its :meth:`task` to completion, so a
+        ``time_budget`` bounds the seconds spent stepping (see
+        :meth:`repro.core.task.SolveTask.step`); ``gc`` and ``opt`` run
+        their registered blocking function.
         """
         k = self._check_k(k)
         m = self.registry.get(method if method is not None else self.default_method)
         opts = m.parse_options(options)
-        return m.run(self.prep, k, opts)
+        if m.run is not None:
+            return m.run(self.prep, k, opts)
+        return self._open_task(m, k, opts).run()
 
     def task(
         self,
@@ -443,23 +445,24 @@ class Session:
         *,
         warm_start: Iterable[Iterable[int]] | None = None,
         **options: object,
-    ) -> "SolveTask":
+    ) -> SolveTask:
         """Open a resumable :class:`~repro.core.task.SolveTask`.
 
         The task wraps the method's step engine over this session's
         shared preprocessing: drive it with ``step()``/``run()``,
         observe ``best()``/``bound()`` at any boundary, ``pause()`` /
         ``resume()`` it, and ``checkpoint()`` it across processes.
-        Driving a task to completion yields the same solution and stats
-        as :meth:`solve` with the same arguments.
+        :meth:`solve` runs exactly this task to completion, so both
+        give the same solution and stats for the same arguments.
 
         Parameters
         ----------
         k / method / options:
             As for :meth:`solve`; the method must be resumable
             (``Method.resumable`` — ``hg``/``l``/``lp``/``opt-bb``).
-            ``time_budget`` is rejected here: the caller controls time
-            by how it drives ``step()``.
+            A ``time_budget`` option bounds the summed seconds of the
+            task's ``step()`` calls; once it is spent, ``step()`` raises
+            :class:`~repro.errors.OutOfTimeError` carrying ``best()``.
         warm_start:
             Optional previous solution (a
             :class:`~repro.core.result.CliqueSetResult` or iterable of
@@ -469,31 +472,29 @@ class Session:
             Greedy engines keep the seed in the solution; the exact B&B
             uses it as its starting incumbent.
         """
-        from repro.core.task import SolveTask, normalize_warm_start
-
         k = self._check_k(k)
         m = self.registry.get(method if method is not None else self.default_method)
-        if not m.resumable:
+        seed = normalize_warm_start(warm_start)
+        return self._open_task(m, k, m.parse_options(options), seed)
+
+    def _open_task(
+        self,
+        m: Method,
+        k: int,
+        opts: SolveOptions,
+        seed: list[frozenset[int]] | None = None,
+    ) -> SolveTask:
+        """A task over ``m``'s engine, built from this session's caches."""
+        if m.engine is None:
             resumable = tuple(t.tag for t in self.registry if t.resumable)
             raise InvalidParameterError(
                 f"method {m.tag!r} is not resumable; resumable methods: "
                 f"{resumable}"
             )
-        if options.get("time_budget") is not None:
-            raise InvalidParameterError(
-                "tasks are driven by step()/run(); drop time_budget and "
-                "bound the work from the caller instead"
-            )
-        seed = normalize_warm_start(warm_start)
-        if seed is not None and not m.supports_warm_start:
-            raise InvalidParameterError(
-                f"method {m.tag!r} does not support warm_start"
-            )
-        opts = m.parse_options(options)
         engine = m.engine(self.prep, k, opts, warm_start=seed)
         return SolveTask(self, m, k, opts, engine)
 
-    def restore_task(self, checkpoint: Mapping) -> "SolveTask":
+    def restore_task(self, checkpoint: Mapping) -> SolveTask:
         """Revive a :meth:`~repro.core.task.SolveTask.checkpoint` here.
 
         The checkpoint must come from a session over an equal graph
@@ -501,8 +502,6 @@ class Session:
         produces the same final solution and stats as the uninterrupted
         run. Returns the restored :class:`~repro.core.task.SolveTask`.
         """
-        from repro.core.task import SolveTask
-
         return SolveTask.restore(self, checkpoint)
 
     def solve_many(
@@ -525,10 +524,11 @@ class Session:
             :class:`OutOfTimeError` is raised naming how many solves
             completed (use ``on_progress`` to keep partial results).
             The remaining budget is also forwarded as ``time_budget``
-            to methods that support it (per their registry metadata),
-            so a single long exact solve is interrupted cooperatively
-            rather than overrunning the deadline; an explicit
-            ``time_budget`` in a request's options takes precedence.
+            to methods whose options have one
+            (``Method.supports_time_budget``), so a single long exact
+            solve stops rather than overrunning the deadline; an
+            explicit ``time_budget`` in a request's options takes
+            precedence.
         on_progress:
             ``hook(done, total, request, result)`` called after each
             completed solve.

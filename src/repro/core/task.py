@@ -27,10 +27,12 @@ model the serving roadmap needs:
   (fired whenever ``|S|`` or the bound changed at a step boundary),
   which the serving layer streams to clients as ``progress`` messages.
 
-Driving a task to completion (:meth:`SolveTask.run`) produces solutions
-and stats bit-identical to the blocking ``Session.solve`` path — the
-blocking solvers are themselves thin drive-to-completion wrappers over
-the same engines.
+``Session.solve`` runs a resumable method as exactly this task, driven
+to completion by :meth:`SolveTask.run`, so the blocking and the anytime
+surfaces share one path. A ``time_budget`` option (the paper's ``OOT``
+marker) bounds the seconds a task spends in :meth:`SolveTask.step`;
+once it is spent the step raises :class:`~repro.errors.OutOfTimeError`
+with :meth:`SolveTask.best` as its ``partial``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import time
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Protocol
 
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, OutOfTimeError
 from repro.jsonsafe import json_safe
 from repro.core.result import CliqueSetResult
 
@@ -177,6 +179,10 @@ class SolveTask:
         self.options = options
         self.engine = engine
         self.work = 0
+        #: Seconds spent in :meth:`step` since the task was opened or
+        #: restored (wall time, so never checkpointed).
+        self.spent = 0.0
+        self._budget: float | None = getattr(options, "time_budget", None)
         self._state = "done" if engine.finished else "ready"
         self._pause_requested = False
         self._callbacks: list[Callable[[TaskSnapshot], None]] = []
@@ -263,6 +269,14 @@ class SolveTask:
         until :meth:`pause` is observed. A paused task reports its
         snapshot without working (call :meth:`resume` first); a
         completed task is a no-op. Returns the post-step snapshot.
+
+        A ``time_budget`` option bounds the seconds summed over every
+        step: the step that spends the rest of it stops there and, if
+        the engine has not finished, raises
+        :class:`~repro.errors.OutOfTimeError` with :meth:`best` as its
+        ``partial``, and any later step raises it without working. The
+        spent seconds are wall time, so a checkpoint leaves them out and
+        a restored task starts a fresh budget.
         """
         if max_work is not None and max_work < 1:
             raise InvalidParameterError(
@@ -276,26 +290,27 @@ class SolveTask:
             )
         self._state = "running"
         engine = self.engine
-        started = time.monotonic() if max_seconds is not None else 0.0
+        limit = max_seconds
+        if self._budget is not None:
+            left = self._budget - self.spent
+            limit = left if limit is None else min(limit, left)
+        started = time.monotonic() if limit is not None else 0.0
         did = 0
         try:
-            while not engine.finished:
-                if self._pause_requested:
+            while not engine.finished and not self._pause_requested:
+                # Per-tick clock read: a tick can be milliseconds on big
+                # graphs, so coarser checking would overshoot the slice
+                # (and with it the scheduler's preemption latency).
+                if limit is not None and time.monotonic() - started >= limit:
                     break
                 engine.tick()
                 self.work += 1
                 did += 1
                 if max_work is not None and did >= max_work:
                     break
-                # Per-tick clock read: a tick can be milliseconds on big
-                # graphs, so coarser checking would overshoot the slice
-                # (and with it the scheduler's preemption latency).
-                if (
-                    max_seconds is not None
-                    and time.monotonic() - started >= max_seconds
-                ):
-                    break
         finally:
+            if limit is not None:
+                self.spent += time.monotonic() - started
             if engine.finished:
                 self._state = "done"
             elif self._pause_requested:
@@ -304,15 +319,21 @@ class SolveTask:
                 self._state = "ready"
         snapshot = self.snapshot()
         self._report(snapshot)
+        if self._budget is not None and self.spent >= self._budget and not snapshot.done:
+            raise OutOfTimeError(
+                f"{self.method.tag} exceeded its time budget of {self._budget}s",
+                partial=self.best(),
+            )
         return snapshot
 
     def run(self) -> CliqueSetResult:
         """Drive the task to completion and return the final result.
 
-        Produces the same solution and stats as the blocking
-        ``Session.solve`` path for this method/options (both drive the
-        same engine). Raises if the task is paused mid-way by another
-        thread — call :meth:`resume` and ``run()`` again to continue.
+        This is how ``Session.solve`` runs a resumable method. Raises
+        :class:`~repro.errors.OutOfTimeError` once a ``time_budget`` is
+        spent (see :meth:`step`), and raises if the task is paused
+        mid-way by another thread — call :meth:`resume` and ``run()``
+        again to continue.
         """
         while not self.engine.finished:
             snapshot = self.step()

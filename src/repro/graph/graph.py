@@ -23,6 +23,7 @@ uses :class:`repro.graph.dynamic.DynamicGraph` instead and converts via
 
 from __future__ import annotations
 
+import math
 import operator
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -37,6 +38,10 @@ if TYPE_CHECKING:  # deferred at runtime: dynamic imports graph
     from repro.graph.dynamic import DynamicGraph
 
 Edge = tuple[int, int]
+
+#: Largest node count whose directed CSR keys ``u * n + v`` (at most
+#: ``n * n - 1``) fit in int64; a larger ``n`` would overflow them.
+MAX_NODES = math.isqrt(2**63 - 1)
 
 
 def _canonical(u: int, v: int) -> Edge:
@@ -104,8 +109,9 @@ class Graph:
     Parameters
     ----------
     n:
-        Number of nodes. Isolated nodes are allowed, so ``n`` may exceed
-        the largest endpoint seen in ``edges``.
+        Number of nodes, at most :data:`MAX_NODES`. Isolated nodes are
+        allowed, so ``n`` may exceed the largest endpoint seen in
+        ``edges``.
     edges:
         Iterable of ``(u, v)`` pairs of integers (Python ints, numpy
         integers or ``bool``). An edge that is not such a pair, a
@@ -119,8 +125,8 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()) -> None:
         n = operator.index(n)
-        if n < 0:
-            raise GraphError(f"node count must be non-negative, got {n}")
+        if not 0 <= n <= MAX_NODES:
+            raise GraphError(f"node count must be in [0, {MAX_NODES}], got {n}")
         pairs = _read_pairs(n, edges)
         u, v = pairs[:, 0], pairs[:, 1]
         # One sort of the directed keys row * n + col lays out every

@@ -16,8 +16,8 @@ Response envelope::
 Two anytime extensions (``docs/serving.md`` documents both):
 
 * **partial results** — a failure whose exception carries a payload on
-  its ``partial`` attribute (deadline expiry on a resumable solve, a
-  cooperative solver's ``OutOfTimeError``) keeps the completed work:
+  its ``partial`` attribute (deadline expiry or a spent ``time_budget``
+  on a resumable solve) keeps the completed work:
   the error object gains ``"partial": true`` and the envelope a
   ``"result"`` with the best-so-far solution payload.
 * **progress events** — while a resumable solve runs with

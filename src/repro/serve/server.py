@@ -25,26 +25,27 @@ Request classes and where they run:
   ``stats`` / ``shutdown``) — inline; these are cheap and
   latency-sensitive.
 
-Deadline admission uses registry capability metadata: a ``solve``
-deadline is only accepted for methods whose
-:attr:`~repro.core.registry.Method.can_meet_deadline` holds — for
-budget-capable methods the remaining time is forwarded as
-``time_budget`` so a long exact solve stops cooperatively. The other
+Deadline admission uses the registry's derived capabilities: a
+``solve`` deadline is only accepted for methods whose
+:attr:`~repro.core.registry.Method.can_meet_deadline` holds. The other
 compute ops (``count``/``bounds``/``warm``) also take deadlines, but
 those are *queue-time only*: an expired request is shed before a worker
 starts it, while a request that has started runs to completion (their
 enumeration passes have no cooperative interruption hook).
 
-**Anytime solves.** Methods with a resumable engine
-(:attr:`~repro.core.registry.Method.resumable` — ``hg``/``l``/``lp``/
-``opt-bb``) run as :class:`repro.core.task.SolveTask` objects wrapped
-in a scheduler :class:`~repro.serve.scheduler.Resumable`, so the
-scheduler timeslices them across priority lanes, a deadline expiry
-resolves with the best-so-far solution attached to the error envelope
-(``error.partial: true`` + a ``result`` payload), and a request with
-``"progress": true`` streams ``progress`` events while the solve
-improves. Driving a task to completion returns exactly what the
-blocking path would, so results are transport-invariant either way.
+**Solves: one path per kind of method.** Methods with a resumable
+engine (:attr:`~repro.core.registry.Method.resumable` — ``hg``/``l``/
+``lp``/``opt-bb``) always run as :class:`repro.core.task.SolveTask`
+objects wrapped in a scheduler
+:class:`~repro.serve.scheduler.Resumable`, so the scheduler timeslices
+them across priority lanes, a deadline expiry or a spent
+``time_budget`` resolves with the best-so-far solution attached to the
+error envelope (``error.partial: true`` + a ``result`` payload), and a
+request with ``"progress": true`` streams ``progress`` events while the
+solve improves. The monolithic ``gc`` and ``opt`` run as one blocking
+call; ``opt`` gets the remaining deadline as its ``time_budget``.
+Driving a task to completion is what ``Session.solve`` does too, so
+results are transport-invariant.
 """
 
 from __future__ import annotations
@@ -343,37 +344,18 @@ class Server:
         if message.get("deadline") is not None and not method.can_meet_deadline:
             raise InvalidParameterError(
                 f"method {method.tag!r} cannot honour a deadline (no "
-                "resumable engine, no time_budget support and not "
-                "deadline_safe); drop the deadline or pick a "
-                "deadline-capable method"
+                "resumable engine and no time_budget option); drop the "
+                "deadline or pick a deadline-capable method"
             )
-        # An explicit time_budget keeps the cooperative blocking path:
-        # the option bounds solver work, while tasks are step-bounded.
-        resumable = method.resumable and options.get("time_budget") is None
         request_id = message.get("id")
 
         def run(remaining: float | None) -> dict | Resumable:
             session = self.pool.get(graph, fingerprint=fingerprint)
-            if not resumable:
+            if not method.resumable:
                 opts = dict(options)
-                if (
-                    remaining is not None
-                    and method.supports_time_budget
-                    and "time_budget" not in opts
-                ):
-                    opts["time_budget"] = remaining
-                try:
-                    result = session.solve(k, method.tag, **opts)
-                except OutOfTimeError as exc:
-                    # Cooperative solvers attach their incumbent; make it
-                    # wire-ready so the error envelope keeps the work.
-                    partial = getattr(exc, "partial", None)
-                    if hasattr(partial, "sorted_cliques"):
-                        exc.partial = {
-                            **_result_payload(partial, include_cliques),
-                            "partial": True,
-                        }
-                    raise
+                if remaining is not None and method.supports_time_budget:
+                    opts.setdefault("time_budget", remaining)
+                result = session.solve(k, method.tag, **opts)
                 return _result_payload(result, include_cliques)
 
             task = session.task(k, method.tag, **options)
@@ -388,12 +370,6 @@ class Server:
 
                 task.on_progress(report)
 
-            def step(seconds: float) -> bool:
-                return task.step(max_seconds=seconds).done
-
-            def final() -> dict:
-                return _result_payload(task.result(), include_cliques)
-
             def partial() -> dict:
                 return {
                     **_result_payload(task.best(), include_cliques),
@@ -401,6 +377,17 @@ class Server:
                     "bound": task.bound(),
                     "work": task.work,
                 }
+
+            def step(seconds: float) -> bool:
+                try:
+                    return task.step(max_seconds=seconds).done
+                except OutOfTimeError as exc:
+                    # A spent time_budget answers like a deadline harvest.
+                    exc.partial = partial()
+                    raise
+
+            def final() -> dict:
+                return _result_payload(task.result(), include_cliques)
 
             return Resumable(step, final, partial)
 
@@ -595,7 +582,6 @@ class Server:
                 stdout.write(protocol.encode(envelope) + "\n")  # repro-lint: ignore=holdcalling
                 stdout.flush()  # repro-lint: ignore=holdcalling
 
-        shutdown_seen = False
         for line in stdin:
             line = line.strip()
             if not line:
@@ -626,15 +612,12 @@ class Server:
             else:
                 write(protocol.ok_response(request_id, handled))
                 if message["op"] == "shutdown":
-                    shutdown_seen = True
                     break
             self.sweep_feeds()
             inflight = [t for t in inflight if not t.done]
         for ticket in inflight:
             ticket.error()  # wait; the done-callback writes the response
+        # EOF without an explicit shutdown is a clean exit too, for
+        # piped usage (`... | python -m repro serve`).
         self.close()
-        if not shutdown_seen:
-            # EOF without an explicit shutdown is still a clean exit for
-            # piped usage (`... | python -m repro serve`).
-            pass
         return 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Session
 from repro.core.exact import exact_optimum
 from repro.core.exact_bb import exact_optimum_bb
 from repro.core.result import is_maximal, verify_solution
@@ -56,8 +57,11 @@ class TestBudgets:
         from repro.graph.generators import watts_strogatz
 
         g = watts_strogatz(300, 10, 0.1, seed=1)
-        with pytest.raises(OutOfTimeError):
-            exact_optimum_bb(g, 3, time_budget=0.05)
+        with pytest.raises(OutOfTimeError) as err:
+            Session(g).solve(3, "opt-bb", time_budget=0.05)
+        partial = err.value.partial
+        assert partial.method == "opt-bb"
+        verify_solution(g, 3, partial.cliques)
 
     def test_clique_budget(self, paper_graph):
         with pytest.raises(OutOfMemoryError):

@@ -44,6 +44,14 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph(-1)
 
+    def test_node_count_past_the_key_bound_rejected(self):
+        # Directed keys u * n + v must fit int64; this n once tried to
+        # allocate 74.5 GiB instead of failing typed.
+        with pytest.raises(GraphError, match="node count"):
+            Graph(10**10)
+        with pytest.raises(GraphError, match="node count"):
+            Graph.from_edges([(0, 1)], n=10**10)
+
     def test_from_edges_infers_n(self):
         g = Graph.from_edges([(0, 5), (2, 3)])
         assert g.n == 6 and g.m == 2

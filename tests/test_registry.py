@@ -1,8 +1,11 @@
 """Tests for the solver registry: Method metadata and typed options."""
 
+import inspect
+from dataclasses import fields as dataclass_fields
+
 import pytest
 
-from repro import METHODS, REGISTRY, Graph, find_disjoint_cliques
+from repro import METHODS, REGISTRY, Graph, Session, find_disjoint_cliques
 from repro.cli import main as cli_main
 from repro.core.registry import (
     ExactOptions,
@@ -13,6 +16,17 @@ from repro.core.registry import (
     SolverRegistry,
 )
 from repro.errors import InvalidParameterError
+
+#: The derived capabilities per method: (resumable, warm start,
+#: time budget, can meet deadline).
+CAPABILITIES = {
+    "hg": (True, True, False, True),
+    "gc": (False, False, False, False),
+    "l": (True, True, False, True),
+    "lp": (True, True, False, True),
+    "opt": (False, False, True, True),
+    "opt-bb": (True, True, True, True),
+}
 
 
 class TestRegistryContents:
@@ -49,9 +63,29 @@ class TestRegistryContents:
         exact = {m.tag for m in REGISTRY if m.exact}
         assert exact == {"opt", "opt-bb"}
 
-    def test_time_budget_metadata(self):
-        budgeted = {m.tag for m in REGISTRY if m.supports_time_budget}
-        assert budgeted == {"opt", "opt-bb"}
+    def test_derived_capabilities(self, triangle_pair):
+        session = Session(triangle_pair)
+        for tag, (resumable, warm, budget, deadline) in CAPABILITIES.items():
+            method = REGISTRY.get(tag)
+            assert method.resumable is resumable, tag
+            assert method.supports_time_budget is budget, tag
+            assert method.can_meet_deadline is deadline, tag
+            try:
+                session.task(3, tag, warm_start=session.solve(3, "lp"))
+            except InvalidParameterError as exc:
+                assert not warm and "not resumable" in str(exc), tag
+            else:
+                assert warm, tag
+
+    def test_capabilities_are_not_declared(self):
+        names = [f.name for f in dataclass_fields(Method)]
+        assert names == ["tag", "summary", "exact", "options_cls", "engine", "run"]
+        assert list(inspect.signature(SolverRegistry.register).parameters) == [
+            "self", "tag", "summary", "exact", "options", "engine",
+        ]
+        # One callable per method: an engine, or else a run function.
+        for method in REGISTRY:
+            assert (method.engine is None) != (method.run is None), method.tag
 
     def test_options_classes(self):
         assert REGISTRY.get("hg").options_cls is HGOptions
@@ -145,6 +179,21 @@ class TestMethodsCommand:
             assert tag in out
         assert "time_budget" in out and "exact" in out and "heuristic" in out
         assert "max_cliques" in out
+
+    def test_cli_methods_table_columns(self, capsys):
+        assert cli_main(["methods"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header.split() == [
+            "tag", "kind", "resumable", "time_budget", "deadline",
+            "warm_start", "options",
+        ]
+        rows = [line.split()[:6] for line in lines[::2]]
+        yes = {True: "yes", False: "no"}
+        assert rows == [
+            [tag, "exact" if REGISTRY.get(tag).exact else "heuristic",
+             yes[resumable], yes[budget], yes[deadline], yes[warm]]
+            for tag, (resumable, warm, budget, deadline) in CAPABILITIES.items()
+        ]
 
     def test_cli_solve_accepts_opt_bb(self, capsys):
         g_edges = "0 1\n0 2\n1 2\n"

@@ -193,11 +193,7 @@ def method_stub(**overrides) -> SimpleNamespace:
         tag="fx",
         summary="fixture method",
         options_cls=HGOptions,
-        resumable=True,
         exact=False,
-        supports_warm_start=False,
-        supports_time_budget=False,
-        deadline_safe=True,
         engine=None,
     )
     base.update(overrides)
@@ -219,20 +215,6 @@ class TestRegistryRule:
     def test_options_class_must_subclass_solveoptions(self):
         [violation] = self.check(method_stub(options_cls=dict))
         assert "SolveOptions" in violation.message
-
-    def test_warm_start_requires_resumable(self):
-        [violation] = self.check(
-            method_stub(supports_warm_start=True, resumable=False)
-        )
-        assert "resumable" in violation.message
-
-    def test_time_budget_must_exist_on_options(self):
-        [violation] = self.check(method_stub(supports_time_budget=True))
-        assert "time_budget" in violation.message
-
-    def test_exact_methods_are_never_deadline_safe(self):
-        [violation] = self.check(method_stub(exact=True))
-        assert "deadline_safe" in violation.message
 
     def test_engine_factory_signature_is_enforced(self):
         def bad_engine(prep, k, opts, extra_knob=3):  # no warm_start

@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import DeadlineExceededError, InvalidParameterError
 from repro.graph.generators import powerlaw_cluster, watts_strogatz
-from repro.serve import Client, Server
+from repro.serve import Client, Server, protocol
 from repro.serve.scheduler import Resumable, Scheduler
 
 
@@ -175,17 +175,29 @@ class TestServerAnytime:
                               include_cliques=False)
         assert result["size"] > 0
 
-    def test_explicit_time_budget_keeps_cooperative_path(self, served):
+    def test_budgeted_opt_bb_is_timesliced_and_preempted(self, served):
         server, client = served
         client.register_graph("hard", watts_strogatz(300, 10, 0.1, seed=1))
-        from repro.errors import OutOfTimeError
-
-        with pytest.raises(OutOfTimeError) as err:
-            client.solve("hard", 3, "opt-bb",
-                         options={"time_budget": 0.05},
-                         include_cliques=False)
-        # Cooperative OOT now also carries the incumbent payload.
-        assert err.value.partial is None or err.value.partial["partial"]
+        client.register_graph("small", powerlaw_cluster(60, 4, 0.6, seed=2))
+        exact = client.start("solve", graph="hard", k=3, method="opt-bb",
+                             options={"time_budget": 2.0},
+                             include_cliques=False)
+        waited = time.monotonic() + 10
+        while exact.ticket.started_at is None and time.monotonic() < waited:
+            time.sleep(0.005)
+        light = client.start("solve", graph="small", k=3, method="lp",
+                             priority="high", include_cliques=False)
+        assert light.result(30)["size"] > 0
+        error = exact.ticket.error()
+        # Ticket order, not latency: the budgeted solve yielded its worker.
+        assert light.ticket.finished_at < exact.ticket.finished_at
+        assert exact.ticket.preemptions >= 1
+        assert server.scheduler.stats["preemptions"] >= 1
+        envelope = protocol.error_response(exact.id, error)
+        assert envelope["error"]["code"] == "OUT_OF_TIME"
+        assert envelope["error"]["partial"] is True
+        assert {"size", "bound", "work"} <= set(envelope["result"])
+        assert envelope["result"]["bound"] >= envelope["result"]["size"]
 
     def test_solve_results_identical_to_direct_session(self, served):
         _, client = served

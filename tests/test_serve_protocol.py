@@ -111,6 +111,16 @@ class TestAdmin:
         with pytest.raises(ProtocolError):
             client.call("feed_push", feed=feed, updates=[["insert", True, 2]])
 
+    def test_node_count_past_the_key_bound_is_invalid(self, served):
+        # Once an INTERNAL "Unable to allocate 74.5 GiB" from the CSR build.
+        server, _ = served
+        envelope = server.handle_request({
+            "id": 1, "op": "register_graph", "name": "huge", "edges": [],
+            "n": 10**10,
+        })
+        assert envelope["error"]["code"] == "INVALID_ARGUMENT"
+        assert "node count" in envelope["error"]["message"]
+
     def test_stats_shape(self, served):
         _, client = served
         client.register_graph("tiny", Graph(6, TRIANGLES))
@@ -213,7 +223,7 @@ class TestCompute:
     def test_deadline_rejected_for_unsafe_method(self, served, social):
         _, client = served
         client.register_graph("social", social)
-        # gc has no time_budget hook and is not deadline_safe.
+        # gc is not resumable and has no time_budget option.
         with pytest.raises(InvalidParameterError, match="deadline"):
             client.solve("social", 3, "gc", deadline=5.0)
 

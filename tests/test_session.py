@@ -236,7 +236,7 @@ class TestSolveMany:
 
         @registry.register(
             "probe", summary="records options", exact=True,
-            options=ExactOptions, supports_time_budget=True,
+            options=ExactOptions,
         )
         def _probe(prep, k, opts):
             seen["time_budget"] = opts.time_budget

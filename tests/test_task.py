@@ -2,9 +2,10 @@
 
 The core acceptance contract: interrupting a resumable task at *any*
 step boundary yields a valid disjoint k-clique set (Section V
-invariants), and driving the same task to completion produces solutions
-and stats identical to the blocking ``Session.solve`` path — across
-methods and seeds.
+invariants), and driving the same task to completion (which is what
+``Session.solve`` does) produces solutions and stats identical to the
+standalone drive-to-completion wrappers over uncached substrates —
+across methods and seeds.
 """
 
 import json
@@ -12,8 +13,11 @@ import json
 import pytest
 
 from repro import Session, SolveTask
+from repro.core.basic import basic_framework
+from repro.core.exact_bb import exact_optimum_bb
+from repro.core.lightweight import lightweight
 from repro.core.result import is_maximal, verify_solution
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, OutOfTimeError
 from repro.graph.generators import powerlaw_cluster, watts_strogatz
 
 RESUMABLE = ("hg", "l", "lp", "opt-bb")
@@ -36,7 +40,12 @@ class TestEquivalence:
         g = bb_graph(seed) if method == "opt-bb" else small_graph(seed)
         session = Session(g)
         k = 3 if method == "opt-bb" else 4
-        blocking = session.solve(k, method)
+        blocking = {
+            "hg": lambda: basic_framework(g, k),
+            "l": lambda: lightweight(g, k, prune=False),
+            "lp": lambda: lightweight(g, k, prune=True),
+            "opt-bb": lambda: exact_optimum_bb(g, k),
+        }[method]()
         result = session.task(k, method).run()
         assert result.sorted_cliques() == blocking.sorted_cliques()
         assert result.stats == blocking.stats
@@ -151,11 +160,40 @@ class TestTaskLifecycle:
         session = Session(small_graph(1))
         with pytest.raises(InvalidParameterError, match="not resumable"):
             session.task(3, "gc")
-        with pytest.raises(InvalidParameterError, match="time_budget"):
-            session.task(3, "opt-bb", time_budget=1.0)
         task = session.task(3, "lp")
         with pytest.raises(InvalidParameterError, match="max_work"):
             task.step(max_work=0)
+
+    def test_time_budget_bounds_summed_step_time(self):
+        g = watts_strogatz(300, 10, 0.1, seed=1)
+        task = Session(g).task(3, "opt-bb", time_budget=0.05)
+        slices = 0
+        with pytest.raises(OutOfTimeError) as err:
+            while True:
+                task.step(max_seconds=0.005)
+                slices += 1
+        # Each slice is a tenth of the budget: only their sum reaches it.
+        assert slices >= 1 and task.spent >= 0.05
+        verify_solution(g, 3, err.value.partial.cliques)
+        assert err.value.partial.size == task.best().size
+        work = task.work
+        with pytest.raises(OutOfTimeError):
+            task.step()
+        assert task.work == work  # a spent budget allows no more work
+
+    def test_budgeted_checkpoint_restores_with_a_fresh_budget(self):
+        g = bb_graph(0)
+        session = Session(g)
+        task = session.task(3, "opt-bb", time_budget=60.0)
+        task.step(max_work=10)
+        assert task.spent > 0
+        checkpoint = json.loads(json.dumps(task.checkpoint()))
+        # Wall time never enters a checkpoint: only the option travels.
+        assert checkpoint["options"]["time_budget"] == 60.0
+        restored = Session(g).restore_task(checkpoint)
+        assert restored.spent == 0.0 and restored.work == 10
+        result = restored.run()
+        assert result.sorted_cliques() == session.solve(3, "opt-bb").sorted_cliques()
 
 
 class TestWarmStart:
@@ -178,28 +216,6 @@ class TestWarmStart:
         junk = [frozenset({0, 1, 2, 3}), frozenset({10_000, 10_001, 10_002, 10_003})]
         result = session.task(4, "lp", warm_start=junk).run()
         verify_solution(g, 4, result.cliques)
-
-    def test_warm_start_rejected_for_unsupported_method(self):
-        from repro.core.basic import BasicEngine
-        from repro.core.registry import HGOptions, SolverRegistry
-
-        registry = SolverRegistry()
-
-        @registry.register(
-            "hg-nw",
-            summary="resumable but no warm start",
-            exact=False,
-            options=HGOptions,
-            engine=lambda prep, k, opts, warm_start=None: BasicEngine(
-                prep.graph, k, order=opts.order
-            ),
-        )
-        def _run(prep, k, opts):
-            raise AssertionError("not driven in this test")
-
-        session = Session(small_graph(1), registry=registry, default_method="hg-nw")
-        with pytest.raises(InvalidParameterError, match="warm_start"):
-            session.task(3, "hg-nw", warm_start=[])
 
     def test_exact_warm_incumbent_preserves_optimality(self):
         g = watts_strogatz(30, 6, 0.2, seed=2)

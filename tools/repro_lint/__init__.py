@@ -29,12 +29,10 @@ pass/fail fixture corpus proving it detects its target defect class:
     through :func:`repro.jsonsafe.json_safe`.
 
 ``registry``
-    Registry metadata consistency: resumable methods declare an engine
-    factory with the canonical ``(prep, k, opts, warm_start=None)``
-    signature, warm-startable methods are resumable, option dataclasses
-    are fully defaulted and cover every engine kwarg, budget-capable
-    methods expose a ``time_budget`` option, deadline-safe methods are
-    heuristics.
+    Registry consistency: resumable methods register an engine factory
+    with the canonical ``(prep, k, opts, warm_start=None)`` signature,
+    and option dataclasses are fully defaulted and cover every engine
+    kwarg (capability flags derive from these, so none is declared).
 
 ``statskeys``
     Stats-key discipline: stats dicts only use keys from the canonical

@@ -2,23 +2,18 @@
 
 The solver registry is the single source of capability truth: the
 scheduler admits deadlines, the task layer opens engines and the serving
-layer forwards budgets based purely on :class:`repro.core.registry.Method`
-metadata. Inconsistent metadata fails at the worst possible time — a
-request deep inside a worker thread — so this rule imports the live
-registry and checks the invariants statically checkable nowhere else:
+layer forwards budgets based purely on :class:`repro.core.registry.Method`,
+whose capabilities derive from its options class and its engine. A
+malformed registration fails at the worst possible time — a request
+deep inside a worker thread — so this rule imports the live registry
+and checks the invariants statically checkable nowhere else:
 
 * tags are lowercase and summaries non-empty;
 * every options class derives from ``SolveOptions`` with fully
   defaulted fields (``parse_options({})`` must succeed);
-* ``supports_warm_start`` implies ``resumable`` — warm starts are only
-  deliverable through the task API, which requires an engine;
 * every engine factory has the canonical signature ``(prep, k, opts)``
   plus a ``warm_start`` keyword, and nothing else — option dataclasses,
-  not factory kwargs, are where method knobs live;
-* ``supports_time_budget`` implies the options class actually exposes a
-  ``time_budget`` option;
-* ``deadline_safe`` is reserved for heuristics (an exact solver's
-  runtime is never predictably bounded).
+  not factory kwargs, are where method knobs live.
 
 Runs against :data:`repro.core.registry.REGISTRY` by default; the test
 suite also points it at synthetic registries to prove each check fires.
@@ -67,25 +62,6 @@ def check_registry_object(registry: object, path: str = _REGISTRY_PATH) -> Itera
                 f"method {tag!r}: options class "
                 f"{method.options_cls.__name__} must default every field "
                 "(parse_options({}) has to succeed)"
-            )
-        if method.supports_warm_start and not method.resumable:
-            yield violation(
-                f"method {tag!r} declares supports_warm_start without a "
-                "resumable engine — warm starts are only deliverable "
-                "through Session.task"
-            )
-        if method.supports_time_budget and "time_budget" not in (
-            method.options_cls.option_names()
-        ):
-            yield violation(
-                f"method {tag!r} declares supports_time_budget but its "
-                f"options class {method.options_cls.__name__} exposes no "
-                "'time_budget' option"
-            )
-        if method.deadline_safe and method.exact:
-            yield violation(
-                f"method {tag!r} is exact but declared deadline_safe — "
-                "exact solvers have no predictable runtime bound"
             )
         if method.engine is not None:
             yield from _check_engine_signature(method, violation)
