@@ -9,7 +9,7 @@ from repro.bench.harness import (
     run_cell_subprocess,
     scaled,
 )
-from repro.bench.plotting import ascii_log_chart, sparkline
+from repro.bench.plotting import ascii_log_chart
 from repro.bench.runner import (
     CellSpec,
     SuiteSpec,
@@ -55,5 +55,4 @@ __all__ = [
     "render_table",
     "render_series",
     "ascii_log_chart",
-    "sparkline",
 ]

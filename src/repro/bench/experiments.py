@@ -10,10 +10,10 @@ shares one :func:`run_static_sweep` pass. Budgets come from
 :mod:`repro.bench.harness` and produce the paper's ``OOT``/``OOM``
 markers instead of results.
 
-CLI::
-
-    python -m repro.bench.experiments all          # everything
-    python -m repro.bench.experiments table1 fig7  # selected artefacts
+The ``repro bench`` suites under ``benchmarks/`` call these runners and
+record their output in a run directory; ``python -m repro bench table1
+--smoke`` writes one artefact, and :mod:`repro.bench.report` renders a
+finished run.
 """
 
 from __future__ import annotations
@@ -674,61 +674,3 @@ def cached_dynamic_sweep(
     """Memoized :func:`run_dynamic_sweep` so Fig7/Table VIII share one pass."""
     key = ("dynamic", tuple(names), tuple(ks), count)
     return _cached(key, lambda: run_dynamic_sweep(names, ks, count=count))
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-_RUNNERS = {
-    "table1": lambda: run_table1(),
-    "fig6": lambda: run_fig6(),
-    "table2": lambda: run_table2(),
-    "table3": lambda: run_table3(),
-    "table4": lambda: run_table4(),
-    "table5": lambda: run_table5(),
-    "table6": lambda: run_table6(),
-    "table7": lambda: run_table7(),
-    "fig7": lambda: run_fig7(),
-    "table8": lambda: run_table8(),
-    "ablation_ordering": lambda: run_ablation_ordering(),
-    "ablation_pruning": lambda: run_ablation_pruning(),
-}
-
-
-def run_all() -> list[ExperimentResult]:
-    """Run every artefact, sharing sweeps between related tables."""
-    results = [run_table1()]
-    static = run_static_sweep()
-    results += [run_fig6(static), run_table2(static), run_table3(static)]
-    results.append(run_table4())
-    synthetic = run_synthetic_sweep()
-    results += [run_table5(synthetic), run_table6(synthetic)]
-    results.append(run_table7())
-    dynamic = run_dynamic_sweep()
-    results += [run_fig7(dynamic), run_table8(dynamic)]
-    results += [run_ablation_ordering(), run_ablation_pruning()]
-    return results
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point: print the requested artefacts."""
-    import sys
-
-    args = list(argv if argv is not None else sys.argv[1:])
-    if not args or args == ["all"]:
-        for result in run_all():
-            print(result.text)
-            print()
-        return 0
-    unknown = [a for a in args if a not in _RUNNERS]
-    if unknown:
-        print(f"unknown experiments: {unknown}; available: {sorted(_RUNNERS)}")
-        return 2
-    for arg in args:
-        print(_RUNNERS[arg]().text)
-        print()
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -57,17 +57,3 @@ def ascii_log_chart(
                 lines.append(f"{label} |{'':<{width}}| {value}")
         lines.append("")
     return "\n".join(lines).rstrip()
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """Compact single-line trend (8-level block characters)."""
-    blocks = "▁▂▃▄▅▆▇█"
-    numeric = [float(v) for v in values]
-    if not numeric:
-        return ""
-    lo, hi = min(numeric), max(numeric)
-    if hi == lo:
-        return blocks[0] * len(numeric)
-    return "".join(
-        blocks[min(7, int(7 * (v - lo) / (hi - lo) + 0.5))] for v in numeric
-    )

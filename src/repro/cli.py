@@ -9,9 +9,10 @@ Commands
 ``dynamic``      apply an update workload and report latency and drift
 ``serve``        run the multi-tenant NDJSON server on stdin/stdout
                  (see ``docs/serving.md`` for the protocol)
-``experiments``  regenerate the paper's tables/figures (delegates to
-                 :mod:`repro.bench.experiments`)
 ``datasets``     list the registered datasets
+``bench``        run the paper's tables/figures as benchmark suites
+                 into a manifest-backed run directory (render one
+                 with ``python -m repro.bench.report``)
 
 Solver commands dispatch through the session API
 (:class:`repro.core.session.Session`): one session per loaded graph, so
@@ -34,7 +35,7 @@ Examples
     python -m repro dynamic --dataset HST --k 4 --workload mixed --count 100
     python -m repro dynamic --dataset HST --k 4 --batch-size 128
     python -m repro serve --workers 2 --pool-sessions 8
-    python -m repro experiments table1 fig7
+    python -m repro bench table1 fig7 --smoke
 """
 
 from __future__ import annotations
@@ -304,12 +305,6 @@ def cmd_methods(_args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.bench.experiments import main as experiments_main
-
-    return experiments_main(args.artefacts or ["all"])
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     import json
 
@@ -458,10 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("methods", help="print the solver registry")
     p.set_defaults(fn=cmd_methods)
-
-    p = sub.add_parser("experiments", help="regenerate tables/figures")
-    p.add_argument("artefacts", nargs="*", help="e.g. table1 fig6 (default: all)")
-    p.set_defaults(fn=cmd_experiments)
 
     p = sub.add_parser(
         "bench",

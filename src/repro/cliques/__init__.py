@@ -1,25 +1,20 @@
 """k-clique listing, counting and the clique graph."""
 
 from repro.cliques.listing import (
-    cliques_through_edge,
-    cliques_through_node,
     count_cliques,
     iter_cliques,
     iter_cliques_in_nodes,
     list_cliques,
 )
-from repro.cliques.counting import clique_profile, node_scores, total_cliques_from_scores
+from repro.cliques.counting import clique_profile, node_scores
 from repro.cliques.clique_graph import CliqueGraph, build_clique_graph
 
 __all__ = [
     "iter_cliques",
     "list_cliques",
     "count_cliques",
-    "cliques_through_edge",
-    "cliques_through_node",
     "iter_cliques_in_nodes",
     "node_scores",
-    "total_cliques_from_scores",
     "clique_profile",
     "CliqueGraph",
     "build_clique_graph",

@@ -48,18 +48,6 @@ def node_scores(
     return node_scores_csr(ocsr, k, scores)
 
 
-def total_cliques_from_scores(scores: np.ndarray, k: int) -> int:
-    """Total k-clique count implied by node scores (each counted k times)."""
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k}")
-    total = int(scores.sum())
-    if total % k:
-        raise InvalidParameterError(
-            f"score sum {total} is not divisible by k={k}; scores are inconsistent"
-        )
-    return total // k
-
-
 def clique_profile(
     graph: Graph,
     ks: Sequence[int] = (3, 4, 5, 6),

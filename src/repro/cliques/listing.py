@@ -89,43 +89,6 @@ def count_cliques(
     return count_cliques_csr(ocsr, k)
 
 
-def cliques_through_edge(
-    graph: Graph, u: int, v: int, k: int
-) -> Iterator[frozenset[int]]:
-    """Yield every k-clique containing the edge ``(u, v)`` exactly once.
-
-    Used by the dynamic maintainer: a newly inserted edge can only create
-    cliques that contain it. Enumerates (k-2)-cliques inside the common
-    neighbourhood of ``u`` and ``v``.
-    """
-    _check_k(k)
-    if k < 2 or not graph.has_edge(u, v):
-        return
-    if k == 2:
-        yield frozenset((u, v))
-        return
-    common = graph.neighbors(u) & graph.neighbors(v)
-    if len(common) < k - 2:
-        return
-    sub, mapping = graph.subgraph_with_mapping(common)
-    for clique in iter_cliques(sub, k - 2, order="degree"):
-        yield frozenset((u, v, *(mapping[w] for w in clique)))
-
-
-def cliques_through_node(graph: Graph, u: int, k: int) -> Iterator[frozenset[int]]:
-    """Yield every k-clique containing node ``u`` exactly once."""
-    _check_k(k)
-    if k == 1:
-        yield frozenset((u,))
-        return
-    neigh = graph.neighbors(u)
-    if len(neigh) < k - 1:
-        return
-    sub, mapping = graph.subgraph_with_mapping(neigh)
-    for clique in iter_cliques(sub, k - 1, order="degree"):
-        yield frozenset((u, *(mapping[w] for w in clique)))
-
-
 def iter_cliques_in_nodes(
     graph: Graph, nodes: Iterable[int], k: int
 ) -> Iterator[frozenset[int]]:

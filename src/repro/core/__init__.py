@@ -24,7 +24,7 @@ from repro.core.result import (
     verify_solution,
 )
 from repro.core.residual import ResidualPacking, iterative_residual_packing
-from repro.core.scores import clique_key, clique_score, compute_scores, degree_bounds
+from repro.core.scores import clique_key, clique_score, degree_bounds
 from repro.core.store_all import store_all_cliques
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "canonicalize",
     "clique_score",
     "clique_key",
-    "compute_scores",
     "degree_bounds",
     "iterative_residual_packing",
     "ResidualPacking",

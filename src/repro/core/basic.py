@@ -27,7 +27,7 @@ from repro.errors import InvalidParameterError
 from repro.graph.dag import OrientedGraph
 from repro.graph.ordering import OrderSpec
 from repro.graph.graph import Graph
-from repro.core.result import CliqueSetResult, is_seedable_clique
+from repro.core.result import CliqueSetResult, checked_solution, is_int, is_seedable_clique
 
 
 def _find_one(
@@ -96,6 +96,7 @@ class BasicEngine:
         # clique enters S, exactly like the paper's residual graph.
         self.out = [set(s) for s in dag.out]
         self.valid = [True] * graph.n
+        self.free = graph.n  # how many ``valid`` flags are still set
         self.scan = dag.nodes_ascending()
         self.pos = 0
         self.solution: list[frozenset[int]] = []
@@ -120,6 +121,7 @@ class BasicEngine:
         self.stats["cliques_taken"] += 1
         for w in found:
             self.valid[w] = False
+        self.free -= len(found)
         for w in found:
             for v in self.graph.neighbors(w):
                 self.out[v].discard(w)
@@ -152,8 +154,7 @@ class BasicEngine:
     # -- anytime surface -----------------------------------------------
     def bound(self) -> int:
         """Upper bound on the final ``|S|`` of this run (|S| + free/k)."""
-        free = sum(1 for alive in self.valid if alive)
-        return len(self.solution) + free // self.k
+        return len(self.solution) + self.free // self.k
 
     def snapshot_result(self) -> CliqueSetResult:
         """Current partial solution (always a valid disjoint set)."""
@@ -187,14 +188,27 @@ class BasicEngine:
         the checkpointed solution's invalidations (removal operations
         commute, so the residual graph is bit-identical to the one at
         checkpoint time).
+
+        The snapshot is checked before anything is applied, and each of
+        these raises :class:`InvalidParameterError`: a ``pos`` that is
+        not an int in ``[0, n]``, or a solution that is not
+        pairwise-disjoint k-cliques of the graph. As with ``lp``'s
+        ``next_root``, the type and range of ``pos`` are checked but not
+        its provenance: an edited ``pos`` that is still well formed can
+        end the scan early.
         """
+        pos = state["pos"]
+        if not (is_int(pos) and 0 <= pos <= len(self.scan)):
+            raise InvalidParameterError(
+                f"pos {pos!r} is not an int in [0, {len(self.scan)}]"
+            )
         self.solution = []
-        for clique in state["solution"]:
+        for clique in checked_solution(self.graph, self.k, state["solution"]):
             self._take(clique)
         # _take bumped counters while replaying; the checkpointed stats
         # already account for that work, so they are restored wholesale.
         self.stats = {key: value for key, value in state["stats"].items()}
-        self.pos = int(state["pos"])
+        self.pos = int(pos)
 
 
 def basic_framework(

@@ -80,7 +80,13 @@ from repro.cliques.csr_kernels import (
     _root_batches,
     _root_level,
 )
-from repro.core.result import CliqueSetResult, is_int, is_seedable_clique
+from repro.core.result import (
+    CliqueSetResult,
+    checked_clique,
+    checked_solution,
+    is_int,
+    is_seedable_clique,
+)
 from repro.core.scores import CliqueKey
 
 _INF_KEY: CliqueKey = (np.iinfo(np.int64).max, ())
@@ -935,16 +941,7 @@ class LightweightEngine:
             )
         if phase == "drain" and not state["heap"]:
             raise InvalidParameterError("phase 'drain' with an empty heap")
-        solution: list[tuple[int, ...]] = []
-        used: set[int] = set()
-        for raw in state["solution"]:
-            clique = self._checked_clique(raw, "solution clique")
-            if used.intersection(clique):
-                raise InvalidParameterError(
-                    f"solution clique {raw!r} overlaps an earlier one"
-                )
-            used.update(clique)
-            solution.append(clique)
+        solution = checked_solution(self.graph, self.k, state["solution"])
         heap: list[tuple[CliqueKey, int, tuple[int, ...]]] = []
         scores = self.oriented.scores
         for entry in state["heap"]:
@@ -953,7 +950,7 @@ class LightweightEngine:
                     f"heap entry {entry!r} is not [score, key clique, root, clique]"
                 )
             score, key_clique, root, raw = entry
-            clique = self._checked_clique(raw, "heap clique")
+            clique = checked_clique(self.graph, self.k, raw, "heap clique")
             key = (sum(scores[v] for v in clique), clique)
             if not (is_int(root) and root in clique):
                 raise InvalidParameterError(
@@ -980,20 +977,6 @@ class LightweightEngine:
         replaced = {key: value for key, value in state["stats"].items()}
         self.stats.clear()
         self.stats.update(replaced)
-
-    def _checked_clique(self, raw: object, what: str) -> tuple[int, ...]:
-        """``raw`` as a sorted k-clique of the graph, else a typed error."""
-        if (
-            isinstance(raw, (list, tuple))
-            and len(raw) == self.k
-            and all(is_int(v) for v in raw)
-            and is_seedable_clique(self.graph, self.k, raw, lambda v: True)
-        ):
-            return tuple(sorted(int(v) for v in raw))
-        raise InvalidParameterError(
-            f"{what} {raw!r} is not {self.k} distinct nodes forming a "
-            f"{self.k}-clique of the graph"
-        )
 
 
 def lightweight(

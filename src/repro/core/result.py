@@ -13,7 +13,7 @@ import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from repro.errors import SolutionError
+from repro.errors import InvalidParameterError, SolutionError
 
 if TYPE_CHECKING:  # imported for annotations only: core sits above graph
     from repro.graph.dynamic import DynamicGraph
@@ -142,6 +142,50 @@ def is_seedable_clique(
         for i, u in enumerate(members)
         for v in members[i + 1 :]
     )
+
+
+def checked_clique(
+    graph: "Graph | DynamicGraph", k: int, raw: object, what: str
+) -> tuple[int, ...]:
+    """``raw`` as a sorted k-clique of ``graph``, else a typed error.
+
+    The resumable engines' restore check on a checkpoint's cliques:
+    ``raw`` must be a list or tuple of ``k`` distinct ints forming a
+    k-clique of ``graph``, or :class:`InvalidParameterError` names it as
+    ``what``.
+    """
+    if (
+        isinstance(raw, (list, tuple))
+        and len(raw) == k
+        and all(is_int(v) for v in raw)
+        and is_seedable_clique(graph, k, raw, lambda v: True)
+    ):
+        return tuple(sorted(int(v) for v in raw))
+    raise InvalidParameterError(
+        f"{what} {raw!r} is not {k} distinct nodes forming a "
+        f"{k}-clique of the graph"
+    )
+
+
+def checked_solution(
+    graph: "Graph | DynamicGraph", k: int, raw: Iterable[object]
+) -> list[tuple[int, ...]]:
+    """A checkpoint's solution as pairwise-disjoint sorted k-cliques.
+
+    Each clique passes :func:`checked_clique`; one that shares a node
+    with an earlier one raises :class:`InvalidParameterError`.
+    """
+    solution: list[tuple[int, ...]] = []
+    used: set[int] = set()
+    for clique_raw in raw:
+        clique = checked_clique(graph, k, clique_raw, "solution clique")
+        if used.intersection(clique):
+            raise InvalidParameterError(
+                f"solution clique {clique_raw!r} overlaps an earlier one"
+            )
+        used.update(clique)
+        solution.append(clique)
+    return solution
 
 
 def is_valid(

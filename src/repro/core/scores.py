@@ -13,12 +13,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from repro.graph.ordering import OrderSpec
-from repro.cliques.counting import node_scores
-from repro.graph.graph import Graph
-
 CliqueKey = tuple[int, tuple[int, ...]]
 
 
@@ -41,10 +35,3 @@ def degree_bounds(clique: Iterable[int], scores: Sequence[int], k: int) -> tuple
     """Theorem 2's (lower, upper) bounds on the clique-graph degree."""
     s = clique_score(clique, scores)
     return ((s - k) / (k - 1), s - k)
-
-
-def compute_scores(
-    graph: Graph, k: int, order: OrderSpec = "degeneracy"
-) -> np.ndarray:
-    """Per-node k-clique counts (re-export of :func:`node_scores`)."""
-    return node_scores(graph, k, order)

@@ -85,12 +85,3 @@ def cliques_through_edge(
         return
     for sub in iter_cliques_within(graph, common, k - 2):
         yield sub | {u, v}
-
-
-def has_clique_within(
-    graph: "Graph | DynamicGraph", nodes: Iterable[int], k: int
-) -> bool:
-    """Whether the induced subgraph on ``nodes`` contains any k-clique."""
-    for _ in iter_cliques_within(graph, nodes, k):
-        return True
-    return False

@@ -129,41 +129,3 @@ class CSRAdjacency:
         row = self.row(u)
         idx = np.searchsorted(row, v)
         return idx < len(row) and row[idx] == v
-
-    def triangle_count_per_node(self) -> np.ndarray:
-        """Number of triangles through each node.
-
-        Uses the standard forward algorithm on the degeneracy-free
-        orientation ``u -> v iff (deg, id)`` increases. The oriented
-        adjacency is built as flat CSR arrays in one vectorised filter
-        (no per-node list of row slices), and each node's triangles are
-        counted with a single bulk gather + sorted-membership test over
-        all of its out-neighbours' rows at once.
-        """
-        n = self.n
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        deg = self.degrees()
-        pos = np.empty(n, dtype=np.int64)
-        pos[np.lexsort((np.arange(n), deg))] = np.arange(n)
-        rows = np.repeat(np.arange(n, dtype=np.int64), deg)
-        keep = pos[self.cols] > pos[rows]
-        out_cols = self.cols[keep]
-        out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[keep], minlength=n), out=out_indptr[1:])
-        counts = np.zeros(n, dtype=np.int64)
-        for u in range(n):
-            row_u = out_cols[out_indptr[u] : out_indptr[u + 1]]
-            if len(row_u) < 2:
-                continue
-            owner_pos, vals = concat_rows(out_indptr, out_cols, row_u)
-            if not len(vals):
-                continue
-            hit = in_sorted(row_u, vals)
-            nhit = int(hit.sum())
-            if not nhit:
-                continue
-            counts[u] += nhit
-            np.add.at(counts, row_u[owner_pos[hit]], 1)
-            np.add.at(counts, vals[hit], 1)
-        return counts

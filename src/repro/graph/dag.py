@@ -150,20 +150,8 @@ class OrientedGraph:
         """Number of nodes."""
         return self.graph.n
 
-    def out_degree(self, u: int) -> int:
-        """Out-degree of ``u``."""
-        return len(self.out[u])
-
-    def max_out_degree(self) -> int:
-        """Largest out-degree; bounds the clique-listing recursion width."""
-        return max((len(s) for s in self.out), default=0)
-
     def nodes_ascending(self) -> list[int]:
         """Node ids sorted by ascending rank (Algorithm 1's scan order)."""
         order = np.empty(self.n, dtype=np.int64)
         order[self.rank] = np.arange(self.n)
         return [int(u) for u in order]
-
-    def root_of(self, clique: Sequence[int]) -> int:
-        """The unique largest-rank node of ``clique`` under this orientation."""
-        return max(clique, key=lambda u: self.rank[u])

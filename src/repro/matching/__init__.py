@@ -1,12 +1,9 @@
-"""Matching substrates: blossom (k=2 exact) and greedy set packing."""
+"""Matching substrate: Edmonds' blossom algorithm (the exact k = 2 case)."""
 
 from repro.matching.blossom import is_matching, matching_size, maximum_matching
-from repro.matching.greedy import greedy_set_packing, local_search_packing
 
 __all__ = [
     "maximum_matching",
     "matching_size",
     "is_matching",
-    "greedy_set_packing",
-    "local_search_packing",
 ]

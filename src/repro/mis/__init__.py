@@ -1,17 +1,11 @@
-"""Maximum-independent-set substrate: exact branch-and-bound and greedy."""
+"""Maximum-independent-set substrate: kernelisation and exact branch-and-bound."""
 
-from repro.mis.exact import exact_mis, max_clique, mis_size
-from repro.mis.greedy import greedy_mis, is_independent_set
-from repro.mis.local_search import one_two_swap
+from repro.mis.exact import exact_mis, max_clique
 from repro.mis.reductions import MISKernel, reduce_mis
 
 __all__ = [
     "exact_mis",
     "max_clique",
-    "mis_size",
-    "greedy_mis",
-    "is_independent_set",
-    "one_two_swap",
     "reduce_mis",
     "MISKernel",
 ]

@@ -117,8 +117,3 @@ def exact_mis(graph: Graph, time_budget: float | None = None) -> list[int]:
         raise OutOfTimeError("exact MIS exceeded its time budget during reduction")
     solution = max_clique(k.complement(), time_budget=remaining)
     return kernel.lift(solution)
-
-
-def mis_size(graph: Graph, time_budget: float | None = None) -> int:
-    """Size of a maximum independent set."""
-    return len(exact_mis(graph, time_budget))

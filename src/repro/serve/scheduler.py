@@ -65,6 +65,7 @@ from typing import Callable
 from repro.concurrency import make_lock, make_rlock
 from repro.errors import (
     InvalidParameterError,
+    OutOfTimeError,
     OverloadedError,
     RequestCancelledError,
 )
@@ -304,6 +305,7 @@ class Scheduler:
             "cancelled": 0,
             "preemptions": 0,
             "deadline_partials": 0,
+            "budget_partials": 0,
         }
         self._threads = [
             threading.Thread(
@@ -433,8 +435,7 @@ class Scheduler:
             try:
                 value = ticket._fn(remaining)
             except BaseException as exc:  # noqa: BLE001 - delivered to caller
-                with self._cond:
-                    self.stats["failed"] += 1
+                self._count_failure(exc)
                 ticket.finished_at = self._clock()
                 ticket._finish(None, exc)
                 if not isinstance(exc, Exception):
@@ -451,6 +452,17 @@ class Scheduler:
                 return
             runner = value
         self._drive_runner(ticket, runner)
+
+    def _count_failure(self, exc: BaseException) -> None:
+        """Count a run that raised, by whether it kept partial work.
+
+        A spent ``time_budget`` whose :class:`OutOfTimeError` carries a
+        partial solution counts in ``budget_partials``; anything else
+        counts in ``failed``.
+        """
+        harvested = isinstance(exc, OutOfTimeError) and exc.partial is not None
+        with self._cond:
+            self.stats["budget_partials" if harvested else "failed"] += 1
 
     def _finish_deadline(self, ticket: Ticket, message: str) -> None:
         """Resolve a ticket whose deadline expired, keeping partial work.
@@ -509,8 +521,7 @@ class Scheduler:
             try:
                 done = runner.step(self.quantum)
             except BaseException as exc:  # noqa: BLE001 - delivered to caller
-                with self._cond:
-                    self.stats["failed"] += 1
+                self._count_failure(exc)
                 ticket.finished_at = self._clock()
                 ticket._finish(None, exc)
                 if not isinstance(exc, Exception):

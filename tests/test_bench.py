@@ -1,11 +1,11 @@
-"""Tests for the bench harness, table rendering and memory accounting."""
+"""Tests for the bench harness and table rendering."""
 
 import time
 
 import numpy as np
 import pytest
 
-from repro.bench import harness, memory, tables
+from repro.bench import harness, tables
 from repro.errors import OutOfMemoryError, OutOfTimeError
 
 
@@ -103,29 +103,3 @@ class TestFormatting:
         )
         assert "500.0ms" in text and "OOT" in text
 
-
-class TestMemoryAccounting:
-    def test_deep_sizeof_counts_shared_once(self):
-        shared = list(range(1000))
-        a = [shared, shared]
-        assert memory.deep_sizeof(a) < 2 * memory.deep_sizeof(shared)
-
-    def test_numpy_arrays_counted(self):
-        arr = np.zeros(100_000)
-        assert memory.deep_sizeof(arr) >= arr.nbytes
-
-    def test_graph_footprint(self, paper_graph):
-        assert memory.graph_footprint_mb(paper_graph) > 0
-
-    def test_solution_footprint(self):
-        cliques = [frozenset({1, 2, 3})]
-        assert memory.solution_footprint_mb(cliques) > 0
-
-    def test_slots_objects(self):
-        class Slotty:
-            __slots__ = ("x",)
-
-            def __init__(self):
-                self.x = list(range(100))
-
-        assert memory.deep_sizeof(Slotty()) > 100

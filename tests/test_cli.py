@@ -127,13 +127,15 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "FTB" in out and "OR" in out
 
-    def test_experiments_passthrough(self, capsys):
-        assert main(["experiments", "table1"]) == 0
-        assert "Table I" in capsys.readouterr().out
-
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_experiments_subcommand_removed(self, capsys):
+        # Paper artefacts run only through ``repro bench``.
+        with pytest.raises(SystemExit) as exc:
+            main(["experiments", "table1"])
+        assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
     def test_serve_rejects_non_positive_quantum(self, capsys):
         for quantum in ("0", "-1"):

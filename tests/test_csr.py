@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro import Graph
-from repro.cliques import node_scores
 from repro.graph.csr import concat_rows, in_sorted, intersect_sorted, sorted_unique
-from repro.graph.generators import complete_graph, erdos_renyi_gnp
+from repro.graph.generators import erdos_renyi_gnp
 
 
 class TestStructure:
@@ -105,24 +104,3 @@ class TestSortedArrayHelpers:
         values = rng.integers(0, 40, size=rng.integers(0, 60))
         assert sorted_unique(values).tolist() == sorted(set(values.tolist()))
 
-
-class TestTriangleCounting:
-    def test_paper_example(self, paper_graph):
-        counts = paper_graph.csr().triangle_count_per_node()
-        expected = node_scores(paper_graph, 3)
-        assert counts.tolist() == expected.tolist()
-
-    def test_complete_graph(self):
-        csr = complete_graph(6).csr()
-        counts = csr.triangle_count_per_node()
-        assert counts.tolist() == [10] * 6  # C(5, 2)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_random_matches_node_scores(self, seed):
-        g = erdos_renyi_gnp(40, 0.25, seed=seed)
-        counts = g.csr().triangle_count_per_node()
-        assert counts.tolist() == node_scores(g, 3).tolist()
-
-    def test_triangle_free(self):
-        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
-        assert g.csr().triangle_count_per_node().sum() == 0

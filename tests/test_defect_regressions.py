@@ -461,6 +461,73 @@ class TestCheckpointStateValidation:
         assert task.run().sorted_cliques() == session.solve(3, "lp").sorted_cliques()
 
 
+class TestHGCheckpointStateValidation:
+    """``BasicEngine.load_state`` trusted the restored state: a solution
+    clique that is no k-clique of the graph (repeated, a non-edge, short
+    or negative ids) finished with an answer ``verify_solution`` rejects,
+    node ids past n raised a bare ``IndexError``, a non-int ``pos`` a
+    bare ``ValueError``, and a ``pos`` past n ended the scan at once with
+    a non-maximal solution. Each now fails the restore with
+    :class:`InvalidParameterError`."""
+
+    @staticmethod
+    def _tampered(edit):
+        session = Session(powerlaw_cluster(200, 5, 0.5, seed=3))
+        task = session.task(3, "hg")
+        for _ in range(200):
+            if task.best().size >= 6:
+                break
+            task.step(max_work=1)
+        blob = json.loads(json.dumps(task.checkpoint()))
+        assert len(blob["engine"]["solution"]) == 6
+        assert not session.graph.has_edge(0, 1)  # [0, 1, 2] is no clique
+        edit(blob["engine"])
+        return session, blob
+
+    def _assert_rejected(self, edit, match):
+        session, blob = self._tampered(edit)
+        with pytest.raises(InvalidParameterError, match=match):
+            session.restore_task(blob)
+
+    def test_repeated_solution_clique_is_rejected(self):
+        self._assert_rejected(
+            lambda e: e["solution"].append(list(e["solution"][0])), "overlaps"
+        )
+
+    def test_non_clique_solution_is_rejected(self):
+        self._assert_rejected(
+            lambda e: e["solution"].append([0, 1, 2]), r"solution clique \[0, 1, 2\]"
+        )
+
+    def test_short_solution_clique_is_rejected(self):
+        self._assert_rejected(
+            lambda e: e["solution"].append([0, 1]), r"solution clique \[0, 1\]"
+        )
+
+    def test_negative_solution_nodes_are_rejected(self):
+        self._assert_rejected(
+            lambda e: e["solution"].append([-1, -2, -3]), r"solution clique \[-1"
+        )
+
+    def test_solution_nodes_past_n_are_rejected(self):
+        self._assert_rejected(
+            lambda e: e["solution"].append([200, 201, 202]), r"solution clique \[200"
+        )
+
+    def test_non_int_pos_is_rejected(self):
+        self._assert_rejected(lambda e: e.update(pos="x"), "pos 'x'")
+
+    def test_pos_past_n_is_rejected(self):
+        self._assert_rejected(lambda e: e.update(pos=10**9), "pos 1000000000")
+
+    def test_untampered_checkpoint_finishes_like_a_cold_solve(self):
+        session, blob = self._tampered(lambda e: None)
+        result = session.restore_task(blob).run()
+        cold = session.solve(3, "hg")
+        assert result.sorted_cliques() == cold.sorted_cliques()
+        assert result.stats == cold.stats
+
+
 class TestEdgeOrderIndependence:
     """``by_degeneracy`` broke ties in neighbour-set iteration order,
     which follows the edge list's order; the peel reads sorted rows."""

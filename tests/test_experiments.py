@@ -94,12 +94,3 @@ class TestAblations:
         result = exp.run_ablation_pruning(names=TINY, ks=(3,))
         assert "branches pruned" in result.text
 
-
-class TestCLI:
-    def test_main_selected(self, capsys):
-        assert exp.main(["table1"]) == 0
-        out = capsys.readouterr().out
-        assert "Table I" in out
-
-    def test_main_unknown(self, capsys):
-        assert exp.main(["tableX"]) == 2

@@ -3,14 +3,8 @@
 import pytest
 
 from repro import Graph
-from repro.cliques import (
-    cliques_through_edge,
-    cliques_through_node,
-    count_cliques,
-    iter_cliques,
-    iter_cliques_in_nodes,
-    list_cliques,
-)
+from repro.cliques import count_cliques, iter_cliques, iter_cliques_in_nodes, list_cliques
+from repro.dynamic.local import cliques_through_edge, cliques_through_node
 from repro.errors import InvalidParameterError
 from repro.graph.generators import complete_graph
 from tests.conftest import PAPER_TRIANGLES, brute_force_cliques

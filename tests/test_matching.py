@@ -1,16 +1,10 @@
-"""Tests for blossom maximum matching and greedy set packing."""
+"""Tests for blossom maximum matching."""
 
 import pytest
 
 from repro import Graph
 from repro.graph.generators import complete_graph, erdos_renyi_gnp
-from repro.matching import (
-    greedy_set_packing,
-    is_matching,
-    local_search_packing,
-    matching_size,
-    maximum_matching,
-)
+from repro.matching import is_matching, matching_size, maximum_matching
 
 
 class TestBlossom:
@@ -64,26 +58,3 @@ class TestIsMatching:
         g = Graph(3, [(0, 1)])
         assert not is_matching(g, [(1, 1)])
 
-
-class TestSetPacking:
-    def test_first_fit(self):
-        cliques = [(0, 1, 2), (2, 3, 4), (5, 6, 7)]
-        result = greedy_set_packing(cliques, 3)
-        assert result.size == 2
-
-    def test_keyed_order_changes_result(self):
-        cliques = [(0, 1, 2), (1, 3, 4), (2, 5, 6)]
-        worst_first = greedy_set_packing(cliques, 3)
-        assert worst_first.size == 1  # (0,1,2) blocks the other two
-        best = greedy_set_packing(cliques, 3, key=lambda c: -c[0])
-        assert best.size == 2
-
-    def test_local_search_improves(self):
-        # Choosing the hub clique first is suboptimal; a 1-to-2 swap fixes it.
-        cliques = [(0, 1, 2), (1, 3, 4), (2, 5, 6)]
-        improved = local_search_packing(cliques, 3, rounds=3)
-        assert improved.size == 2
-
-    def test_local_search_no_improvement_possible(self):
-        cliques = [(0, 1, 2)]
-        assert local_search_packing(cliques, 3).size == 1

@@ -1,4 +1,4 @@
-"""Tests for the MIS substrate: exact B&B, reductions, greedy."""
+"""Tests for the MIS substrate: exact B&B and reductions."""
 
 import itertools
 
@@ -7,7 +7,13 @@ import pytest
 from repro import Graph
 from repro.errors import OutOfTimeError
 from repro.graph.generators import complete_graph, erdos_renyi_gnp
-from repro.mis import exact_mis, greedy_mis, is_independent_set, max_clique, reduce_mis
+from repro.mis import exact_mis, max_clique, reduce_mis
+
+
+def is_independent_set(graph: Graph, nodes) -> bool:
+    """Distinct nodes, no two adjacent."""
+    chosen = set(nodes)
+    return len(chosen) == len(nodes) and not any(graph.neighbors(u) & chosen for u in chosen)
 
 
 def brute_mis_size(graph: Graph) -> int:
@@ -91,19 +97,3 @@ class TestReductions:
             assert is_independent_set(g, lifted)
             assert len(lifted) == brute_mis_size(g)
 
-
-class TestGreedy:
-    def test_greedy_is_independent_and_maximal(self, random_graphs):
-        for g in random_graphs:
-            chosen = greedy_mis(g)
-            assert is_independent_set(g, chosen)
-            chosen_set = set(chosen)
-            for u in g.nodes():
-                if u not in chosen_set:
-                    assert g.neighbors(u) & chosen_set, "greedy MIS not maximal"
-
-    def test_is_independent_set_rejects(self):
-        g = Graph(3, [(0, 1)])
-        assert not is_independent_set(g, [0, 1])
-        assert not is_independent_set(g, [0, 0])
-        assert is_independent_set(g, [0, 2])

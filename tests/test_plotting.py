@@ -1,6 +1,6 @@
 """Tests for ASCII chart rendering."""
 
-from repro.bench.plotting import ascii_log_chart, sparkline
+from repro.bench.plotting import ascii_log_chart
 
 
 class TestAsciiLogChart:
@@ -31,15 +31,3 @@ class TestAsciiLogChart:
         chart = ascii_log_chart("x", "k", [1], {"A": [0.0]})
         assert "0" in chart
 
-
-class TestSparkline:
-    def test_monotone_ramp(self):
-        line = sparkline([1, 2, 3, 4, 5, 6, 7, 8])
-        assert line[0] == "▁" and line[-1] == "█"
-        assert len(line) == 8
-
-    def test_flat(self):
-        assert sparkline([5, 5, 5]) == "▁▁▁"
-
-    def test_empty(self):
-        assert sparkline([]) == ""

@@ -9,7 +9,6 @@ from repro.core.scores import degree_bounds
 from repro.cliques.clique_graph import build_clique_graph
 from repro.graph.generators import erdos_renyi_gnp
 from repro.graph.kcore import core_numbers
-from repro.mis.greedy import greedy_mis, is_independent_set
 
 
 graphs = st.builds(
@@ -54,17 +53,6 @@ def test_theorem2_bounds(g: Graph):
     for i, clique in enumerate(cg.cliques):
         lo, hi = degree_bounds(clique, scores, k)
         assert lo <= cg.degree_of(i) <= hi
-
-
-@settings(max_examples=25, deadline=None)
-@given(g=graphs)
-def test_greedy_mis_properties(g: Graph):
-    chosen = greedy_mis(g)
-    assert is_independent_set(g, chosen)
-    chosen_set = set(chosen)
-    assert all(
-        u in chosen_set or (g.neighbors(u) & chosen_set) for u in g.nodes()
-    )
 
 
 @settings(max_examples=25, deadline=None)

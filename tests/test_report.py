@@ -1,9 +1,9 @@
 """Tests for the EXPERIMENTS.md report generator.
 
 The report renders a finished ``repro bench`` run directory; here a
-synthetic suite writes the run in milliseconds, and
-``experiments.run_all`` is patched to raise so any re-execution of the
-experiments fails the test.
+synthetic suite writes the run in milliseconds, and every
+``experiments.run_*`` runner is patched to raise so any re-execution of
+the experiments fails the test.
 """
 
 import pytest
@@ -34,10 +34,12 @@ def run_dir(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "BENCH_DIR", suites)
     monkeypatch.setattr(runner, "_MODULE_CACHE", {})
 
-    def no_rerun():
+    def no_rerun(*args, **kwargs):
         raise AssertionError("the report must not re-run experiments")
 
-    monkeypatch.setattr(exp, "run_all", no_rerun)
+    for name in dir(exp):
+        if name.startswith("run_"):
+            monkeypatch.setattr(exp, name, no_rerun)
     outcome = runner.run_suites(
         ["table1"], smoke=True, results_dir=tmp_path / "res", run_id="r1"
     )
@@ -46,7 +48,8 @@ def run_dir(tmp_path, monkeypatch):
 
 class TestPaperNotes:
     def test_every_runner_has_commentary(self):
-        assert set(PAPER_NOTES) == set(exp._RUNNERS)
+        # fig1 and ablation_kcore write no artefact text.
+        assert set(PAPER_NOTES) == set(runner.suite_names()) - {"fig1", "ablation_kcore"}
 
     def test_notes_mention_paper_and_measured(self):
         for name, note in PAPER_NOTES.items():

@@ -6,11 +6,13 @@ from repro import Graph
 from repro.core.result import (
     CliqueSetResult,
     canonicalize,
+    checked_clique,
+    checked_solution,
     is_maximal,
     is_valid,
     verify_solution,
 )
-from repro.errors import SolutionError
+from repro.errors import InvalidParameterError, SolutionError
 
 
 class TestVerifySolution:
@@ -42,6 +44,30 @@ class TestVerifySolution:
     def test_is_valid_boolean(self, triangle_pair):
         assert is_valid(triangle_pair, 3, [{0, 1, 2}])
         assert not is_valid(triangle_pair, 3, [{0, 1, 3}])
+
+
+class TestCheckedClique:
+    """The resumable engines' restore check on a checkpoint's cliques."""
+
+    def test_accepts_and_sorts(self, triangle_pair):
+        assert checked_clique(triangle_pair, 3, [2, 0, 1], "clique") == (0, 1, 2)
+        assert checked_solution(triangle_pair, 3, [(5, 3, 4), [1, 2, 0]]) == [
+            (3, 4, 5),
+            (0, 1, 2),
+        ]
+
+    @pytest.mark.parametrize(
+        "raw",
+        [[0, 1], [0, 0, 1], [0, 1, 3], [-1, 0, 1],  # short, repeated, no edge 0-3
+         [0, 1, 6], ["0", 1, 2], [True, 1, 2], {0, 1, 2}],  # past n, not ints, a set
+    )
+    def test_rejects(self, triangle_pair, raw):
+        with pytest.raises(InvalidParameterError, match="heap clique"):
+            checked_clique(triangle_pair, 3, raw, "heap clique")
+
+    def test_solution_rejects_overlap(self, paper_graph):
+        with pytest.raises(InvalidParameterError):
+            checked_solution(paper_graph, 3, [[0, 2, 5], [2, 4, 5]])
 
 
 class TestIsMaximal:

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.errors import DeadlineExceededError, InvalidParameterError
+from repro.errors import DeadlineExceededError, InvalidParameterError, OutOfTimeError
 from repro.graph.generators import powerlaw_cluster, watts_strogatz
 from repro.serve import Client, Server, protocol
 from repro.serve.scheduler import Resumable, Scheduler
@@ -198,6 +198,18 @@ class TestServerAnytime:
         assert envelope["error"]["partial"] is True
         assert {"size", "bound", "work"} <= set(envelope["result"])
         assert envelope["result"]["bound"] >= envelope["result"]["size"]
+
+    def test_spent_time_budget_counts_as_budget_partial(self, served):
+        _, client = served
+        client.register_graph("hard", watts_strogatz(300, 10, 0.1, seed=1))
+        with pytest.raises(OutOfTimeError) as err:
+            client.solve("hard", 3, "opt-bb", options={"time_budget": 0.05},
+                         include_cliques=False)
+        assert err.value.partial is not None
+        scheduler = client.stats()["scheduler"]
+        # A budget harvest is not a crash.
+        assert scheduler["failed"] == 0
+        assert scheduler["budget_partials"] == 1
 
     def test_solve_results_identical_to_direct_session(self, served):
         _, client = served

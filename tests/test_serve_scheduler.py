@@ -45,6 +45,17 @@ class TestBasics:
                 ticket.result(5)
         assert sched.info()["failed"] == 1
 
+    @pytest.mark.parametrize("partial, counter", [(None, "failed"), ({}, "budget_partials")])
+    def test_spent_budget_counts_by_partial(self, partial, counter):
+        with Scheduler() as sched:
+            def spent(remaining):
+                raise OutOfTimeError("time_budget spent", partial=partial)
+
+            with pytest.raises(OutOfTimeError):
+                sched.submit(spent).result(5)
+        info = sched.info()
+        assert info[counter] == 1 and info["failed"] + info["budget_partials"] == 1
+
     def test_remaining_budget_forwarded(self):
         with Scheduler() as sched:
             ticket = sched.submit(lambda remaining: remaining, deadline=30.0)

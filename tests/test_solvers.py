@@ -66,6 +66,19 @@ class TestPlantedOptimum:
         assert result.size == 6
 
 
+class TestSetPackingInstances:
+    """Three triangles where taking the one that touches both others packs one."""
+
+    HUB = [(0, 1, 2), (1, 3, 4), (2, 5, 6)]  # (0, 1, 2) touches both others
+    CHAIN = [(0, 1, 2), (2, 3, 4), (4, 5, 6)]  # (2, 3, 4) touches both others
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("triangles", [HUB, CHAIN], ids=["hub", "chain"])
+    def test_two_of_three(self, triangles, method):
+        edges = {(a, b) for t in triangles for a in t for b in t if a < b}
+        assert find_disjoint_cliques(Graph(7, sorted(edges)), 3, method=method).size == 2
+
+
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("k", [3, 4])
     def test_opt_is_optimal(self, random_graphs, k):

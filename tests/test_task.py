@@ -90,6 +90,36 @@ class TestStepBoundaryValidity:
             previous = snapshot.size
         assert is_maximal(g, k, task.best().cliques)
 
+    def test_hg_bound_reads_the_free_node_count(self):
+        # bound() keeps a count instead of summing ``valid``; the values
+        # must equal the sum's at every boundary, warm or restored.
+        k = 3
+        session = Session(small_graph(4))
+        warm = session.solve(k, "lp").sorted_cliques()[::2]
+
+        def check(task):
+            engine = task.engine
+            assert task.bound() == len(engine.solution) + sum(engine.valid) // k
+
+        def step(task, units):
+            for _ in range(units):
+                if task.done:
+                    return
+                task.step(max_work=1)
+                check(task)
+
+        task = session.task(k, "hg", warm_start=warm)
+        assert task.engine.stats["warm_seeded"] == len(warm)
+        check(task)
+        step(task, 60)
+        blob = json.loads(json.dumps(task.checkpoint()))
+        step(task, session.graph.n)
+        restored = session.restore_task(blob)
+        check(restored)
+        step(restored, session.graph.n)
+        assert task.done and restored.done
+        assert restored.result().sorted_cliques() == task.result().sorted_cliques()
+
     def test_greedy_final_bound_equals_size(self):
         session = Session(small_graph(2))
         task = session.task(4, "lp")

@@ -72,6 +72,7 @@ CANONICAL_KEYS: frozenset[str] = frozenset(
         "age_flushes",
         "size_flushes",
         # Serving layer (repro.serve.pool / scheduler / feeds)
+        "budget_partials",
         "cancelled",
         "completed",
         "deadline_partials",
