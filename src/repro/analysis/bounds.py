@@ -48,7 +48,11 @@ class OptimumBounds:
 
 
 def _capable_components(graph: Graph, capable: list[bool]) -> list[int]:
-    """Sizes of connected components of the capable-node subgraph."""
+    """Sizes of connected components of the capable-node subgraph.
+
+    Walks the CSR rows, so it builds no neighbour sets.
+    """
+    csr = graph.csr()
     seen = [False] * graph.n
     sizes: list[int] = []
     for start in range(graph.n):
@@ -60,7 +64,7 @@ def _capable_components(graph: Graph, capable: list[bool]) -> list[int]:
         while stack:
             u = stack.pop()
             size += 1
-            for v in graph.neighbors(u):
+            for v in csr.row(u).tolist():
                 if capable[v] and not seen[v]:
                     seen[v] = True
                     stack.append(v)

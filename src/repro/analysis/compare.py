@@ -10,7 +10,9 @@ shared preprocessing (node scores, clique listings) is computed once
 for the whole comparison instead of once per method; pass a session
 directly to also reuse caches from earlier solves on the same graph.
 The reported per-method ``seconds`` therefore time the solve proper,
-with shared preprocessing amortised across the run.
+with shared preprocessing amortised across the run; a method the
+passed session has already solved at ``k`` is answered from its result
+memo, so its ``seconds`` time that lookup.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Sequence, Union
 from repro.graph.graph import Graph
 from repro.core.result import verify_solution
 from repro.core.session import Session
-from repro.analysis.bounds import optimum_upper_bounds
 
 
 @dataclass
@@ -53,12 +54,7 @@ def compare_methods(
     """
     session = graph if isinstance(graph, Session) else Session(graph)
     graph = session.graph
-    bounds = optimum_upper_bounds(
-        graph,
-        k,
-        scores=session.prep.scores(k),
-        total_cliques=session.prep.clique_count(k),
-    )
+    bounds = session.prep.bounds(k)
     rows: list[MethodComparison] = []
     for method in methods:
         start = time.perf_counter()

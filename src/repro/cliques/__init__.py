@@ -4,14 +4,12 @@ from repro.cliques.listing import (
     count_cliques,
     iter_cliques,
     iter_cliques_in_nodes,
-    list_cliques,
 )
 from repro.cliques.counting import clique_profile, node_scores
 from repro.cliques.clique_graph import CliqueGraph, build_clique_graph
 
 __all__ = [
     "iter_cliques",
-    "list_cliques",
     "count_cliques",
     "iter_cliques_in_nodes",
     "node_scores",

@@ -57,15 +57,6 @@ def iter_cliques_oriented(dag: OrientedGraph, k: int) -> Iterator[tuple[int, ...
     return iter_cliques_csr(dag.csr(), k)
 
 
-def list_cliques(
-    graph: Graph,
-    k: int,
-    order: _ordering.OrderSpec = "degeneracy",
-) -> list[tuple[int, ...]]:
-    """Materialise all k-cliques (use :func:`iter_cliques` when possible)."""
-    return list(iter_cliques(graph, k, order))
-
-
 def count_cliques(
     graph: Graph,
     k: int,

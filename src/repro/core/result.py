@@ -69,6 +69,11 @@ class CliqueSetResult:
         """Deterministic canonical listing (each clique sorted, then lex)."""
         return sorted(tuple(sorted(c)) for c in self.cliques)
 
+    def copy(self) -> "CliqueSetResult":
+        """A copy with its own clique list and stats dict (the cliques
+        are frozensets, so they are shared)."""
+        return CliqueSetResult(list(self.cliques), self.k, self.method, dict(self.stats))
+
     def __iter__(self) -> Iterator[Clique]:
         return iter(self.cliques)
 

@@ -28,6 +28,15 @@ validity flags and never mutate score arrays or clique lists), and
 nothing here depends on the method tag — only on ``(graph, k)`` and
 the orientation name — so any method mix shares them safely.
 
+Result memo: on top of the substrates, a session keeps the answer of
+every *completed deterministic* solve, keyed by ``(method tag, k,
+options)`` (see :func:`memo_key`), so a repeated ``solve`` skips the
+engine and the FindMin drain. A solve with a rank-array or callable
+``order``, or with a ``time_budget`` (whether it completes depends on
+wall time), is never memoized; warm-started and restored tasks neither
+read nor fill the memo, and partial answers never enter it. Every hit
+hands out its own copy of the result.
+
 Thread safety: a session may be shared by concurrent solves (the
 serving layer in :mod:`repro.serve` does exactly that). Every
 :class:`Preprocessing` accessor takes the cache's re-entrant lock
@@ -40,8 +49,9 @@ immutable by the cache invariant above.
 
 from __future__ import annotations
 
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -60,6 +70,7 @@ from repro.core.result import CliqueSetResult
 from repro.core.task import SolveTask, normalize_warm_start
 
 if TYPE_CHECKING:  # deferred at runtime: the maintainer sits above core
+    from repro.analysis.bounds import OptimumBounds
     from repro.graph.dag import OrientedCSR
     from repro.dynamic.maintainer import DynamicDisjointCliques
 
@@ -88,6 +99,7 @@ class Preprocessing:
         self._scores: dict[int, np.ndarray] = {}
         self._cliques: dict[int, list[tuple[int, ...]]] = {}
         self._counts: dict[int, int] = {}
+        self._bounds: dict[int, OptimumBounds] = {}
         self.stats: dict[str, int] = {
             "clique_listings": 0,
             "score_passes": 0,
@@ -267,6 +279,23 @@ class Preprocessing:
             self._counts[k] = count
             return count
 
+    def bounds(self, k: int) -> OptimumBounds:
+        """Certified upper bounds on the optimum for ``k``, cached per k
+        (see :func:`repro.analysis.bounds.optimum_upper_bounds`); they
+        read the cached scores and clique count."""
+        from repro.analysis.bounds import optimum_upper_bounds
+
+        with self._lock:
+            cached = self._bounds.get(k)
+            if cached is not None:
+                self.stats["cache_hits"] += 1
+                return cached
+            cached = optimum_upper_bounds(
+                self.graph, k, scores=self.scores(k), total_cliques=self.clique_count(k)
+            )
+            self._bounds[k] = cached
+            return cached
+
     def cached_ks(self) -> tuple[int, ...]:
         """The k values with at least one cached per-k substrate."""
         with self._lock:
@@ -367,6 +396,24 @@ def _coerce_request(item: object) -> SolveRequest:
         ) from None
 
 
+def memo_key(method: Method, k: int, options: SolveOptions) -> tuple | None:
+    """The result memo's key for a solve, or ``None`` when it is not memoized.
+
+    The key keeps the method tag, ``k`` and every validated option
+    (defaults included). A solve is memoized only when each option is
+    ``None``, a bool, an int, a float or a string: a rank-array or
+    callable ``order`` has no stable key. A ``time_budget`` also opts a
+    solve out, because whether it completes depends on wall time: no
+    budgeted run is stored and no budgeted request reads the memo.
+    """
+    if getattr(options, "time_budget", None) is not None:
+        return None
+    values = tuple((f.name, getattr(options, f.name)) for f in fields(options))
+    if all(v is None or isinstance(v, (bool, int, float, str)) for _, v in values):
+        return (method.tag, k, values)
+    return None
+
+
 class Session:
     """A solver session bound to one graph, reusing preprocessing.
 
@@ -400,8 +447,14 @@ class Session:
         self.default_method = registry.get(default_method).tag
         self.prep = Preprocessing(graph)
         self._fingerprint: str | None = None
-        # Guards the fingerprint memo; the session pool fingerprints
-        # sessions from multiple worker threads.
+        # Completed solves by memo_key, their summed estimated bytes
+        # and the lookup counts.
+        self._memo: dict[tuple, CliqueSetResult] = {}
+        self._memo_bytes = 0
+        self._memo_hits = 0
+        self._memo_misses = 0
+        # Guards the fingerprint and the result memo; the session pool
+        # shares sessions between worker threads.
         self._lock = make_lock("Session._lock")
 
     # -- solving -------------------------------------------------------
@@ -429,14 +482,65 @@ class Session:
         resumable method runs its :meth:`task` to completion, so a
         ``time_budget`` bounds the seconds spent stepping (see
         :meth:`repro.core.task.SolveTask.step`); ``gc`` and ``opt`` run
-        their registered blocking function.
+        their registered blocking function. A repeat of a completed
+        solve is answered from the result memo (see :func:`memo_key`)
+        with a copy of the first answer.
         """
         k = self._check_k(k)
         m = self.registry.get(method if method is not None else self.default_method)
         opts = m.parse_options(options)
-        if m.run is not None:
-            return m.run(self.prep, k, opts)
-        return self._open_task(m, k, opts).run()
+        key = memo_key(m, k, opts)
+        result = self._recall(key)
+        if result is not None:
+            return result
+        if m.run is None:
+            return self._open_task(m, k, opts).run()
+        result = m.run(self.prep, k, opts)
+        self._remember(key, result)
+        return result
+
+    def recall(
+        self, k: int, method: str | None = None, **options: object
+    ) -> CliqueSetResult | None:
+        """A copy of the memoized result of a completed :meth:`solve` with
+        these arguments, or ``None`` (see :func:`memo_key`).
+
+        The serving layer answers a repeated request this way without
+        opening a task. A lookup of a memoizable key counts as a memo
+        hit or miss in :meth:`cache_info`.
+        """
+        k = self._check_k(k)
+        m = self.registry.get(method if method is not None else self.default_method)
+        return self._recall(memo_key(m, k, m.parse_options(options)))
+
+    def _recall(self, key: tuple | None) -> CliqueSetResult | None:
+        if key is None:
+            return None
+        with self._lock:
+            stored = self._memo.get(key)
+            if stored is None:
+                self._memo_misses += 1
+            else:
+                self._memo_hits += 1
+        return None if stored is None else stored.copy()
+
+    def _remember(self, key: tuple | None, result: CliqueSetResult) -> None:
+        """Memoize a completed solve's ``result`` under ``key`` (kept
+        once: of two racing solves of one key, the first to finish
+        stays)."""
+        if key is None:
+            return
+        entry = result.copy()
+        # Per clique a frozenset, a list slot and k ints, plus a
+        # kilobyte for the result object and its stats.
+        cliques = entry.cliques
+        size = 1024 + len(cliques) * (
+            sys.getsizeof(cliques[0]) + 8 + 28 * entry.k if cliques else 0
+        )
+        with self._lock:
+            if key not in self._memo:
+                self._memo[key] = entry
+                self._memo_bytes += size
 
     def task(
         self,
@@ -492,7 +596,9 @@ class Session:
                 f"{resumable}"
             )
         engine = m.engine(self.prep, k, opts, warm_start=seed)
-        return SolveTask(self, m, k, opts, engine)
+        # Only a cold start's answer is the solve's answer.
+        key = memo_key(m, k, opts) if seed is None else None
+        return SolveTask(self, m, k, opts, engine, memo_key=key)
 
     def restore_task(self, checkpoint: Mapping) -> SolveTask:
         """Revive a :meth:`~repro.core.task.SolveTask.checkpoint` here.
@@ -617,8 +723,20 @@ class Session:
         return self.registry.get(tag)
 
     def cache_info(self) -> dict:
-        """Snapshot of the preprocessing cache (see :meth:`Preprocessing.cache_info`)."""
-        return self.prep.cache_info()
+        """Snapshot of the preprocessing cache (see
+        :meth:`Preprocessing.cache_info`) and of the result memo
+        (:meth:`memo_info`)."""
+        return {**self.prep.cache_info(), **self.memo_info()}
+
+    def memo_info(self) -> dict[str, int]:
+        """The result memo's ``memo_entries``, ``memo_hits`` and
+        ``memo_misses``; waits on no substrate computation."""
+        with self._lock:
+            return {
+                "memo_entries": len(self._memo),
+                "memo_hits": self._memo_hits,
+                "memo_misses": self._memo_misses,
+            }
 
     def fingerprint(self) -> str:
         """Content hash of the bound graph's edge set (cached).
@@ -637,8 +755,9 @@ class Session:
         return self._fingerprint
 
     def estimated_bytes(self, blocking: bool = True) -> int:
-        """Rough resident size (see :meth:`Preprocessing.estimated_bytes`)."""
-        return self.prep.estimated_bytes(blocking=blocking)
+        """Rough resident size (see :meth:`Preprocessing.estimated_bytes`),
+        the result memo included."""
+        return self.prep.estimated_bytes(blocking=blocking) + self._memo_bytes
 
     def __repr__(self) -> str:
         return (

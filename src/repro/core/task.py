@@ -172,12 +172,15 @@ class SolveTask:
         k: int,
         options: "SolveOptions",
         engine: StepEngine,
+        memo_key: tuple | None = None,
     ) -> None:
         self.session = session
         self.method = method
         self.k = k
         self.options = options
         self.engine = engine
+        # Where the session memoizes the result (None: it does not).
+        self._memo_key = memo_key
         self.work = 0
         #: Seconds spent in :meth:`step` since the task was opened or
         #: restored (wall time, so never checkpointed).
@@ -232,13 +235,21 @@ class SolveTask:
         )
 
     def result(self) -> CliqueSetResult:
-        """Final result; raises unless the task has completed."""
+        """Final result; raises unless the task has completed.
+
+        A task opened without a warm start (and not restored) hands its
+        result to the session's result memo on the first call.
+        """
         if not self.engine.finished:
             raise InvalidParameterError(
                 "task has not completed; call run(), or step() until done "
                 "(best() returns the partial solution)"
             )
-        return self.engine.result()
+        result = self.engine.result()
+        if self._memo_key is not None:
+            self.session._remember(self._memo_key, result)
+            self._memo_key = None
+        return result
 
     # -- progress events -----------------------------------------------
     def on_progress(self, fn: Callable[[TaskSnapshot], None]) -> None:
@@ -342,7 +353,7 @@ class SolveTask:
                     "task was paused while run() was driving it; resume() "
                     "to continue"
                 )
-        return self.engine.result()
+        return self.result()
 
     def pause(self) -> None:
         """Request suspension at the next work-unit boundary."""
@@ -415,6 +426,8 @@ class SolveTask:
             **dict(checkpoint.get("options") or {}),
         )
         task.engine.load_state(checkpoint["engine"])
+        # Any valid state restores, so the run may not be the cold one.
+        task._memo_key = None
         task.work = int(checkpoint.get("work", 0))
         task._state = "done" if task.engine.finished else "ready"
         return task

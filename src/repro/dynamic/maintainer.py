@@ -80,10 +80,8 @@ class DynamicDisjointCliques:
             raise InvalidParameterError(f"k must be >= 2, got {k}")
         if isinstance(graph, Graph):
             self.graph = DynamicGraph.from_graph(graph)
-            static = graph
         elif isinstance(graph, DynamicGraph):
             self.graph = DynamicGraph(graph.n, graph.edges())
-            static = self.graph.snapshot()
         else:
             raise InvalidParameterError(
                 f"graph must be Graph or DynamicGraph, got {type(graph).__name__}"
@@ -101,13 +99,15 @@ class DynamicDisjointCliques:
             "coalesced_updates": 0,
         }
         if initial is None:
+            static = graph if isinstance(graph, Graph) else self.graph.snapshot()
             initial = find_disjoint_cliques(static, k, method=method)
         elif initial.k != k:
             raise InvalidParameterError(
                 f"initial solution was solved for k={initial.k}, expected {k}"
             )
         else:
-            verify_solution(static, k, initial.cliques)
+            # On the dynamic copy: its sets exist already.
+            verify_solution(self.graph, k, initial.cliques)
         self.index = CandidateIndex(self.graph, k)
         for clique in initial.cliques:
             self.index.add_solution_clique(clique)

@@ -17,8 +17,6 @@ Helpers
     Gather the rows of many nodes in one vectorised operation.
 :func:`in_sorted`
     Bulk membership of values in one sorted array.
-:func:`intersect_sorted`
-    Galloping (searchsorted) intersection of two sorted unique arrays.
 :func:`sorted_unique`
     Sort an int array and drop repeats.
 """
@@ -57,21 +55,6 @@ def in_sorted(haystack: np.ndarray, values: np.ndarray) -> np.ndarray:
         return np.zeros(len(values), dtype=bool)
     pos = np.searchsorted(haystack, values).clip(max=len(haystack) - 1)
     return haystack[pos] == values
-
-
-def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Intersection of two sorted unique int64 arrays (sorted result).
-
-    Binary-searches the smaller array into the larger one —
-    ``O(min log max)`` — which beats ``np.intersect1d``'s
-    concatenate-and-sort when the operands are lopsided, the common case
-    when intersecting a shrinking candidate set with adjacency rows.
-    """
-    if len(a) > len(b):
-        a, b = b, a
-    if not len(a):
-        return a
-    return a[in_sorted(b, a)]
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:

@@ -236,13 +236,13 @@ class DynamicGraph:
         """Thaw an immutable :class:`repro.graph.graph.Graph`; its CSR
         seeds the mirror."""
         dyn = cls(graph.n)
-        adj = dyn._adj
-        # A Graph's edges are valid and distinct: no per-edge checks.
-        for u, v in graph.edges():
-            adj[u].add(v)
-            adj[v].add(u)
-        dyn._m = graph.m
         csr = graph.csr()
+        # The sets come from the sorted rows (one shared int object per
+        # node), so the static graph builds no sets of its own.
+        cols = np.arange(graph.n).astype(object)[csr.cols].tolist()
+        bounds = csr.indptr.tolist()
+        dyn._adj = [set(cols[a:b]) for a, b in zip(bounds, bounds[1:])]
+        dyn._m = graph.m
         rows = np.repeat(np.arange(graph.n, dtype=np.int64), csr.degrees())
         dyn._keys = (rows << 32) | csr.cols
         dyn._degrees = csr.degrees()

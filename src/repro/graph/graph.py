@@ -241,17 +241,9 @@ class Graph:
         """The sorted CSR adjacency (see :mod:`repro.graph.csr`)."""
         return self._csr
 
-    def subgraph(self, nodes: Iterable[int]) -> "Graph":
-        """Induced subgraph on ``nodes``, relabelled to ``0 .. len-1``.
-
-        Returns a new :class:`Graph`; use :meth:`subgraph_with_mapping`
-        when the original labels are needed afterwards.
-        """
-        sub, _ = self.subgraph_with_mapping(nodes)
-        return sub
-
     def subgraph_with_mapping(self, nodes: Iterable[int]) -> tuple["Graph", list[int]]:
-        """Induced subgraph plus the list mapping new ids to original ids."""
+        """Induced subgraph on ``nodes``, relabelled to ``0 .. len-1``,
+        plus the list mapping new ids to original ids."""
         keep = sorted(set(nodes))
         index = {orig: new for new, orig in enumerate(keep)}
         edges = [

@@ -212,14 +212,29 @@ class SessionPool:
             return tuple(self._sessions)
 
     def info(self) -> dict:
-        """Counters plus current occupancy (for the ``stats`` endpoint)."""
-        total = self.total_bytes()  # measured outside the lock
+        """Counters plus current occupancy (for the ``stats`` endpoint).
+
+        ``memo_entries``/``memo_hits``/``memo_misses`` sum the result
+        memos of the resident sessions (see
+        :meth:`repro.core.session.Session.memo_info`); an evicted
+        session takes its share with it.
+        """
+        with self._lock:
+            # Order-independent sums over the resident sessions.
+            sessions = list(self._sessions.values())  # repro-lint: ignore=iterorder
+        # Measured outside the lock, like total_bytes().
+        total = sum(self._estimate(s) for s in sessions)
+        memo = {"memo_entries": 0, "memo_hits": 0, "memo_misses": 0}
+        for session in sessions:
+            for key, value in session.memo_info().items():
+                memo[key] += value
         with self._lock:
             return {
                 "sessions": len(self._sessions),
                 "max_sessions": self.max_sessions,
                 "bytes": total,
                 "max_bytes": self.max_bytes,
+                **memo,
                 **self.stats,
             }
 

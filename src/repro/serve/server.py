@@ -46,6 +46,12 @@ solve improves. The monolithic ``gc`` and ``opt`` run as one blocking
 call; ``opt`` gets the remaining deadline as its ``time_budget``.
 Driving a task to completion is what ``Session.solve`` does too, so
 results are transport-invariant.
+
+A repeat of a completed solve (same graph, ``k``, method and options)
+is answered on the worker from the session's result memo
+(:meth:`repro.core.session.Session.recall`) without opening a task, so
+it skips engine init, the drain, timeslicing and preemption; with
+``"progress": true`` it sends one final ``done`` event.
 """
 
 from __future__ import annotations
@@ -55,10 +61,10 @@ import time
 from pathlib import Path
 from typing import Callable, TextIO
 
-from repro.analysis.bounds import optimum_upper_bounds
 from repro.concurrency import make_lock, make_rlock
 from repro.core.registry import REGISTRY, SolverRegistry
 from repro.core.result import CliqueSetResult
+from repro.core.task import TaskSnapshot
 from repro.errors import (
     InvalidParameterError,
     ProtocolError,
@@ -349,6 +355,14 @@ class Server:
             )
         request_id = message.get("id")
 
+        def report(snapshot: TaskSnapshot) -> None:
+            emit(protocol.progress_event(request_id, {
+                "size": snapshot.size,
+                "bound": snapshot.bound,
+                "work": snapshot.work,
+                "done": snapshot.done,
+            }))
+
         def run(remaining: float | None) -> dict | Resumable:
             session = self.pool.get(graph, fingerprint=fingerprint)
             if not method.resumable:
@@ -358,16 +372,15 @@ class Server:
                 result = session.solve(k, method.tag, **opts)
                 return _result_payload(result, include_cliques)
 
+            memoized = session.recall(k, method.tag, **options)
+            if memoized is not None:
+                # A repeat of a completed solve: no task, no work.
+                if want_progress and emit is not None:
+                    size = memoized.size
+                    report(TaskSnapshot("done", 0, size, size, True))
+                return _result_payload(memoized, include_cliques)
             task = session.task(k, method.tag, **options)
             if want_progress and emit is not None:
-                def report(snapshot) -> None:
-                    emit(protocol.progress_event(request_id, {
-                        "size": snapshot.size,
-                        "bound": snapshot.bound,
-                        "work": snapshot.work,
-                        "done": snapshot.done,
-                    }))
-
                 task.on_progress(report)
 
             def partial() -> dict:
@@ -408,13 +421,7 @@ class Server:
         k = protocol.require(message, "k", int, "an integer clique size")
 
         def run(remaining: float | None) -> dict:
-            session = self.pool.get(graph, fingerprint=fingerprint)
-            bounds = optimum_upper_bounds(
-                graph,
-                k,
-                scores=session.prep.scores(k),
-                total_cliques=session.prep.clique_count(k),
-            )
+            bounds = self.pool.get(graph, fingerprint=fingerprint).prep.bounds(k)
             return {
                 "k": k,
                 "node_bound": bounds.node_bound,

@@ -25,7 +25,7 @@ from repro import Graph, Session
 from repro.cliques import csr_kernels
 from repro.cliques.counting import node_scores
 from repro.cliques.csr_kernels import resolve_backend
-from repro.cliques.listing import count_cliques, iter_cliques, list_cliques
+from repro.cliques.listing import count_cliques, iter_cliques
 from repro.core.lightweight import lightweight
 from repro.core.registry import GCOptions
 from repro.core.store_all import store_all_cliques
@@ -130,7 +130,7 @@ class TestResolveBackend:
         with pytest.raises(TypeError, match="backend"):
             FlushPolicy(backend="csr")
 
-    @pytest.mark.parametrize("fn", [count_cliques, node_scores, list_cliques])
+    @pytest.mark.parametrize("fn", [count_cliques, node_scores, iter_cliques])
     def test_unknown_backend_rejected_at_entrypoints(self, paper_graph, fn):
         with pytest.raises(TypeError, match="backend"):
             fn(paper_graph, 3, backend="csr")

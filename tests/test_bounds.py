@@ -62,6 +62,28 @@ class TestSoundness:
         assert 1.0 <= cert <= 3.0  # far below the worst-case k
 
 
+class TestPreprocessingBounds:
+    def test_memoized_per_k(self):
+        from repro import Session
+
+        graph = ring_of_cliques(6, 4)
+        session = Session(graph)
+        bounds = session.prep.bounds(3)
+        assert bounds == optimum_upper_bounds(graph, 3)
+        hits = session.prep.stats["cache_hits"]
+        assert session.prep.bounds(3) is bounds
+        assert session.prep.stats["cache_hits"] == hits + 1
+        assert session.prep.bounds(4) == optimum_upper_bounds(graph, 4)
+
+    def test_builds_no_neighbour_sets(self):
+        from repro import Session
+        from repro.graph.generators import powerlaw_cluster
+
+        graph = powerlaw_cluster(300, 5, 0.6, seed=1)
+        Session(graph).prep.bounds(3)
+        assert not graph.has_sets
+
+
 class TestCertificate:
     def test_empty_solution_on_cliquey_graph(self, triangle_pair):
         assert approximation_certificate(triangle_pair, 3, 0) == float("inf")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Graph
-from repro.graph.csr import concat_rows, in_sorted, intersect_sorted, sorted_unique
+from repro.graph.csr import concat_rows, in_sorted, sorted_unique
 from repro.graph.generators import erdos_renyi_gnp
 
 
@@ -88,15 +88,6 @@ class TestSortedArrayHelpers:
             False, True, False, True, True, False,
         ]
         assert in_sorted(np.empty(0, dtype=np.int64), values).tolist() == [False] * 6
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_intersect_sorted_matches_set_intersection(self, seed):
-        rng = np.random.default_rng(seed)
-        a = np.unique(rng.integers(0, 60, size=rng.integers(0, 30)))
-        b = np.unique(rng.integers(0, 60, size=rng.integers(0, 30)))
-        expected = sorted(set(a.tolist()) & set(b.tolist()))
-        assert intersect_sorted(a, b).tolist() == expected
-        assert intersect_sorted(b, a).tolist() == expected
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sorted_unique_matches_sorted_set(self, seed):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Graph, find_disjoint_cliques
-from repro.cliques.listing import list_cliques
+from repro.cliques.listing import iter_cliques
 from repro.core.result import CliqueSetResult
 from repro.dynamic import DynamicDisjointCliques, make_workload
 from repro.dynamic.index import CandidateIndex, Clique
@@ -47,7 +47,7 @@ def reference_build(index: CandidateIndex) -> None:
 def random_greedy(graph: Graph, k: int, seed: int) -> CliqueSetResult:
     """A maximal start: the k-cliques in a seeded random order, each
     taken when it misses every clique taken before."""
-    cliques = sorted(frozenset(c) for c in list_cliques(graph, k))
+    cliques = sorted(frozenset(c) for c in iter_cliques(graph, k))
     random.Random(seed).shuffle(cliques)
     used: set[int] = set()
     chosen = []

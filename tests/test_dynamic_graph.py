@@ -70,6 +70,16 @@ class TestSnapshot:
         dyn = DynamicGraph.from_graph(paper_graph)
         assert dyn.snapshot() == paper_graph
 
+    def test_from_graph_reads_the_csr_rows(self, paper_graph):
+        dyn = DynamicGraph.from_graph(paper_graph)
+        assert not paper_graph.has_sets
+        assert dyn.m == paper_graph.m
+        for u in paper_graph.nodes():
+            assert dyn.neighbors(u) == set(paper_graph.csr().row(u).tolist())
+        # One int object per node, shared by every row it appears in.
+        ids = {id(v) for u in dyn.nodes() for v in dyn.neighbors(u)}
+        assert len(ids) == len({v for u in dyn.nodes() for v in dyn.neighbors(u)})
+
     def test_snapshot_after_updates(self, paper_graph):
         dyn = DynamicGraph.from_graph(paper_graph)
         dyn.delete_edge(0, 2)

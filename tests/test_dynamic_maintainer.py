@@ -32,6 +32,23 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             DynamicDisjointCliques("nope", 3)
 
+    def test_initial_solution_checked_on_the_dynamic_copy(self):
+        from repro.core.result import CliqueSetResult
+        from repro.core.session import Session
+        from repro.errors import SolutionError
+
+        graph = powerlaw_cluster(300, 5, 0.6, seed=6)
+        initial = Session(graph).solve(3)
+        dyn = DynamicDisjointCliques(graph, 3, initial=initial)
+        assert dyn.size == initial.size
+        # Neither the thaw nor the check builds the static graph's sets.
+        assert not graph.has_sets
+        u, v = next(iter(dyn.graph.edges()))
+        w = next(x for x in range(graph.n) if x != u and not dyn.graph.has_edge(u, x))
+        for bad in ([(u, v, w)], [(u, v, graph.n)], [(u, v)]):
+            with pytest.raises(SolutionError):
+                DynamicDisjointCliques(graph, 3, initial=CliqueSetResult(bad, k=3))
+
     def test_solution_snapshot(self, triangle_pair):
         dyn = DynamicDisjointCliques(triangle_pair, 3)
         result = dyn.solution()

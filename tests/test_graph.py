@@ -113,7 +113,7 @@ class TestDerived:
         assert mapping == [2, 4, 5]
 
     def test_subgraph_empty(self, paper_graph):
-        assert paper_graph.subgraph([]).n == 0
+        assert paper_graph.subgraph_with_mapping([]) == (Graph(0), [])
 
     def test_complement_of_triangle(self):
         g = Graph(3, [(0, 1), (0, 2), (1, 2)])

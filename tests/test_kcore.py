@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Graph, find_disjoint_cliques
-from repro.cliques import list_cliques
+from repro.cliques import iter_cliques
 from repro.graph.generators import complete_graph, erdos_renyi_gnp, powerlaw_cluster
 from repro.graph.kcore import core_numbers, kcore_nodes, prune_for_cliques
 
@@ -46,8 +46,8 @@ class TestPruneForCliques:
     def test_cliques_preserved_exactly(self, random_graphs, k):
         for g in random_graphs:
             pruned, mask = prune_for_cliques(g, k)
-            assert {frozenset(c) for c in list_cliques(g, k)} == {
-                frozenset(c) for c in list_cliques(pruned, k)
+            assert {frozenset(c) for c in iter_cliques(g, k)} == {
+                frozenset(c) for c in iter_cliques(pruned, k)
             }
             # Every surviving edge touches only core nodes.
             for u, v in pruned.edges():
@@ -72,7 +72,7 @@ class TestPruneForCliques:
         g = barabasi_albert(500, 2, seed=2)
         pruned, mask = prune_for_cliques(g, 4)
         assert pruned.m < g.m
-        assert list_cliques(g, 4) == []
+        assert list(iter_cliques(g, 4)) == []
 
     def test_pruning_partial_on_mixed_graph(self):
         # Dense planted core + sparse periphery: the core survives, the

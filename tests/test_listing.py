@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Graph
-from repro.cliques import count_cliques, iter_cliques, iter_cliques_in_nodes, list_cliques
+from repro.cliques import count_cliques, iter_cliques, iter_cliques_in_nodes
 from repro.dynamic.local import cliques_through_edge, cliques_through_node
 from repro.errors import InvalidParameterError
 from repro.graph.generators import complete_graph
@@ -37,7 +37,7 @@ class TestAgainstBruteForce:
 
     def test_no_duplicates(self, random_graphs):
         for g in random_graphs:
-            listed = list_cliques(g, 3)
+            listed = list(iter_cliques(g, 3))
             assert len(listed) == len(canon(listed))
 
 
@@ -60,16 +60,16 @@ class TestSpecialCases:
         }
 
     def test_k_larger_than_n(self, triangle_pair):
-        assert list_cliques(triangle_pair, 7) == []
+        assert list(iter_cliques(triangle_pair, 7)) == []
 
     def test_invalid_k(self, triangle_pair):
         with pytest.raises(InvalidParameterError):
-            list_cliques(triangle_pair, 0)
+            iter_cliques(triangle_pair, 0)
         with pytest.raises(InvalidParameterError):
             count_cliques(triangle_pair, -1)
 
     def test_empty_graph(self):
-        assert list_cliques(Graph(0), 3) == []
+        assert list(iter_cliques(Graph(0), 3)) == []
         assert count_cliques(Graph(0), 3) == 0
 
 

@@ -40,14 +40,15 @@ class TestPreprocessingCache:
     def test_same_k_lists_cliques_exactly_once(self, paper_graph, listing_spy):
         session = Session(paper_graph)
         first = session.solve(3, "gc")
-        second = session.solve(3, "gc")
+        # A new key runs gc again (a repeat is a memo hit) on the listing.
+        second = session.solve(3, "gc", max_cliques=100)
         assert listing_spy == [3]
         assert first.sorted_cliques() == second.sorted_cliques()
 
     def test_new_k_triggers_exactly_one_new_listing(self, paper_graph, listing_spy):
         session = Session(paper_graph)
         session.solve(3, "gc")
-        session.solve(3, "gc")
+        session.solve(3, "gc", max_cliques=100)
         session.solve(4, "gc")
         assert listing_spy == [3, 4]
 
@@ -62,7 +63,7 @@ class TestPreprocessingCache:
         session = Session(paper_graph)
         session.solve(3, "lp")
         session.solve(3, "l")
-        session.solve(3, "lp")
+        session.task(3, "lp").run()  # the engine again, not the memo
         assert score_spy == [3]
         session.solve(4, "lp")
         assert score_spy == [3, 4]
@@ -82,7 +83,7 @@ class TestPreprocessingCache:
     def test_cache_info_counters(self, paper_graph):
         session = Session(paper_graph)
         session.solve(3, "gc")
-        session.solve(3, "gc")
+        session.solve(3, "gc", max_cliques=100)
         info = session.cache_info()
         assert info["clique_listings"] == 1
         assert info["ks_with_cliques"] == (3,)
@@ -110,7 +111,7 @@ class TestPreprocessingCache:
         with pytest.raises(OutOfMemoryError):
             session.solve(3, "gc", max_cliques=3)
         assert session.cache_info()["ks_with_cliques"] == ()
-        session.solve(3, "gc")  # full listing still possible afterwards
+        # The full listing is still possible afterwards.
         assert session.solve(3, "gc").size == 3
 
 

@@ -62,13 +62,12 @@ class TestEquivalence:
     def test_chunked_stepping_matches_single_run(self):
         g = small_graph(7)
         session = Session(g)
+        # Solved first: the completed task below fills the result memo.
+        blocking = session.solve(4, "lp")
         task = session.task(4, "lp")
         while not task.done:
             task.step(max_work=3)
-        assert (
-            task.result().sorted_cliques()
-            == session.solve(4, "lp").sorted_cliques()
-        )
+        assert task.result().sorted_cliques() == blocking.sorted_cliques()
 
 
 class TestStepBoundaryValidity:

@@ -59,6 +59,9 @@ DEFERRED_OK: frozenset[tuple[str, str]] = frozenset(
         # demand; the type dependency stays inverted (maintainer depends
         # on core, not vice versa).
         ("repro.core.session", "repro.dynamic.maintainer"),
+        # Preprocessing.bounds memoizes the certified optimum bounds,
+        # which read only graph and clique substrates.
+        ("repro.core.session", "repro.analysis.bounds"),
         # exact_optimum falls back to blossom matching for k=2.
         ("repro.core.exact", "repro.matching"),
         # result maximality checks enumerate residual cliques lazily.
